@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
             "finalState": {
                 var.text(): final.read(var)
                 for var in sorted(variables_of(program) | set(init.values),
-                                  key=lambda v: (v.name, v.type))
+                                  key=Variable.sort_key)
             },
             "score": score,
         }

@@ -262,7 +262,8 @@ class DenseState:
 
     def same_function(self, other: "DenseState") -> bool:
         left, right = self._align(other)
-        for var in left.variables() | right.variables():
+        for var in sorted(left.variables() | right.variables(),
+                          key=Variable.sort_key):
             if not np.array_equal(left.grid(var), right.grid(var)):
                 return False
         return True
@@ -280,6 +281,6 @@ class DenseState:
 
     def canonical_text(self) -> str:
         parts = [f"dims={self.dims!r} extents={self.extents!r}"]
-        for var in sorted(self.cells, key=lambda v: (v.name, v.type)):
+        for var in sorted(self.cells, key=Variable.sort_key):
             parts.append(f"{var.text()}={self.cells[var].tolist()!r}")
         return "; ".join(parts)

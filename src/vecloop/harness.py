@@ -302,7 +302,7 @@ def check_int_vs_fixpoint(program: Cmd, db: Rdb, state=None,
 
 def _first_state_diff(left, right, probes) -> list[str]:
     for var in sorted(left.variables() | right.variables(),
-                      key=lambda v: (v.name, v.type)):
+                      key=Variable.sort_key):
         for i in probes:
             a, b = left.read(var, i), right.read(var, i)
             if a != b:

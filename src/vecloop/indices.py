@@ -50,6 +50,12 @@ class Index:
     def prefix(self, length: int) -> "Index":
         return Index(self.pairs[:length])
 
+    def prefixes(self) -> Iterator["Index"]:
+        """This index, then its proper prefixes from longest to shortest."""
+        yield self
+        for length in range(len(self.pairs) - 1, -1, -1):
+            yield self.prefix(length)
+
     def parent(self) -> "Index":
         if not self.pairs:
             raise ValueError("the empty index has no parent")

@@ -26,6 +26,10 @@ KEYWORDS = {
     "extended_loop_with_shift", "int", "real",
 }
 OP_NAMES = {op for op, _ in TABLE}
+# Deepest nesting of blocks, parentheses, operator calls and operator chains.
+# Parsing takes up to five Python frames per level and every later tree walk
+# one or two, so this keeps all of them far below the recursion limit.
+MAX_DEPTH = 100
 
 _TOKEN = re.compile(
     r"""
@@ -77,6 +81,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.var_types: dict[str, str] = {}
 
     # -- token plumbing ------------------------------------------------------
@@ -102,6 +107,12 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
+    def descend(self) -> None:
+        """Enter one more level of nesting; too deep is a parse error."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"nesting deeper than {MAX_DEPTH} levels")
+
     # -- statements ----------------------------------------------------------
 
     def program(self) -> Cmd:
@@ -121,7 +132,9 @@ class _Parser:
 
     def block(self) -> Cmd:
         self.expect("{")
+        self.descend()
         cmd = self.stmt_list()
+        self.depth -= 1
         self.expect("}")
         return cmd
 
@@ -251,24 +264,32 @@ class _Parser:
 
     def expr(self, want: str | None = None) -> Expr:
         tok = self.peek()
+        self.descend()
         e = self.additive()
+        self.depth -= 1
         if want is not None and expr_kind(e) != want:
             self.fail(f"expected a {want} expression", tok)
         return e
 
     def additive(self) -> Expr:
+        depth = self.depth
         e = self.multiplicative()
         while self.peek().text in ("+", "-"):
             op = "add" if self.next().text == "+" else "sub"
+            self.descend()  # a left-nested chain deepens with every operator
             e = self.binop(op, e, self.multiplicative())
+        self.depth = depth
         return e
 
     def multiplicative(self) -> Expr:
+        depth = self.depth
         e = self.unary()
         while self.peek().text in ("*", "/", "%"):
             sym = self.next().text
             op = {"*": "mul", "/": "div", "%": "mod"}[sym]
+            self.descend()
             e = self.binop(op, e, self.unary())
+        self.depth = depth
         return e
 
     def binop(self, op: str, left: Expr, right: Expr) -> Expr:
@@ -281,7 +302,9 @@ class _Parser:
     def unary(self) -> Expr:
         if self.at("-"):
             tok = self.next()
+            self.descend()
             inner = self.unary()
+            self.depth -= 1
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             if isinstance(inner, RealLit):

@@ -9,9 +9,9 @@ covers the whole subtree above it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .indices import AChain, Index, in_up, max_below
+from .indices import AChain, Index
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,16 @@ class PMap:
         return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
 
     def extend_eval(self, i: Index):
-        """Value at the longest stored prefix of i, or None if none exists."""
-        best = max_below(self.entries, i)
-        return None if best is None else self.entries[best]
+        """Value at the longest stored prefix of i, or None if none exists.
+
+        The prefixes of i form a chain, so probing them longest first finds
+        that entry in at most len(i) + 1 probes.
+        """
+        entries = self.entries
+        for p in i.prefixes():
+            if p in entries:
+                return entries[p]
+        return None
 
     def updated(self, tensor: "PMap") -> "PMap":
         """Overwrite with `tensor`; entries strictly above its domain vanish.
@@ -53,9 +60,8 @@ class PMap:
         by the written region (the upward closure of the tensor's domain).
         """
         new = dict(tensor.entries)
-        dom = list(tensor.entries)
         for i, v in self.entries.items():
-            if i not in tensor.entries and not in_up(i, dom):
+            if not _covered(i, tensor.entries):
                 new[i] = v
         return PMap(new)
 
@@ -74,9 +80,8 @@ class PMap:
         for target, source in image.items():
             if source in self.entries:
                 new[target] = self.entries[source]
-        image_list = list(image)
         for i, v in self.entries.items():
-            if i not in image and not in_up(i, image_list):
+            if not _covered(i, image):
                 new[i] = v
         base = PMap(new)
         repairs: dict[Index, object] = {}
@@ -91,25 +96,17 @@ class PMap:
             new.update(repairs)
         return PMap(new)
 
-    def restricted(self, keep: Iterable[Index]) -> "PMap":
-        keep_set = set(keep)
-        return PMap({i: v for i, v in self.entries.items() if i in keep_set})
-
     def canonical(self) -> "PMap":
         """Drop entries already induced by a shorter stored prefix.
 
         Two maps represent the same total function exactly when their
         canonical forms are equal, so this is the equality used by the
-        fixed-point check.
+        fixed-point check.  An entry is induced when the read at its parent
+        gives the same value.  Dropping an induced entry changes no read, so
+        every entry can be judged against this map as it stands.
         """
-        kept = dict(self.entries)
-        for i in sorted(self.entries, key=len, reverse=True):
-            if len(i) == 0:
-                continue
-            nearest = max_below((j for j in kept if j != i), i)
-            if nearest is not None and kept[nearest] == self.entries[i]:
-                del kept[i]
-        return PMap(kept)
+        return PMap({i: v for i, v in self.entries.items()
+                     if not i.pairs or self.extend_eval(i.parent()) != v})
 
     def same_function(self, other: "PMap") -> bool:
         return self.canonical().entries == other.canonical().entries
@@ -120,6 +117,11 @@ class PMap:
 
     def __repr__(self) -> str:
         return f"PMap({self.text()})"
+
+
+def _covered(i: Index, region: Mapping[Index, object]) -> bool:
+    """i lies in the upward closure of `region`'s keys: a prefix is a key."""
+    return any(p in region for p in i.prefixes())
 
 
 def zeros(chain: AChain | Iterable[Index]) -> PMap:
@@ -142,15 +144,3 @@ def tensor_sum(tensor: PMap) -> float:
     """Total of all entries, in canonical index order."""
     return sum(v for _, v in tensor.items_sorted())
 
-
-def probe_equal(left: PMap, right: PMap, probes: Iterable[Index],
-                value_eq: Callable[[object, object], bool] = lambda a, b: a == b) -> bool:
-    """Extensional agreement of the represented functions on `probes`."""
-    for i in probes:
-        if not value_eq(left.extend_eval(i), right.extend_eval(i)):
-            return False
-    return True
-
-
-def cell_eq_on(left: PMap, right: PMap, where: Iterable[Index]) -> bool:
-    return probe_equal(left, right, where)

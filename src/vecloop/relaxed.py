@@ -45,7 +45,7 @@ class Flag:
 
     def __repr__(self) -> str:
         parts = []
-        for var in sorted(self.per_var, key=lambda v: (v.name, v.type)):
+        for var in sorted(self.per_var, key=Variable.sort_key):
             bits = self.per_var[var]
             inner = ", ".join(f"{i.text()}:{bits[i]}"
                               for i in sorted(bits, key=Index.sort_key))
@@ -149,8 +149,8 @@ def flag_restrict(flag: Flag, chain: AChain) -> Flag:
 
 def fixcheck(state0, state1, flag: Flag, chain: AChain) -> bool:
     """Masked fixed-point test: agree on the chain minus write-first slots."""
-    for var in (set(state0.variables()) | set(state1.variables())
-                | flag.variables()):
+    variables = state0.variables() | state1.variables() | flag.variables()
+    for var in sorted(variables, key=Variable.sort_key):
         bits = flag.per_var.get(var, {})
         where = [i for i in chain if bits.get(i) != 1]
         if not state0.eq_on(state1, where, [var]):

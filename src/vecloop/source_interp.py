@@ -41,7 +41,7 @@ class SrcState:
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{v.text()}={self.values[v]!r}"
-            for v in sorted(self.values, key=lambda v: (v.name, v.type))
+            for v in sorted(self.values, key=Variable.sort_key)
         )
         return f"SrcState({inner})"
 

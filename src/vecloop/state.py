@@ -59,7 +59,8 @@ class SparseState:
         )
 
     def same_function(self, other: "SparseState") -> bool:
-        for var in self.variables() | other.variables():
+        for var in sorted(self.variables() | other.variables(),
+                          key=Variable.sort_key):
             if not self.cell(var).same_function(other.cell(var)):
                 return False
         return True
@@ -77,7 +78,7 @@ class SparseState:
 
     def canonical_text(self) -> str:
         parts = []
-        for var in sorted(self.variables(), key=lambda v: (v.name, v.type)):
+        for var in sorted(self.variables(), key=Variable.sort_key):
             parts.append(f"{var.text()}={self.cell(var).canonical().text()}")
         return "; ".join(parts)
 

@@ -29,6 +29,10 @@ class Variable:
     def text(self) -> str:
         return f"{self.name}:int" if self.type == INT else self.name
 
+    def sort_key(self) -> tuple[str, str]:
+        """Deterministic iteration order, independent of hash seeds."""
+        return (self.name, self.type)
+
     def __repr__(self) -> str:
         return f"Variable({self.text()})"
 

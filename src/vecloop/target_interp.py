@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import MissingString, PrimitiveDomainError, ScoreNaN
 from .evalexpr import eval_expr
-from .indices import AChain, Index, ROOT_CHAIN, in_down
+from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
 from .state import SPARSE, LoopRound, TgtOutcome, make_state
@@ -30,11 +30,12 @@ def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
     """The relocation map of shift: each slot receives its predecessor.
 
     Slot (name, 0) receives the value below the name level; slot
-    (name, k + 1) receives slot (name, k)'s.
+    (name, k + 1) receives slot (name, k)'s when that slot lies in the
+    chain's downward closure.
     """
     rho: dict[Index, Index] = {}
-    members = list(chain)
-    for target in members:
+    down = {p for i in chain.members for p in i.prefixes()}
+    for target in chain:
         if not target.pairs or target.pairs[-1][0] != name:
             continue
         k = target.pairs[-1][1]
@@ -42,7 +43,7 @@ def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
             rho[target.parent()] = target
         else:
             source = target.parent().append(name, k - 1)
-            if in_down(source, members):
+            if source in down:
                 rho[source] = target
     return rho
 

@@ -170,6 +170,13 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.vl"
+    deep.write_text("y := " + "(" * 3000 + "1.0" + ")" * 3000 + ";")
+    assert main(["run", "--tier", "source", "--program", str(deep)]) == 2
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
 def test_semantic_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "log.vl"
     bad.write_text("x := log(0.0 - 2.0)")

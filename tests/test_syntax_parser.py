@@ -68,6 +68,23 @@ def test_diagnostics_carry_location():
     assert err.value.col >= 6
 
 
+@pytest.mark.parametrize("text", [
+    "y := " + "(" * 3000 + "1.0" + ")" * 3000,
+    "y := " + "-" * 3000 + "1.0",
+    "y := " + " + ".join(["1.0"] * 3000),
+    "ifz 0 { " * 3000 + "skip" + " } else { skip }" * 3000,
+])
+def test_deep_nesting_is_a_parse_failure(text):
+    with pytest.raises(ParseFailure, match="nesting deeper than"):
+        parse(text)
+
+
+def test_nesting_below_the_limit_parses():
+    parse("y := " + "(" * 90 + "1.0" + ")" * 90)
+    parse("y := " + " + ".join(["1.0"] * 90))
+    parse("ifz 0 { " * 90 + "skip" + " } else { skip }" * 90)
+
+
 def test_variable_types_are_sticky():
     with pytest.raises(ParseFailure):
         parse("x:int := 1; x := 2.0")

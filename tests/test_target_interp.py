@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import vecloop
 from _support import logpdf, probes_for, rand_chain
 from vecloop.errors import MissingString, StringAlreadyPresent
 from vecloop.harness import (GenConfig, gen_program, gen_rdb, gen_target_case,
@@ -283,3 +287,41 @@ def test_int_vs_fixpoint_on_corpus_sample():
         assert fix.score == unr.score
         probes = probe_indices([fix.state, unr.state], seed, count=128)
         assert fix.state.eq_on(unr.state, probes)
+
+
+COUNT_CANONICAL = """
+from vecloop.bench import arm_program
+from vecloop.pmap import PMap
+from vecloop.rdb import Rdb
+from vecloop.target_interp import run_tgt
+from vecloop.translate import vectorise
+
+calls = 0
+canonical = PMap.canonical
+
+
+def counted(self):
+    global calls
+    calls += 1
+    return canonical(self)
+
+
+PMap.canonical = counted
+run_tgt(vectorise(arm_program(100, 2)), Rdb({}, "normal", 0.0, 20240901))
+print(calls)
+"""
+
+
+def test_fixpoint_check_cost_does_not_follow_hash_seed():
+    # variables are compared in name order, so the first difference found,
+    # and with it the work done, is the same under every hash seed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vecloop.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    counts = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", COUNT_CANONICAL],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        counts.append(int(proc.stdout))
+    assert counts[0] == counts[1] > 0
