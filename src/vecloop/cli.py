@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(ParseFailure, TierViolation), 3 runtime semantic error "
                "(PrimitiveDomainError, ScoreNaN, MissingString, "
                "StringAlreadyPresent, EmptyIndexLost, NotComparable, "
-               "UnknownString, NegativeComponent).",
+               "UnknownString, NegativeComponent, ThreadBudgetExceeded).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

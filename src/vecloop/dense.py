@@ -88,10 +88,6 @@ def dense_encode(m: PMap, dims: Mapping[str, int]) -> DenseMap:
     return DenseMap(dims, tuple(extents), cells)
 
 
-def dense_decode(d: DenseMap, i: Index):
-    return d.decode(i)
-
-
 # --------------------------------------------------------------------------
 # Dense interpreter backend
 # --------------------------------------------------------------------------

@@ -35,6 +35,10 @@ class StringAlreadyPresent(VecloopError):
     pass
 
 
+class ThreadBudgetExceeded(VecloopError):
+    pass
+
+
 class MissingString(VecloopError):
     pass
 

@@ -1,47 +1,56 @@
 """Expression evaluation, shared by the scalar and vectorised interpreters.
 
 The caller supplies how variables are read; everything else (literals,
-operator dispatch by argument kinds, index construction) is common.
+operator dispatch by argument kinds, index construction) is common.  Each
+operator node is resolved against the operator table once, on first use,
+and keeps its result kind and implementation.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from . import ops
 from .indices import Index
-from .ops import apply_op, resolve
 from .syntax import (INT, Expr, IndexExpr, IntLit, PrimOp, RealLit, Var,
                      Variable)
 
 
+def resolved(e: PrimOp) -> tuple[str, Callable]:
+    """The node's (result kind, implementation), resolved once per node.
+
+    An ill-typed node raises KeyError on every use and stores nothing.
+    """
+    found = e.impl
+    if found is None:
+        found = ops.resolve(e.op, tuple(expr_kind(a) for a in e.args))
+        object.__setattr__(e, "impl", found)
+    return found
+
+
 def expr_kind(e: Expr) -> str:
     """Static kind of an expression: "int", "real", or "index"."""
+    if isinstance(e, PrimOp):
+        return resolved(e)[0]
+    if isinstance(e, Var):
+        return e.var.type
     if isinstance(e, IntLit):
         return INT
     if isinstance(e, RealLit):
         return "real"
-    if isinstance(e, Var):
-        return e.var.type
     if isinstance(e, IndexExpr):
         return "index"
-    if isinstance(e, PrimOp):
-        kinds = tuple(expr_kind(a) for a in e.args)
-        result, _ = resolve(e.op, kinds)
-        return result
     raise TypeError(f"not an expression: {e!r}")
 
 
 def eval_expr(e: Expr, read_var: Callable[[Variable], object]):
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, RealLit):
-        return e.value
     if isinstance(e, Var):
         return read_var(e.var)
     if isinstance(e, PrimOp):
-        kinds = tuple(expr_kind(a) for a in e.args)
-        args = tuple(eval_expr(a, read_var) for a in e.args)
-        return apply_op(e.op, kinds, args)
+        fn = (e.impl or resolved(e))[1]
+        return fn(*[eval_expr(a, read_var) for a in e.args])
+    if isinstance(e, (IntLit, RealLit)):
+        return e.value
     if isinstance(e, IndexExpr):
         return Index(tuple((name, eval_expr(z, read_var)) for name, z in e.pairs))
     raise TypeError(f"not an expression: {e!r}")

@@ -8,22 +8,51 @@ sets of simultaneously active threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-from .errors import DuplicateIndexString, StringAlreadyPresent
+from .errors import (DuplicateIndexString, StringAlreadyPresent,
+                     ThreadBudgetExceeded)
+
+# The most active threads (antichain members) one chain may hold.
+THREAD_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
 class Index:
-    """A finite sequence of (name, value) pairs with distinct names."""
+    """A finite sequence of (name, value) pairs with distinct names.
 
-    pairs: tuple[tuple[str, int], ...] = ()
+    Immutable; the hash is computed once, at construction.
+    """
 
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.pairs]
-        if len(names) != len(set(names)):
-            raise DuplicateIndexString(f"index repeats a string: {self.pairs!r}")
+    __slots__ = ("pairs", "_hash")
+
+    def __init__(self, pairs: tuple[tuple[str, int], ...] = ()):
+        pairs = tuple(pairs)
+        if len({name for name, _ in pairs}) != len(pairs):
+            raise DuplicateIndexString(f"index repeats a string: {pairs!r}")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_hash", hash((pairs,)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Index, (self.pairs,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Index:
+            return NotImplemented
+        return self._hash == other._hash and self.pairs == other.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -35,7 +64,10 @@ class Index:
         return Index(self.pairs + other.pairs)
 
     def append(self, name: str, value: int) -> "Index":
-        return Index(self.pairs + ((name, value),))
+        pairs = self.pairs + ((name, value),)
+        if self.lookup(name) is not None:
+            raise DuplicateIndexString(f"index repeats a string: {pairs!r}")
+        return _unchecked(pairs)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.pairs)
@@ -47,19 +79,22 @@ class Index:
                 return value
         return None
 
+    # A prefix of an index with distinct names has distinct names, so the
+    # prefix walk builds its indices unchecked.
     def prefix(self, length: int) -> "Index":
-        return Index(self.pairs[:length])
+        return _unchecked(self.pairs[:length])
 
     def prefixes(self) -> Iterator["Index"]:
         """This index, then its proper prefixes from longest to shortest."""
         yield self
-        for length in range(len(self.pairs) - 1, -1, -1):
-            yield self.prefix(length)
+        pairs = self.pairs
+        for length in range(len(pairs) - 1, -1, -1):
+            yield _unchecked(pairs[:length])
 
     def parent(self) -> "Index":
         if not self.pairs:
             raise ValueError("the empty index has no parent")
-        return Index(self.pairs[:-1])
+        return _unchecked(self.pairs[:-1])
 
     def sort_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical total order: lexicographic on the pair sequence.
@@ -77,6 +112,14 @@ class Index:
 
     def __repr__(self) -> str:
         return f"Index({self.text()})"
+
+
+def _unchecked(pairs: tuple[tuple[str, int], ...]) -> Index:
+    """An index over pairs already known to have distinct names."""
+    i = object.__new__(Index)
+    object.__setattr__(i, "pairs", pairs)
+    object.__setattr__(i, "_hash", hash((pairs,)))
+    return i
 
 
 EMPTY = Index(())
@@ -130,8 +173,13 @@ class AChain:
             raise ValueError(f"not an antichain: {sorted(i.text() for i in frozen)}")
         object.__setattr__(self, "members", frozen)
 
+    @cached_property
+    def _order(self) -> tuple[Index, ...]:
+        """The members in `Index.sort_key` order, sorted once per chain."""
+        return tuple(sorted(self.members, key=attrgetter("pairs")))
+
     def __iter__(self) -> Iterator[Index]:
-        return iter(sorted(self.members, key=Index.sort_key))
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -140,16 +188,27 @@ class AChain:
         return i in self.members
 
     def extend(self, name: str, count: int) -> "AChain":
-        """All extensions i ++ [(name, k)] for i in the chain, k < count."""
+        """All extensions i ++ [(name, k)] for i in the chain, k < count.
+
+        Raises ThreadBudgetExceeded, before building anything, when the
+        result would hold more than THREAD_BUDGET indices.
+        """
+        if len(self.members) * count > THREAD_BUDGET:
+            raise ThreadBudgetExceeded(
+                f'extending {len(self.members)} threads by "{name}" '
+                f"x {count} exceeds the budget of {THREAD_BUDGET} threads"
+            )
         for i in self.members:
             if i.lookup(name) is not None:
                 raise StringAlreadyPresent(
                     f'string "{name}" already bound in {i.text()}'
                 )
+        # No member binds `name`, so every extension has distinct names;
+        # extensions of an antichain by a fresh pair stay an antichain.
         extended = frozenset(
-            i.append(name, k) for i in self.members for k in range(count)
+            _unchecked(i.pairs + ((name, k),))
+            for i in self.members for k in range(count)
         )
-        # Extensions of an antichain by a fresh pair stay an antichain.
         return AChain(extended, _checked=True)
 
     def partition(self, predicate) -> tuple["AChain", "AChain"]:
@@ -165,11 +224,3 @@ class AChain:
 
 EMPTY_CHAIN = AChain(frozenset(), _checked=True)
 ROOT_CHAIN = AChain(frozenset([EMPTY]), _checked=True)
-
-
-def extend_indices(chain: AChain, name: str, count: int) -> AChain:
-    return chain.extend(name, count)
-
-
-def lookup_string(i: Index, name: str) -> Optional[int]:
-    return i.lookup(name)

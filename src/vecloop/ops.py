@@ -8,6 +8,7 @@ PrimitiveDomainError instead of silently extending their domain.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import PrimitiveDomainError
 from .syntax import INT, REAL
@@ -40,6 +41,18 @@ def _exp(a: float) -> float:
         return math.inf
 
 
+def _eq(a, b) -> int:
+    return 0 if a == b else 1
+
+
+def _lt(a, b) -> int:
+    return 0 if a < b else 1
+
+
+def _const(a: int) -> int:
+    return a
+
+
 def normal_logpdf(x: float, mean: float, sd: float) -> float:
     if sd <= 0.0:
         raise PrimitiveDomainError("normal_logpdf", (x, mean, sd))
@@ -50,19 +63,19 @@ def normal_logpdf(x: float, mean: float, sd: float) -> float:
 
 # op -> (argument kinds, result kind, implementation)
 TABLE: dict[tuple[str, tuple[str, ...]], tuple[str, object]] = {
-    ("add", (INT, INT)): (INT, lambda a, b: a + b),
-    ("sub", (INT, INT)): (INT, lambda a, b: a - b),
-    ("mul", (INT, INT)): (INT, lambda a, b: a * b),
+    ("add", (INT, INT)): (INT, operator.add),
+    ("sub", (INT, INT)): (INT, operator.sub),
+    ("mul", (INT, INT)): (INT, operator.mul),
     ("mod", (INT, INT)): (INT, _mod),
-    ("eq", (INT, INT)): (INT, lambda a, b: 0 if a == b else 1),
-    ("lt", (INT, INT)): (INT, lambda a, b: 0 if a < b else 1),
-    ("rlt", (REAL, REAL)): (INT, lambda a, b: 0 if a < b else 1),
-    ("const", (INT,)): (INT, lambda a: a),
-    ("add", (REAL, REAL)): (REAL, lambda a, b: a + b),
-    ("sub", (REAL, REAL)): (REAL, lambda a, b: a - b),
-    ("mul", (REAL, REAL)): (REAL, lambda a, b: a * b),
+    ("eq", (INT, INT)): (INT, _eq),
+    ("lt", (INT, INT)): (INT, _lt),
+    ("rlt", (REAL, REAL)): (INT, _lt),
+    ("const", (INT,)): (INT, _const),
+    ("add", (REAL, REAL)): (REAL, operator.add),
+    ("sub", (REAL, REAL)): (REAL, operator.sub),
+    ("mul", (REAL, REAL)): (REAL, operator.mul),
     ("div", (REAL, REAL)): (REAL, _div),
-    ("neg", (REAL,)): (REAL, lambda a: -a),
+    ("neg", (REAL,)): (REAL, operator.neg),
     ("exp", (REAL,)): (REAL, _exp),
     ("log", (REAL,)): (REAL, _log),
     ("normal_logpdf", (REAL, REAL, REAL)): (REAL, normal_logpdf),
@@ -79,7 +92,3 @@ def resolve(op: str, arg_kinds: tuple[str, ...]) -> tuple[str, object]:
         raise KeyError(f"no operator {op}{arg_kinds}")
     return found
 
-
-def apply_op(op: str, arg_kinds: tuple[str, ...], args: tuple) -> object:
-    _, fn = resolve(op, arg_kinds)
-    return fn(*args)

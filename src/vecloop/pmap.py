@@ -85,8 +85,8 @@ class PMap:
                 new[i] = v
         base = PMap(new)
         repairs: dict[Index, object] = {}
-        for target in sorted(image, key=Index.sort_key):
-            source = image[target]
+        # every repair is judged against the fixed `base`, so order is free
+        for target, source in image.items():
             if source in self.entries:
                 continue
             value = self.extend_eval(source)

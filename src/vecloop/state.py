@@ -110,11 +110,6 @@ class LoopRound:
     fixpoint_hit: bool
 
 
-def state_eq_on(left, right, probes: Iterable[Index]) -> bool:
-    """Extensional agreement of two states at every probe index."""
-    return left.eq_on(right, probes)
-
-
 def make_state(backend: str, cells: Mapping[Variable, PMap] | None = None):
     if backend == SPARSE:
         return SparseState(cells)

@@ -7,8 +7,8 @@ form.  Every node is immutable and compares structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Union
 
 from .errors import TierViolation
 
@@ -60,6 +60,9 @@ class Var:
 class PrimOp:
     op: str
     args: tuple["Expr", ...]
+    # (result kind, implementation), filled in by evalexpr.resolved on first use
+    impl: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 @dataclass(frozen=True)

@@ -183,3 +183,17 @@ def test_semantic_errors_exit_3(tmp_path, capsys):
     assert main(["run", "--tier", "source", "--program", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "PrimitiveDomainError" in err
+
+
+def test_thread_budget_exits_3(tmp_path, capsys):
+    # 2000 x 2000 threads: refused at the inner loop's extend
+    program = tmp_path / "wide.vl"
+    program.write_text("for a:int in range(2000) { "
+                       "for b:int in range(2000) { skip } }")
+    for tier in ("target", "relaxed"):
+        translated = tmp_path / f"wide_{tier}.vl"
+        assert main(["translate", "--to", tier, str(program),
+                     "--out", str(translated)]) == 0
+        assert main(["run", "--tier", tier, "--program",
+                     str(translated)]) == 3
+        assert "ThreadBudgetExceeded" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _support import rand_chain, rand_tensor
-from vecloop.dense import dense_decode, dense_encode
+from vecloop.dense import dense_encode
 from vecloop.errors import NegativeComponent, UnknownString
 from vecloop.indices import EMPTY, Index
 from vecloop.pmap import PMap
@@ -94,7 +94,7 @@ def test_roundtrip_random_maps():
                 if j is not None:
                     pairs.append(("b", j))
                 probe = Index(tuple(pairs))
-                assert dense_decode(dense, probe) == m.extend_eval(probe)
+                assert dense.decode(probe) == m.extend_eval(probe)
 
 
 def test_csv_dump_has_axis_header():

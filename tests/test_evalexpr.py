@@ -1,0 +1,69 @@
+"""Operator nodes are resolved once and keep their semantics."""
+
+import pickle
+from dataclasses import fields, is_dataclass
+
+import pytest
+
+from vecloop import bench, ops
+from vecloop.evalexpr import eval_expr, expr_kind
+from vecloop.rdb import Rdb
+from vecloop.syntax import INT, IntLit, PrimOp, RealLit, Var, Variable
+from vecloop.target_interp import run_tgt
+from vecloop.translate import vectorise
+
+
+def primops(node, found=None) -> dict:
+    """Every PrimOp node reachable from `node`, by identity."""
+    found = {} if found is None else found
+    if isinstance(node, PrimOp):
+        found[id(node)] = node
+    if isinstance(node, tuple):
+        for item in node:
+            primops(item, found)
+    elif is_dataclass(node):
+        for f in fields(node):
+            if f.compare:
+                primops(getattr(node, f.name), found)
+    return found
+
+
+def test_resolve_runs_once_per_operator_node(monkeypatch):
+    calls = []
+    real_resolve = ops.resolve
+
+    def counting(op, kinds):
+        calls.append(op)
+        return real_resolve(op, kinds)
+
+    monkeypatch.setattr(ops, "resolve", counting)
+    program = vectorise(bench.arm_program(48, 16))
+    nodes = primops(program)
+    db = Rdb({}, "normal", 0.0, 1)
+    first = run_tgt(program, db)
+    assert first.rounds_by_site() == {0: 17}
+    assert len(calls) == len(nodes) > 0
+    run_tgt(program, db, backend="dense")
+    assert len(calls) == len(nodes)
+
+
+def test_ill_typed_operator_raises_on_every_evaluation():
+    bad = PrimOp("add", (IntLit(1), RealLit(2.0)))
+    for _ in range(2):
+        with pytest.raises(KeyError, match="no operator add"):
+            eval_expr(bad, lambda var: 0)
+        with pytest.raises(KeyError, match="no operator add"):
+            expr_kind(bad)
+    assert bad.impl is None
+
+
+def test_resolution_is_not_part_of_node_identity():
+    x = Variable("x", INT)
+    used = PrimOp("lt", (Var(x), IntLit(3)))
+    fresh = PrimOp("lt", (Var(x), IntLit(3)))
+    assert eval_expr(used, lambda var: 1) == 0
+    assert used.impl is not None and fresh.impl is None
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == used and eval_expr(clone, lambda var: 5) == 1

@@ -1,12 +1,16 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
-from vecloop.errors import DuplicateIndexString, StringAlreadyPresent
-from vecloop.indices import (EMPTY, AChain, Index, ROOT_CHAIN, extend_indices,
-                             in_down, in_up, is_antichain, lookup_string,
-                             max_below, prefix_leq)
+from vecloop import indices
+from vecloop.errors import (DuplicateIndexString, StringAlreadyPresent,
+                            ThreadBudgetExceeded)
+from vecloop.indices import (EMPTY, AChain, Index, ROOT_CHAIN, in_down, in_up,
+                             is_antichain, max_below, prefix_leq)
 
 
 def idx(*pairs):
@@ -27,6 +31,27 @@ def test_prefix_examples():
 def test_index_rejects_repeated_strings():
     with pytest.raises(DuplicateIndexString):
         idx(("a", 0), ("a", 1))
+    with pytest.raises(DuplicateIndexString):
+        AB.append("a", 2)
+    with pytest.raises(DuplicateIndexString):
+        A0.concat(idx(("b", 0), ("a", 1)))
+    assert A0.append("b", 1) == AB
+    assert A0.concat(idx(("b", 1))) == AB
+
+
+def test_index_is_immutable():
+    with pytest.raises(FrozenInstanceError):
+        AB.pairs = ()
+    with pytest.raises(FrozenInstanceError):
+        AB.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        del AB.pairs
+    assert AB.pairs == (("a", 0), ("b", 1))
+
+
+def test_index_survives_pickle_and_copy():
+    for clone in (pickle.loads(pickle.dumps(AB)), copy.deepcopy(AB)):
+        assert clone == AB and hash(clone) == hash(AB)
 
 
 def test_max_below_examples():
@@ -48,7 +73,7 @@ def test_is_antichain():
 
 
 def test_extend_indices():
-    vec = extend_indices(ROOT_CHAIN, "vec", 3)
+    vec = ROOT_CHAIN.extend("vec", 3)
     assert set(vec.members) == {idx(("vec", k)) for k in range(3)}
     two = AChain([idx(("s", 0)), idx(("s", 1))]).extend("t", 2)
     assert len(two) == 4
@@ -57,9 +82,29 @@ def test_extend_indices():
 
 
 def test_lookup_string():
-    assert lookup_string(idx(("vec", 7)), "vec") == 7
-    assert lookup_string(EMPTY, "vec") is None
-    assert lookup_string(idx(("a", 1), ("b", 2)), "b") == 2
+    assert idx(("vec", 7)).lookup("vec") == 7
+    assert EMPTY.lookup("vec") is None
+    assert idx(("a", 1), ("b", 2)).lookup("b") == 2
+
+
+def test_extend_refuses_chains_over_the_thread_budget(monkeypatch):
+    # checked before anything is built: ten million indices never exist
+    with pytest.raises(ThreadBudgetExceeded):
+        ROOT_CHAIN.extend("a", 10**7)
+    wide = ROOT_CHAIN.extend("a", 2000)
+    with pytest.raises(ThreadBudgetExceeded):
+        wide.extend("b", 2000)
+    monkeypatch.setattr(indices, "THREAD_BUDGET", 6)
+    assert len(AChain([A0, A1]).extend("b", 3)) == 6
+    with pytest.raises(ThreadBudgetExceeded):
+        AChain([A0, A1]).extend("b", 4)
+
+
+def test_achain_iterates_in_sort_key_order():
+    chain = AChain([idx(("b", 0)), A1, idx(("a", 0), ("c", 2)), A0.append("c", 1)])
+    expected = sorted(chain.members, key=Index.sort_key)
+    assert list(chain) == expected
+    assert list(chain) == expected  # the cached order is reused unchanged
 
 
 def test_achain_rejects_comparable_members():
@@ -72,6 +117,23 @@ pairs = st.lists(
     max_size=4,
 ).filter(lambda ps: len({n for n, _ in ps}) == len(ps))
 indexes = pairs.map(lambda ps: Index(tuple(ps)))
+
+
+@given(indexes)
+def test_unchecked_prefixes_equal_checked_indices(i):
+    # prefix, prefixes and parent skip the distinct-names check
+    n = len(i)
+    walked = list(i.prefixes())
+    assert [len(p) for p in walked] == list(range(n, -1, -1))
+    for length in range(n + 1):
+        fresh = Index(i.pairs[:length])
+        for built in (i.prefix(length), walked[n - length]):
+            assert built == fresh and fresh == built
+            assert hash(built) == hash(fresh)
+            assert {built: 1}[fresh] == 1
+    if n:
+        assert i.parent() == Index(i.pairs[:-1])
+        assert hash(i.parent()) == hash(Index(i.pairs[:-1]))
 
 
 @given(indexes, indexes, indexes)

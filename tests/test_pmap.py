@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from _support import (oracle_copy, oracle_extend, oracle_update, probes_for,
                       rand_cell, rand_chain, rand_index, rand_tensor,
@@ -9,6 +10,7 @@ from vecloop.errors import EmptyIndexLost
 from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN, in_down, in_up
 from vecloop.pmap import PMap, tensor_add, tensor_sum, zeros
 from vecloop.state import SparseState
+from vecloop.target_interp import shift_rho
 
 RV = [Index((("rv", k),)) for k in range(3)]
 X = var("x")
@@ -182,3 +184,29 @@ def test_extend_against_bruteforce():
         cell = rand_cell(rng)
         for probe in probes_for(rng, cell, extra=8):
             assert cell.extend_eval(probe) == oracle_extend(cell.entries, probe)
+
+
+def _index_over(names, values):
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(0, values)),
+                    max_size=3, unique_by=lambda pair: pair[0]
+                    ).map(lambda pairs: Index(tuple(pairs)))
+
+
+def _maximal(items) -> AChain:
+    items = set(items)
+    return AChain(i for i in items
+                  if not any(i != j and in_up(j, [i]) for j in items))
+
+
+@given(st.dictionaries(_index_over("abs", 2), st.integers(-2, 2), max_size=8),
+       st.lists(_index_over("ab", 1), max_size=5).map(_maximal),
+       st.integers(1, 3))
+def test_copied_makes_no_repairs_on_shift(entries, chain, count):
+    # Shift moves each slot to its next sibling, or a parent to its first
+    # child, onto an antichain: every slot whose source holds no entry
+    # already reads the source's value, so only stored entries move.
+    rho = shift_rho(chain.extend("s", count), "s")
+    image = {target: source for source, target in rho.items()}
+    literal = {t: entries[s] for t, s in image.items() if s in entries}
+    literal.update((i, v) for i, v in entries.items() if not in_up(i, image))
+    assert PMap(entries).copied(rho).entries == literal
