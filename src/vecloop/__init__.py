@@ -15,7 +15,7 @@ from .relaxed import Flag, fixcheck, run_relaxed
 from .source_interp import SrcState, run_src
 from .state import DENSE, SPARSE, TgtOutcome, make_state
 from .syntax import Variable, print_cmd
-from .target_interp import FIXPOINT, UNROLLED, run_tgt, run_under_empty
+from .target_interp import FIXPOINT, UNROLLED, run_tgt
 from .translate import embed, lower_relaxed, vectorise, vectorise_relaxed
 
 __version__ = "0.1.0"
@@ -25,6 +25,5 @@ __all__ = [
     "PMap", "ROOT_CHAIN", "Rdb", "SPARSE", "SrcState", "TgtOutcome",
     "UNROLLED", "Variable", "embed", "fixcheck", "lower_relaxed",
     "make_state", "parse", "print_cmd", "run_relaxed", "run_src", "run_tgt",
-    "run_under_empty", "tensor_add", "tensor_sum", "vectorise",
-    "vectorise_relaxed", "zeros",
+    "tensor_add", "tensor_sum", "vectorise", "vectorise_relaxed", "zeros",
 ]

@@ -11,13 +11,14 @@ re-encodes the grid.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import NegativeComponent, UnknownString
 from .indices import Index
 from .pmap import PMap
+from .state import StateBase
 from .syntax import INT, Variable
 
 
@@ -115,7 +116,7 @@ def _migrate(grid: np.ndarray, old_dims: tuple[str, ...], old_extents: tuple[int
     return out
 
 
-class DenseState:
+class DenseState(StateBase):
     """State backend: every cell is a grid under one shared schema."""
 
     backend = "dense"
@@ -262,17 +263,6 @@ class DenseState:
                           key=Variable.sort_key):
             if not np.array_equal(left.grid(var), right.grid(var)):
                 return False
-        return True
-
-    def eq_on(self, other, probes: Iterable[Index],
-              variables: Optional[Iterable[Variable]] = None) -> bool:
-        probes = list(probes)
-        if variables is None:
-            variables = self.variables() | other.variables()
-        for var in variables:
-            for i in probes:
-                if self.read(var, i) != other.read(var, i):
-                    return False
         return True
 
     def canonical_text(self) -> str:

@@ -19,9 +19,9 @@ from .pmap import PMap, tensor_sum
 from .rdb import Rdb
 from .source_interp import SrcState, run_src
 from .state import SPARSE, make_state
-from .syntax import (INT, REAL, Assign, Cmd, Fetch, For, Ifz, IndexExpr,
-                     IntLit, PrimOp, RealLit, Score, Seq, Skip, Var, Variable,
-                     print_cmd, seq, variables_of)
+from .syntax import (INT, REAL, Assign, Cmd, ExtendIndex, Fetch, For, Ifz,
+                     IndexExpr, IntLit, LoopFixpt, PrimOp, RealLit, Score, Seq,
+                     Skip, Var, Variable, print_cmd, seq, variables_of)
 from .target_interp import FIXPOINT, UNROLLED, run_tgt
 from .relaxed import run_relaxed
 from .translate import embed, lower_relaxed, vectorise, vectorise_relaxed
@@ -348,10 +348,42 @@ ORACLES: dict[str, Callable] = {
     "relaxed": check_relaxed,
 }
 
-# Interpreter mutants used to prove that failures replay and shrink.
+
+def _rewrite(c: Cmd, node: Callable[[Cmd], Cmd]) -> Cmd:
+    """Apply `node` to every command of a target program, innermost first."""
+    if isinstance(c, Seq):
+        c = Seq(tuple(_rewrite(item, node) for item in c.items))
+    elif isinstance(c, Ifz):
+        c = Ifz(c.cond, _rewrite(c.then, node), _rewrite(c.orelse, node))
+    elif isinstance(c, (For, LoopFixpt, ExtendIndex)):
+        c = replace(c, body=_rewrite(c.body, node))
+    return node(c)
+
+
+def _one_round(c: Cmd) -> Cmd:
+    return LoopFixpt(1, c.body) if isinstance(c, LoopFixpt) else c
+
+
+def _nudge(c: Cmd) -> Cmd:
+    return Score(PrimOp("add", (c.expr, RealLit(1e-6)))) \
+        if isinstance(c, Score) else c
+
+
+def _mutant(node: Callable[[Cmd], Cmd], modes: tuple[str, ...]) -> Callable:
+    def run(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
+            mode: str = FIXPOINT, backend: str = SPARSE):
+        if mode in modes:
+            c = _rewrite(c, node)
+        return run_tgt(c, db, state, chain, mode, backend)
+    return run
+
+
+# Broken translations, run by the clean interpreter, that prove failures
+# replay and shrink: every fixed-point loop stops after one round, or every
+# score is off by 1e-6.
 MUTANTS = {
-    "loop-one-round": lambda *a, **kw: run_tgt(*a, **{**kw, "mutant": "loop-one-round"}),
-    "score-nudge": lambda *a, **kw: run_tgt(*a, **{**kw, "mutant": "score-nudge"}),
+    "loop-one-round": _mutant(_one_round, (FIXPOINT,)),
+    "score-nudge": _mutant(_nudge, (FIXPOINT, UNROLLED)),
 }
 
 

@@ -1,27 +1,26 @@
-"""Relaxed fixed-point semantics: flags, fixcheck, and the interpreter.
+"""Relaxed fixed-point semantics: flags, fixcheck, and the fused loop.
 
 A flag records, per variable and per active index, whether the first
 access in the current scope was a read (0) or a write (1).  The relaxed
 loop masks write-first indices out of its fixed-point comparison, which
 can retire speculation one round earlier than plain state equality.
+Every other command runs by the target interpreter's rules, which record
+the flag as they go.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import MissingString, NotComparable, ScoreNaN
+from .errors import NotComparable
 from .evalexpr import eval_expr
 from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
 from .state import SPARSE, LoopRound, TgtOutcome, make_state
-from .syntax import (Assign, Cmd, ExtendedLoopShift, Fetch, For, Ifz,
-                     LookupIndex, Score, Seq, Skip, Variable,
-                     free_vars, validate_tier)
-from .target_interp import exit_rho, loop_sites, shift_rho
+from .syntax import Cmd, ExtendedLoopShift, Variable, validate_tier
+from .target_interp import FIXPOINT, _TargetRun, leave, shift_rho
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,6 @@ def flag_update(flag: Flag, fills: Mapping[Variable, Mapping[Index, int]]) -> Fl
         for i, b in bits.items():
             cell.setdefault(i, b)
     return Flag(out)
-
-
-def flag_merge(first: Flag, second: Flag) -> Flag:
-    """Sequential composition: entries of `first` win over `second`."""
-    return flag_update(first, second.per_var)
 
 
 def flag_leq(small: Flag, big: Flag) -> bool:
@@ -133,11 +127,26 @@ def flag_unshift(flag: Flag, rho: Mapping[Index, Index], chain: AChain) -> Flag:
     return Flag(out)
 
 
-def flag_unshift_n(flag: Flag, rho: Mapping[Index, Index], chain: AChain,
-                   times: int) -> Flag:
-    for _ in range(times):
-        flag = flag_unshift(flag, rho, chain)
-    return flag
+def flag_pull_back(flag: Flag, chain: AChain, name: str, count: int,
+                   k: int) -> Flag:
+    """Round k's flag of a fused loop, seen from its outer chain.
+
+    Equals flag_unshift applied k + 1 times through
+    shift_rho(chain.extend(name, count), name), restricted to the chain:
+    an outer index takes the bit of its slot 0 when slots 0..min(k,
+    count - 1) all hold that bit, and no bit otherwise.
+    """
+    slots = range(1, min(k, count - 1) + 1)
+    out: dict[Variable, dict[Index, int]] = {}
+    for var, bits in flag.per_var.items():
+        cell: dict[Index, int] = {}
+        for i in chain:
+            b = bits.get(i.append(name, 0))
+            if b is not None and all(bits.get(i.append(name, j)) == b
+                                     for j in slots):
+                cell[i] = b
+        out[var] = cell
+    return Flag(out)
 
 
 def flag_restrict(flag: Flag, chain: AChain) -> Flag:
@@ -158,124 +167,54 @@ def fixcheck(state0, state1, flag: Flag, chain: AChain) -> bool:
     return True
 
 
-class _RelaxedRun:
+class _RelaxedRun(_TargetRun):
+    """The shared rules with first accesses recorded, plus the fused loop."""
+
     def __init__(self, program: Cmd, db: Rdb):
-        self.db = db
-        self.sites = loop_sites(program)
-        self.trace: list[LoopRound] = []
+        super().__init__(program, db, FIXPOINT)
+        self.first = {}
 
     def eval_at(self, expr, state, i: Index):
+        # looked up in this module, where perfbench/tracer.py wraps it
         return eval_expr(expr, lambda var: state.read(var, i))
 
     def run(self, c: Cmd, state, chain: AChain):
-        if isinstance(c, Skip):
-            return state, EMPTY_FLAG, {i: 0.0 for i in chain}
-        if isinstance(c, Score):
-            tensor: dict[Index, float] = {}
-            for i in chain:
-                value = self.eval_at(c.expr, state, i)
-                if math.isnan(value):
-                    raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
-                tensor[i] = value
-            flag = flag_update(EMPTY_FLAG, self.reads(c.expr, chain))
-            return state, flag, tensor
-        if isinstance(c, Assign):
-            written = {i: self.eval_at(c.expr, state, i) for i in chain}
-            flag = flag_update(EMPTY_FLAG, self.reads(c.expr, chain))
-            flag = flag_update(flag, {c.var: bits_on(chain, 1)})
-            return state.updated(c.var, written), flag, {i: 0.0 for i in chain}
-        if isinstance(c, Fetch):
-            written = {
-                i: self.db.lookup(self.eval_at(c.index, state, i)) for i in chain
-            }
-            flag = flag_update(EMPTY_FLAG, self.reads(c.index, chain))
-            flag = flag_update(flag, {c.var: bits_on(chain, 1)})
-            return state.updated(c.var, written), flag, {i: 0.0 for i in chain}
-        if isinstance(c, LookupIndex):
-            written: dict[Index, int] = {}
-            for i in chain:
-                value = i.lookup(c.name)
-                if value is None:
-                    raise MissingString(f'lookup_index("{c.name}") under {i.text()}')
-                written[i] = value
-            flag = flag_update(EMPTY_FLAG, {c.var: bits_on(chain, 1)})
-            return state.updated(c.var, written), flag, {i: 0.0 for i in chain}
-        if isinstance(c, Seq):
-            flag = EMPTY_FLAG
-            score: dict[Index, float] = {}
-            for item in c.items:
-                state, part_flag, part = self.run(item, state, chain)
-                flag = flag_merge(flag, part_flag)
-                score = _oplus(score, part)
-            return state, flag, score
-        if isinstance(c, Ifz):
-            zero, nonzero = chain.partition(
-                lambda i: self.eval_at(c.cond, state, i) == 0
-            )
-            state, then_flag, then_score = self.run(c.then, state, zero)
-            state, else_flag, else_score = self.run(c.orelse, state, nonzero)
-            flag = flag_update(EMPTY_FLAG, self.reads(c.cond, chain))
-            flag = flag_merge(flag_merge(flag, then_flag), else_flag)
-            return state, flag, _oplus(then_score, else_score)
-        if isinstance(c, For):
-            flag = EMPTY_FLAG
-            score: dict[Index, float] = {}
-            for k in range(c.count):
-                state = state.updated(c.var, {i: k for i in chain})
-                flag = flag_merge(flag, Flag({c.var: bits_on(chain, 1)}))
-                state, part_flag, part = self.run(c.body, state, chain)
-                flag = flag_merge(flag, part_flag)
-                score = _oplus(score, part)
-            return state, flag, score
         if isinstance(c, ExtendedLoopShift):
-            return self.run_loop(c, state, chain)
-        raise TypeError(f"not a relaxed command: {c!r}")
+            return self.run_fused(c, state, chain)
+        return super().run(c, state, chain)
 
-    def reads(self, expr, chain: AChain) -> dict[Variable, dict[Index, int]]:
-        return {var: bits_on(chain, 0) for var in free_vars(expr)}
-
-    def run_loop(self, c: ExtendedLoopShift, state, chain: AChain):
+    def run_fused(self, c: ExtendedLoopShift, state, chain: AChain):
         site = self.sites[id(c)]
         inner = chain.extend(c.name, c.count)
         rho = shift_rho(inner, c.name)
-        accumulated = EMPTY_FLAG
+        outer = self.first
         score: dict[Index, float] = {}
         hit = False
         rounds = 0
         for k in range(c.count):
             shifted = state.copied(rho)
-            new_state, round_flag, round_score = self.run(c.body, shifted, inner)
+            self.first = {}
+            state, score = self.run(c.body, shifted, inner)
+            round_flag = Flag(self.first)
+            self.first = outer
             rounds += 1
-            accumulated = flag_merge(
-                accumulated, flag_unshift_n(round_flag, rho, chain, k + 1)
-            )
-            state, score = new_state, round_score
-            if fixcheck(shifted, new_state.copied(rho), round_flag, inner):
+            pulled = flag_pull_back(round_flag, chain, c.name, c.count, k)
+            for var, bits in pulled.per_var.items():
+                self.note(var, bits.items())
+            if fixcheck(shifted, state.copied(rho), round_flag, inner):
                 hit = True
                 break
         self.trace.append(LoopRound(site, rounds, hit))
-        state = state.copied(exit_rho(chain, c.name, c.count))
-        out_score = {
-            i: sum(score[i.append(c.name, k)] for k in range(c.count))
-            for i in chain
-        }
-        return state, flag_restrict(accumulated, chain), out_score
-
-
-def _oplus(left: dict, right: dict) -> dict:
-    out = dict(left)
-    for i, v in right.items():
-        out[i] = out[i] + v if i in out else v
-    return out
+        return leave(state, score, chain, c.name, c.count)
 
 
 def run_relaxed(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
-                backend: str = SPARSE, check_tier: bool = True):
+                backend: str = SPARSE):
     """Run a relaxed-tier command; returns (outcome, flag)."""
-    if check_tier:
-        validate_tier(c, "relaxed")
+    validate_tier(c, "relaxed")
     if state is None:
         state = make_state(backend)
     runner = _RelaxedRun(c, db)
-    final, flag, score = runner.run(c, state, chain)
-    return TgtOutcome(final, PMap(score), tuple(runner.trace)), flag
+    final, score = runner.run(c, state, chain)
+    return (TgtOutcome(final, PMap(score), tuple(runner.trace)),
+            Flag(runner.first))

@@ -46,10 +46,9 @@ class SrcState:
         return f"SrcState({inner})"
 
 
-def run_src(c: Cmd, db: Rdb, state: SrcState | None = None,
-            check_tier: bool = True) -> tuple[SrcState, float]:
-    if check_tier:
-        validate_tier(c, "source")
+def run_src(c: Cmd, db: Rdb,
+            state: SrcState | None = None) -> tuple[SrcState, float]:
+    validate_tier(c, "source")
     return _run(c, db, state or SrcState(), ())
 
 

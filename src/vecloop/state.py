@@ -24,7 +24,22 @@ def default_cell(var: Variable) -> PMap:
     return PMap({EMPTY: 0 if var.type == INT else 0.0})
 
 
-class SparseState:
+class StateBase:
+    """Methods both backends share, written against their common interface."""
+
+    def eq_on(self, other, probes: Iterable[Index],
+              variables: Optional[Iterable[Variable]] = None) -> bool:
+        probes = list(probes)
+        if variables is None:
+            variables = self.variables() | other.variables()
+        for var in variables:
+            for i in probes:
+                if self.read(var, i) != other.read(var, i):
+                    return False
+        return True
+
+
+class SparseState(StateBase):
     """Reference backend: one PMap per touched variable."""
 
     backend = SPARSE
@@ -63,17 +78,6 @@ class SparseState:
                           key=Variable.sort_key):
             if not self.cell(var).same_function(other.cell(var)):
                 return False
-        return True
-
-    def eq_on(self, other, probes: Iterable[Index],
-              variables: Optional[Iterable[Variable]] = None) -> bool:
-        probes = list(probes)
-        if variables is None:
-            variables = self.variables() | other.variables()
-        for var in variables:
-            for i in probes:
-                if self.read(var, i) != other.read(var, i):
-                    return False
         return True
 
     def canonical_text(self) -> str:

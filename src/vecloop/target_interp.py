@@ -5,7 +5,8 @@ finite antichain of active indices, producing a new state and a score
 tensor whose domain is exactly that antichain.  Loops come in two modes:
 "fixpoint" stops re-running the body once a round leaves the state
 unchanged (as a represented function), "unrolled" always runs the declared
-number of rounds.  Both keep only the final round's scores.
+number of rounds.  Both keep only the final round's scores.  The relaxed
+interpreter (`relaxed.py`) runs the same rules and adds its fused loop.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
 from .state import SPARSE, LoopRound, TgtOutcome, make_state
-from .syntax import (Assign, Cmd, ExtendIndex, Fetch, For, Ifz, LookupIndex,
-                     LoopFixpt, Score, Seq, Shift, Skip, walk, validate_tier)
+from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
+                     Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
+                     Variable, free_vars, walk, validate_tier)
 
 FIXPOINT = "fixpoint"
 UNROLLED = "unrolled"
@@ -56,23 +58,56 @@ def exit_rho(chain: AChain, name: str, count: int) -> dict[Index, Index]:
 def loop_sites(program: Cmd) -> dict[int, int]:
     """Loop node identity -> preorder site number."""
     sites: dict[int, int] = {}
-    from .syntax import ExtendedLoopShift
     for node in walk(program):
         if isinstance(node, (LoopFixpt, ExtendedLoopShift)):
             sites[id(node)] = len(sites)
     return sites
 
 
+def leave(state, inner_score: dict, chain: AChain, name: str, count: int):
+    """Restore `chain` after a body ran under chain.extend(name, count):
+    the last slot's values move down and each index sums its slots' scores."""
+    state = state.copied(exit_rho(chain, name, count))
+    score = {i: sum(inner_score[i.append(name, k)] for k in range(count))
+             for i in chain}
+    return state, score
+
+
 class _TargetRun:
-    def __init__(self, program: Cmd, db: Rdb, mode: str, mutant: Optional[str]):
+    """The command rules, shared by the target and the relaxed tier.
+
+    `first` is None in target runs.  Relaxed runs set it to a record
+    {Variable: {Index: bit}} of each variable's first access per index,
+    read (0) or write (1); the rules report their accesses through `reads`
+    and `writes`, in execution order.
+    """
+
+    def __init__(self, program: Cmd, db: Rdb, mode: str):
         self.db = db
         self.mode = mode
-        self.mutant = mutant
         self.sites = loop_sites(program)
         self.trace: list[LoopRound] = []
+        self.first: Optional[dict[Variable, dict[Index, int]]] = None
 
     def eval_at(self, expr, state, i: Index):
         return eval_expr(expr, lambda var: state.read(var, i))
+
+    def reads(self, expr, chain: AChain) -> None:
+        """Note a read of each free variable of `expr` on the chain."""
+        if self.first is not None:
+            for var in free_vars(expr):
+                self.note(var, ((i, 0) for i in chain))
+
+    def writes(self, var: Variable, chain: AChain) -> None:
+        """Note a write of `var` on the chain."""
+        if self.first is not None:
+            self.note(var, ((i, 1) for i in chain))
+
+    def note(self, var: Variable, bits) -> None:
+        """Record (index, bit) pairs; an index's first access sticks."""
+        cell = self.first.setdefault(var, {})
+        for i, b in bits:
+            cell.setdefault(i, b)
 
     def run(self, c: Cmd, state, chain: AChain):
         if isinstance(c, Skip):
@@ -81,19 +116,22 @@ class _TargetRun:
             tensor: dict[Index, float] = {}
             for i in chain:
                 value = self.eval_at(c.expr, state, i)
-                if self.mutant == "score-nudge":
-                    value += 1e-6
                 if math.isnan(value):
                     raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
                 tensor[i] = value
+            self.reads(c.expr, chain)
             return state, tensor
         if isinstance(c, Assign):
             written = {i: self.eval_at(c.expr, state, i) for i in chain}
+            self.reads(c.expr, chain)
+            self.writes(c.var, chain)
             return state.updated(c.var, written), {i: 0.0 for i in chain}
         if isinstance(c, Fetch):
             written = {
                 i: self.db.lookup(self.eval_at(c.index, state, i)) for i in chain
             }
+            self.reads(c.index, chain)
+            self.writes(c.var, chain)
             return state.updated(c.var, written), {i: 0.0 for i in chain}
         if isinstance(c, Seq):
             score: dict[Index, float] = {}
@@ -105,6 +143,7 @@ class _TargetRun:
             zero, nonzero = chain.partition(
                 lambda i: self.eval_at(c.cond, state, i) == 0
             )
+            self.reads(c.cond, chain)
             state, then_score = self.run(c.then, state, zero)
             state, else_score = self.run(c.orelse, state, nonzero)
             return state, _oplus(then_score, else_score)
@@ -112,6 +151,7 @@ class _TargetRun:
             score: dict[Index, float] = {}
             for k in range(c.count):
                 state = state.updated(c.var, {i: k for i in chain})
+                self.writes(c.var, chain)
                 state, part = self.run(c.body, state, chain)
                 score = _oplus(score, part)
             return state, score
@@ -124,18 +164,14 @@ class _TargetRun:
                         f'lookup_index("{c.name}") under {i.text()}'
                     )
                 written[i] = value
+            self.writes(c.var, chain)
             return state.updated(c.var, written), {i: 0.0 for i in chain}
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name)), {i: 0.0 for i in chain}
         if isinstance(c, ExtendIndex):
             inner = chain.extend(c.name, c.count)
             state, inner_score = self.run(c.body, state, inner)
-            state = state.copied(exit_rho(chain, c.name, c.count))
-            score = {
-                i: sum(inner_score[i.append(c.name, k)] for k in range(c.count))
-                for i in chain
-            }
-            return state, score
+            return leave(state, inner_score, chain, c.name, c.count)
         if isinstance(c, LoopFixpt):
             return self.run_loop(c, state, chain)
         raise TypeError(f"not a target command: {c!r}")
@@ -149,13 +185,9 @@ class _TargetRun:
             previous = state
             state, score = self.run(c.body, state, chain)
             rounds += 1
-            if self.mode == FIXPOINT:
-                if self.mutant == "loop-one-round":
-                    hit = True
-                    break
-                if previous.same_function(state):
-                    hit = True
-                    break
+            if self.mode == FIXPOINT and previous.same_function(state):
+                hit = True
+                break
         self.trace.append(LoopRound(site, rounds, hit))
         return state, score
 
@@ -168,22 +200,15 @@ def _oplus(left: dict, right: dict) -> dict:
 
 
 def run_tgt(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
-            mode: str = FIXPOINT, backend: str = SPARSE,
-            check_tier: bool = True, mutant: Optional[str] = None) -> TgtOutcome:
-    if check_tier:
-        validate_tier(c, "target")
+            mode: str = FIXPOINT, backend: str = SPARSE) -> TgtOutcome:
+    validate_tier(c, "target")
     if mode not in (FIXPOINT, UNROLLED):
         raise ValueError(f"unknown mode {mode!r}")
     if state is None:
         state = make_state(backend)
-    runner = _TargetRun(c, db, mode, mutant)
+    runner = _TargetRun(c, db, mode)
     try:
         final, score = runner.run(c, state, chain)
     except PrimitiveDomainError as err:
         raise err if err.path else err.with_path("target run") from None
     return TgtOutcome(final, PMap(score), tuple(runner.trace))
-
-
-def run_under_empty(c: Cmd, db: Rdb, state=None, backend: str = SPARSE) -> TgtOutcome:
-    from .indices import EMPTY_CHAIN
-    return run_tgt(c, db, state, EMPTY_CHAIN, backend=backend)

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from _support import rand_cell
 from vecloop.errors import NotComparable
@@ -10,8 +11,9 @@ from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN
 from vecloop.parser import parse
 from vecloop.pmap import PMap
 from vecloop.relaxed import (EMPTY_FLAG, Flag, bits_on, fixcheck, flag_diff,
-                             flag_leq, flag_restrict, flag_shift,
-                             flag_unshift, flag_update, run_relaxed)
+                             flag_leq, flag_pull_back, flag_restrict,
+                             flag_shift, flag_unshift, flag_update,
+                             run_relaxed)
 from vecloop.state import SPARSE, SparseState, make_state
 from vecloop.syntax import INT, Variable
 from vecloop.target_interp import FIXPOINT, run_tgt, shift_rho
@@ -69,6 +71,34 @@ def test_unshift_after_shift_shrinks_on_slot_supported_flags():
         flag = Flag({X: bits})
         rebuilt = flag_shift(flag_unshift(flag, rho, ROOT_CHAIN), rho)
         assert flag_leq(flag_restrict(rebuilt, chain), flag)
+
+
+@st.composite
+def round_flags(draw):
+    """A fused loop's outer chain, its length, a round number and a flag
+    over the loop's slots and the outer chain."""
+    width = draw(st.integers(0, 3))
+    chain = ROOT_CHAIN if width == 0 else AChain(
+        [Index((("o", j),)) for j in range(width)])
+    count = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 7))
+    slots = sorted(chain.extend("s", count).members, key=Index.sort_key)
+    slots += list(chain)
+    flag = Flag({var: draw(st.dictionaries(st.sampled_from(slots),
+                                           st.integers(0, 1)))
+                 for var in (X, Y)})
+    return flag, chain, count, k
+
+
+@given(round_flags())
+def test_pull_back_is_repeated_unshift_on_the_chain(case):
+    flag, chain, count, k = case
+    rho = shift_rho(chain.extend("s", count), "s")
+    pulled = flag
+    for _ in range(k + 1):
+        pulled = flag_unshift(pulled, rho, chain)
+    assert flag_pull_back(flag, chain, "s", count, k) == \
+        flag_restrict(pulled, chain)
 
 
 def test_flag_restrict():
@@ -227,3 +257,53 @@ def test_flag_domains_stay_below_the_chain():
         for var in flag.variables():
             for i in flag.bits(var):
                 assert in_down(i, ROOT_CHAIN.members)
+
+
+NESTED_MASKED_EXIT = """
+for o:int in range(3) {
+  for i:int in range(4) {
+    w := p1;
+    p1 := fetch([("y", i:int)]);
+    score(normal_logpdf(w, 0.0, 1.0))
+  }
+}
+"""
+
+
+def test_relaxed_flags_are_pinned(tmp_path, capsys):
+    # Expected values were recorded before the relaxed and target rules were
+    # merged into one interpreter core; a nested loop is where the returned
+    # loop flag feeds the enclosing loop's fixcheck.
+    import hashlib
+    import json
+
+    from vecloop.cli import main
+    from vecloop.syntax import print_cmd
+
+    program = tmp_path / "nested.vl"
+    program.write_text(print_cmd(vectorise_relaxed(parse(NESTED_MASKED_EXIT))))
+    db = tmp_path / "db.json"
+    gen_rdb(7).dump(str(db))
+    assert main(["run", "--tier", "relaxed", "--program", str(program),
+                 "--rdb", str(db)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["flags"] == {"i:int": {"[]": 1}, "o:int": {"[]": 1},
+                            "p1": {"[]": 0}, "w": {"[]": 1}}
+    assert doc["roundsPerLoop"] == [
+        {"fixpointHit": True, "rounds": 2, "site": 1},
+        {"fixpointHit": True, "rounds": 2, "site": 1},
+        {"fixpointHit": True, "rounds": 2, "site": 0},
+    ]
+    assert doc["plainRoundsPerLoop"] == [
+        {"fixpointHit": True, "rounds": 3, "site": 1},
+        {"fixpointHit": True, "rounds": 3, "site": 1},
+        {"fixpointHit": True, "rounds": 2, "site": 0},
+    ]
+
+    digest = hashlib.sha256()
+    for seed in range(100):
+        source = gen_program(replace(GenConfig(), seed=seed))
+        out, flag = run_relaxed(vectorise_relaxed(source), gen_rdb(seed))
+        digest.update(repr((repr(flag), out.trace)).encode())
+    assert digest.hexdigest() == \
+        "b111319a94d4be03175d91c9a3cd28ac7f61eff80630406a99d9bc0547ff2966"

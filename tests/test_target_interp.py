@@ -11,15 +11,15 @@ from _support import logpdf, probes_for, rand_chain
 from vecloop.errors import MissingString, StringAlreadyPresent
 from vecloop.harness import (GenConfig, gen_program, gen_rdb, gen_target_case,
                              probe_indices)
-from vecloop.indices import (EMPTY, AChain, Index, ROOT_CHAIN, in_down,
-                             in_up)
+from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
+                             in_down, in_up)
 from vecloop.parser import parse
 from vecloop.pmap import PMap
 from vecloop.rdb import Rdb
 from vecloop.state import SPARSE, SparseState, make_state
 from vecloop.syntax import INT, Variable, variables_of
 from vecloop.target_interp import (FIXPOINT, UNROLLED, exit_rho, run_tgt,
-                                   run_under_empty, shift_rho)
+                                   shift_rho)
 from vecloop.translate import vectorise
 
 X = Variable("x", "real")
@@ -210,7 +210,7 @@ def test_run_under_empty_set():
         program = vectorise(gen_program(replace(GenConfig(), seed=seed)))
         db = gen_rdb(seed)
         state = SparseState({X: PMap({EMPTY: 1.25})})
-        out = run_under_empty(program, db, state)
+        out = run_tgt(program, db, state, EMPTY_CHAIN)
         assert out.score.entries == {}
         rng = random.Random(seed)
         for probe in probes_for(rng, state.cell(X)):
