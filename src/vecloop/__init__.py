@@ -9,7 +9,7 @@ soundness statements into executable oracles.
 
 from .indices import EMPTY, EMPTY_CHAIN, ROOT_CHAIN, AChain, Index
 from .parser import parse
-from .pmap import PMap, tensor_add, tensor_sum, zeros
+from .pmap import PMap
 from .rdb import Rdb
 from .relaxed import Flag, fixcheck, run_relaxed
 from .source_interp import SrcState, run_src
@@ -25,5 +25,5 @@ __all__ = [
     "PMap", "ROOT_CHAIN", "Rdb", "SPARSE", "SrcState", "TgtOutcome",
     "UNROLLED", "Variable", "embed", "fixcheck", "lower_relaxed",
     "make_state", "parse", "print_cmd", "run_relaxed", "run_src", "run_tgt",
-    "tensor_add", "tensor_sum", "vectorise", "vectorise_relaxed", "zeros",
+    "vectorise", "vectorise_relaxed",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .harness import SCORE_TOL
+from .harness import _close
 from .indices import EMPTY, ROOT_CHAIN
 from .source_interp import run_src
 from .state import SPARSE, make_state
@@ -50,8 +50,7 @@ def _run(program: Cmd, site: int) -> BenchResult:
     entries = [rec.rounds for rec in outcome.trace if rec.site == site]
     rounds = max(entries) if entries else 0
     got = outcome.score.get(EMPTY)
-    agree = (outcome.score.domain() == {EMPTY}
-             and abs(got - src_score) <= SCORE_TOL * max(1.0, abs(src_score)))
+    agree = outcome.score.domain() == {EMPTY} and _close(got, src_score)
     if agree:
         for var, value in src_state.values.items():
             if outcome.state.read(var, EMPTY) != value:

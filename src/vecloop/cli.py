@@ -15,7 +15,7 @@ import sys
 from . import harness
 from .bench import SUITES
 from .errors import ParseFailure, TierViolation, VecloopError
-from .indices import EMPTY, ROOT_CHAIN
+from .indices import ROOT_CHAIN, Index
 from .parser import parse
 from .pmap import PMap
 from .rdb import Rdb
@@ -90,7 +90,7 @@ def cmd_run(args) -> int:
             "score": score,
         }
     else:
-        cells = {v: PMap({EMPTY: val}) for v, val in init.values.items()}
+        cells = harness.root_cells(init)
         state = make_state(args.backend, cells)
         if args.tier == "target":
             outcome = run_tgt(program, db, state, ROOT_CHAIN, mode=args.mode,
@@ -112,11 +112,9 @@ def cmd_run(args) -> int:
                 "roundsPerLoop": _trace_json(outcome.trace),
                 "plainRoundsPerLoop": _trace_json(reference.trace),
                 "flags": {
-                    var.text(): {i.text(): b for i, b in sorted(
-                        bits.items(), key=lambda kv: kv[0].sort_key())}
-                    for var, bits in sorted(flag.per_var.items(),
-                                            key=lambda kv: (kv[0].name,
-                                                            kv[0].type))
+                    var.text(): {i.text(): flag.per_var[var][i] for i in
+                                 sorted(flag.per_var[var], key=Index.sort_key)}
+                    for var in sorted(flag.per_var, key=Variable.sort_key)
                 },
             }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)

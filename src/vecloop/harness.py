@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .indices import EMPTY, AChain, Index, ROOT_CHAIN
-from .pmap import PMap, tensor_sum
+from .pmap import PMap
 from .rdb import Rdb
 from .source_interp import SrcState, run_src
 from .state import SPARSE, make_state
@@ -233,52 +233,48 @@ def _close(a: float, b: float, tol: float = SCORE_TOL) -> bool:
 # Oracles
 # --------------------------------------------------------------------------
 
+def root_cells(init: SrcState) -> dict:
+    """A scalar state's values as lifted cells, each stored at the root."""
+    return {v: PMap({EMPTY: val}) for v, val in init.values.items()}
+
+
 def check_embedding(program: Cmd, db: Rdb, init: SrcState | None = None,
                     seed: int = 0, cfg: Optional[GenConfig] = None,
                     tgt_run: Callable = run_tgt) -> CheckReport:
     """Scalar run vs type-lifted run under the root index, unrolled loops."""
-    init = init or SrcState()
-    src_state, score = run_src(program, db, init)
-    lifted = embed(program)
-    cells = {v: PMap({EMPTY: val}) for v, val in init.values.items()}
-    outcome = tgt_run(lifted, db, make_state(SPARSE, cells), ROOT_CHAIN,
-                      mode=UNROLLED)
-    problems = []
-    for var in variables_of(program) | set(init.values):
-        got = outcome.state.read(var, EMPTY)
-        want = src_state.read(var)
-        if got != want:
-            problems.append(f"{var.text()}: scalar {want!r} vs lifted {got!r}")
-    total = tensor_sum(outcome.score)
-    if not _close(score, total):
-        problems.append(f"score {score!r} vs tensor total {total!r}")
-    return _report("embedding", program, db, not problems,
-                   "; ".join(problems), seed, cfg)
+    return _check_root("embedding", embed, UNROLLED, "lifted", program, db,
+                       init, seed, cfg, tgt_run)
 
 
 def check_soundness(program: Cmd, db: Rdb, init: SrcState | None = None,
                     seed: int = 0, cfg: Optional[GenConfig] = None,
                     tgt_run: Callable = run_tgt) -> CheckReport:
     """Scalar run vs vectorised translation under the root index."""
+    return _check_root("soundness", vectorise, FIXPOINT, "vectorised",
+                       program, db, init, seed, cfg, tgt_run)
+
+
+def _check_root(oracle: str, translate: Callable, mode: str, label: str,
+                program: Cmd, db: Rdb, init: SrcState | None, seed: int,
+                cfg: Optional[GenConfig], tgt_run: Callable) -> CheckReport:
     init = init or SrcState()
     src_state, score = run_src(program, db, init)
-    translated = vectorise(program)
-    cells = {v: PMap({EMPTY: val}) for v, val in init.values.items()}
-    outcome = tgt_run(translated, db, make_state(SPARSE, cells), ROOT_CHAIN,
-                      mode=FIXPOINT)
+    outcome = tgt_run(translate(program), db,
+                      make_state(SPARSE, root_cells(init)), ROOT_CHAIN,
+                      mode=mode)
     problems = []
     for var in variables_of(program) | set(init.values):
         got = outcome.state.read(var, EMPTY)
         want = src_state.read(var)
         if got != want:
-            problems.append(f"{var.text()}: scalar {want!r} vs vectorised {got!r}")
+            problems.append(f"{var.text()}: scalar {want!r} vs {label} {got!r}")
     if outcome.score.domain() != {EMPTY}:
         problems.append(f"score domain {sorted(i.text() for i in outcome.score.domain())}")
     else:
         got = outcome.score.get(EMPTY)
         if not _close(score, got):
             problems.append(f"score {score!r} vs {got!r}")
-    return _report("soundness", program, db, not problems,
+    return _report(oracle, program, db, not problems,
                    "; ".join(problems), seed, cfg)
 
 
@@ -315,8 +311,7 @@ def check_relaxed(program: Cmd, db: Rdb, init: SrcState | None = None,
                   seed: int = 0, cfg: Optional[GenConfig] = None,
                   relaxed_run: Callable = run_relaxed) -> CheckReport:
     """Flag-masked loop exit vs plain fixed-point exit of the lowering."""
-    init = init or SrcState()
-    cells = {v: PMap({EMPTY: val}) for v, val in init.values.items()}
+    cells = root_cells(init or SrcState())
     fused = vectorise_relaxed(program)
     plain = vectorise(program)
     if lower_relaxed(fused) != plain:

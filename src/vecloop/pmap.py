@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .indices import AChain, Index
+from .indices import Index
 
 
 @dataclass(frozen=True)
@@ -122,25 +122,3 @@ class PMap:
 def _covered(i: Index, region: Mapping[Index, object]) -> bool:
     """i lies in the upward closure of `region`'s keys: a prefix is a key."""
     return any(p in region for p in i.prefixes())
-
-
-def zeros(chain: AChain | Iterable[Index]) -> PMap:
-    """The score tensor that is 0.0 on every index of the given set."""
-    return PMap({i: 0.0 for i in chain})
-
-
-def tensor_add(left: PMap, right: PMap) -> PMap:
-    """Pointwise sum; indices on one side only pass through unchanged."""
-    out = dict(left.entries)
-    for i, v in right.entries.items():
-        if i in out:
-            out[i] = out[i] + v
-        else:
-            out[i] = v
-    return PMap(out)
-
-
-def tensor_sum(tensor: PMap) -> float:
-    """Total of all entries, in canonical index order."""
-    return sum(v for _, v in tensor.items_sorted())
-

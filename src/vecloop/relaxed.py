@@ -20,7 +20,7 @@ from .pmap import PMap
 from .rdb import Rdb
 from .state import SPARSE, LoopRound, TgtOutcome, make_state
 from .syntax import Cmd, ExtendedLoopShift, Variable, validate_tier
-from .target_interp import FIXPOINT, _TargetRun, leave, shift_rho
+from .target_interp import FIXPOINT, _TargetRun, shift_rho
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def fixcheck(state0, state1, flag: Flag, chain: AChain) -> bool:
 class _RelaxedRun(_TargetRun):
     """The shared rules with first accesses recorded, plus the fused loop."""
 
-    def __init__(self, program: Cmd, db: Rdb):
-        super().__init__(program, db, FIXPOINT)
+    def __init__(self, program: Cmd, db: Rdb, chain: AChain):
+        super().__init__(program, db, FIXPOINT, chain)
         self.first = {}
 
     def eval_at(self, expr, state, i: Index):
@@ -188,13 +188,14 @@ class _RelaxedRun(_TargetRun):
         inner = chain.extend(c.name, c.count)
         rho = shift_rho(inner, c.name)
         outer = self.first
-        score: dict[Index, float] = {}
+        zeros = dict.fromkeys(inner, 0.0)
         hit = False
         rounds = 0
         for k in range(c.count):
+            self.score.update(zeros)
             shifted = state.copied(rho)
             self.first = {}
-            state, score = self.run(c.body, shifted, inner)
+            state = self.run(c.body, shifted, inner)
             round_flag = Flag(self.first)
             self.first = outer
             rounds += 1
@@ -205,7 +206,7 @@ class _RelaxedRun(_TargetRun):
                 hit = True
                 break
         self.trace.append(LoopRound(site, rounds, hit))
-        return leave(state, score, chain, c.name, c.count)
+        return self.leave(state, chain, c.name, c.count)
 
 
 def run_relaxed(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
@@ -214,7 +215,7 @@ def run_relaxed(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
     validate_tier(c, "relaxed")
     if state is None:
         state = make_state(backend)
-    runner = _RelaxedRun(c, db)
-    final, score = runner.run(c, state, chain)
-    return (TgtOutcome(final, PMap(score), tuple(runner.trace)),
+    runner = _RelaxedRun(c, db, chain)
+    final = runner.run(c, state, chain)
+    return (TgtOutcome(final, PMap(runner.score), tuple(runner.trace)),
             Flag(runner.first))

@@ -1,12 +1,16 @@
 """Big-step interpreter for the vectorised target language.
 
 A command runs under a random database, a state of lifted variables, and a
-finite antichain of active indices, producing a new state and a score
-tensor whose domain is exactly that antichain.  Loops come in two modes:
+finite antichain of active indices, producing a new state.  Scores go into
+one buffer {Index: float} per run, which starts at 0.0 on the run's chain;
+a score command adds into it at each active index, so at the end its
+domain is exactly that chain.  `extend_index` starts its slots at 0.0 and,
+on leaving, adds each index's slot sums to it.  Loops come in two modes:
 "fixpoint" stops re-running the body once a round leaves the state
 unchanged (as a represented function), "unrolled" always runs the declared
-number of rounds.  Both keep only the final round's scores.  The relaxed
-interpreter (`relaxed.py`) runs the same rules and adds its fused loop.
+number of rounds.  Both keep only the final round's scores: each round
+starts from the buffer entries the loop began with.  The relaxed interpreter
+(`relaxed.py`) runs the same rules and adds its fused loop.
 """
 
 from __future__ import annotations
@@ -64,28 +68,22 @@ def loop_sites(program: Cmd) -> dict[int, int]:
     return sites
 
 
-def leave(state, inner_score: dict, chain: AChain, name: str, count: int):
-    """Restore `chain` after a body ran under chain.extend(name, count):
-    the last slot's values move down and each index sums its slots' scores."""
-    state = state.copied(exit_rho(chain, name, count))
-    score = {i: sum(inner_score[i.append(name, k)] for k in range(count))
-             for i in chain}
-    return state, score
-
-
 class _TargetRun:
     """The command rules, shared by the target and the relaxed tier.
 
-    `first` is None in target runs.  Relaxed runs set it to a record
+    Each rule returns the new state and adds its scores into `score`, the
+    run's buffer, which holds an entry for every index of every active
+    chain.  `first` is None in target runs.  Relaxed runs set it to a record
     {Variable: {Index: bit}} of each variable's first access per index,
     read (0) or write (1); the rules report their accesses through `reads`
     and `writes`, in execution order.
     """
 
-    def __init__(self, program: Cmd, db: Rdb, mode: str):
+    def __init__(self, program: Cmd, db: Rdb, mode: str, chain: AChain):
         self.db = db
         self.mode = mode
         self.sites = loop_sites(program)
+        self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
         self.trace: list[LoopRound] = []
         self.first: Optional[dict[Variable, dict[Index, int]]] = None
 
@@ -110,51 +108,47 @@ class _TargetRun:
             cell.setdefault(i, b)
 
     def run(self, c: Cmd, state, chain: AChain):
+        """Run `c` on the chain and return the new state."""
         if isinstance(c, Skip):
-            return state, {i: 0.0 for i in chain}
+            return state
         if isinstance(c, Score):
-            tensor: dict[Index, float] = {}
+            score = self.score
             for i in chain:
                 value = self.eval_at(c.expr, state, i)
                 if math.isnan(value):
                     raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
-                tensor[i] = value
+                score[i] += value
             self.reads(c.expr, chain)
-            return state, tensor
+            return state
         if isinstance(c, Assign):
             written = {i: self.eval_at(c.expr, state, i) for i in chain}
             self.reads(c.expr, chain)
             self.writes(c.var, chain)
-            return state.updated(c.var, written), {i: 0.0 for i in chain}
+            return state.updated(c.var, written)
         if isinstance(c, Fetch):
             written = {
                 i: self.db.lookup(self.eval_at(c.index, state, i)) for i in chain
             }
             self.reads(c.index, chain)
             self.writes(c.var, chain)
-            return state.updated(c.var, written), {i: 0.0 for i in chain}
+            return state.updated(c.var, written)
         if isinstance(c, Seq):
-            score: dict[Index, float] = {}
             for item in c.items:
-                state, part = self.run(item, state, chain)
-                score = _oplus(score, part)
-            return state, score
+                state = self.run(item, state, chain)
+            return state
         if isinstance(c, Ifz):
             zero, nonzero = chain.partition(
                 lambda i: self.eval_at(c.cond, state, i) == 0
             )
             self.reads(c.cond, chain)
-            state, then_score = self.run(c.then, state, zero)
-            state, else_score = self.run(c.orelse, state, nonzero)
-            return state, _oplus(then_score, else_score)
+            state = self.run(c.then, state, zero)
+            return self.run(c.orelse, state, nonzero)
         if isinstance(c, For):
-            score: dict[Index, float] = {}
             for k in range(c.count):
                 state = state.updated(c.var, {i: k for i in chain})
                 self.writes(c.var, chain)
-                state, part = self.run(c.body, state, chain)
-                score = _oplus(score, part)
-            return state, score
+                state = self.run(c.body, state, chain)
+            return state
         if isinstance(c, LookupIndex):
             written: dict[Index, int] = {}
             for i in chain:
@@ -165,38 +159,42 @@ class _TargetRun:
                     )
                 written[i] = value
             self.writes(c.var, chain)
-            return state.updated(c.var, written), {i: 0.0 for i in chain}
+            return state.updated(c.var, written)
         if isinstance(c, Shift):
-            return state.copied(shift_rho(chain, c.name)), {i: 0.0 for i in chain}
+            return state.copied(shift_rho(chain, c.name))
         if isinstance(c, ExtendIndex):
             inner = chain.extend(c.name, c.count)
-            state, inner_score = self.run(c.body, state, inner)
-            return leave(state, inner_score, chain, c.name, c.count)
+            self.score.update(dict.fromkeys(inner, 0.0))
+            state = self.run(c.body, state, inner)
+            return self.leave(state, chain, c.name, c.count)
         if isinstance(c, LoopFixpt):
             return self.run_loop(c, state, chain)
         raise TypeError(f"not a target command: {c!r}")
 
     def run_loop(self, c: LoopFixpt, state, chain: AChain):
         site = self.sites[id(c)]
-        score: dict[Index, float] = {i: 0.0 for i in chain}
+        before = {i: self.score[i] for i in chain}
         hit = False
         rounds = 0
         for _ in range(c.count):
+            self.score.update(before)
             previous = state
-            state, score = self.run(c.body, state, chain)
+            state = self.run(c.body, state, chain)
             rounds += 1
             if self.mode == FIXPOINT and previous.same_function(state):
                 hit = True
                 break
         self.trace.append(LoopRound(site, rounds, hit))
-        return state, score
+        return state
 
-
-def _oplus(left: dict, right: dict) -> dict:
-    out = dict(left)
-    for i, v in right.items():
-        out[i] = out[i] + v if i in out else v
-    return out
+    def leave(self, state, chain: AChain, name: str, count: int):
+        """Restore `chain` after a body ran under chain.extend(name, count):
+        the last slot's values move down and each index takes its slots'
+        scores, which leave the buffer."""
+        score = self.score
+        for i in chain:
+            score[i] += sum(score.pop(i.append(name, k)) for k in range(count))
+        return state.copied(exit_rho(chain, name, count))
 
 
 def run_tgt(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
@@ -206,9 +204,9 @@ def run_tgt(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
         raise ValueError(f"unknown mode {mode!r}")
     if state is None:
         state = make_state(backend)
-    runner = _TargetRun(c, db, mode)
+    runner = _TargetRun(c, db, mode, chain)
     try:
-        final, score = runner.run(c, state, chain)
+        final = runner.run(c, state, chain)
     except PrimitiveDomainError as err:
         raise err if err.path else err.with_path("target run") from None
-    return TgtOutcome(final, PMap(score), tuple(runner.trace))
+    return TgtOutcome(final, PMap(runner.score), tuple(runner.trace))

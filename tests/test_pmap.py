@@ -7,8 +7,8 @@ from _support import (oracle_copy, oracle_extend, oracle_update, probes_for,
                       rand_cell, rand_chain, rand_index, rand_tensor,
                       shift_shape_rho, var)
 from vecloop.errors import EmptyIndexLost
-from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN, in_down, in_up
-from vecloop.pmap import PMap, tensor_add, tensor_sum, zeros
+from vecloop.indices import EMPTY, AChain, Index, in_down, in_up
+from vecloop.pmap import PMap
 from vecloop.state import SparseState
 from vecloop.target_interp import shift_rho
 
@@ -69,35 +69,6 @@ def test_update_guards_malformed_cell():
     rootless = SparseState({X: PMap({RV[0]: 1.0})})
     with pytest.raises(EmptyIndexLost):
         rootless.updated(X, {RV[1]: 2.0})
-
-
-def test_tensor_add_examples():
-    assert tensor_add(PMap({EMPTY: 1.5}), PMap({EMPTY: 2.0})).entries == {EMPTY: 3.5}
-    disjoint = tensor_add(PMap({RV[0]: 1.0}), PMap({RV[1]: 2.0}))
-    assert disjoint.entries == {RV[0]: 1.0, RV[1]: 2.0}
-    tensor = PMap({RV[0]: 4.25, RV[1]: -1.0})
-    assert tensor_add(tensor, zeros(tensor.domain())) == tensor
-
-
-def test_zeros():
-    assert zeros(ROOT_CHAIN).entries == {EMPTY: 0.0}
-    assert zeros(AChain([])).entries == {}
-    assert zeros([RV[0], RV[1]]).entries == {RV[0]: 0.0, RV[1]: 0.0}
-    assert tensor_sum(PMap({RV[0]: 1.0, RV[1]: 2.5})) == 3.5
-
-
-def test_tensor_add_commutes_and_associates():
-    # dyadic values keep float addition exact, so the laws hold bitwise
-    rng = random.Random(1)
-
-    def dyadic_tensor(chain):
-        return PMap({i: rng.randint(-256, 256) / 64.0 for i in chain})
-
-    for _ in range(200):
-        chains = [rand_chain(rng) for _ in range(3)]
-        a, b, c = (dyadic_tensor(ch) for ch in chains)
-        assert tensor_add(a, b) == tensor_add(b, a)
-        assert tensor_add(tensor_add(a, b), c) == tensor_add(a, tensor_add(b, c))
 
 
 def test_state_eq_on():

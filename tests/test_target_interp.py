@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import vecloop
 from _support import logpdf, probes_for, rand_chain
+from vecloop.bench import arm_program, hmm_program, tcm_program
 from vecloop.errors import MissingString, StringAlreadyPresent
 from vecloop.harness import (GenConfig, gen_program, gen_rdb, gen_target_case,
                              probe_indices)
@@ -16,11 +18,12 @@ from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
 from vecloop.parser import parse
 from vecloop.pmap import PMap
 from vecloop.rdb import Rdb
-from vecloop.state import SPARSE, SparseState, make_state
+from vecloop.relaxed import run_relaxed
+from vecloop.state import DENSE, SPARSE, SparseState, make_state
 from vecloop.syntax import INT, Variable, variables_of
 from vecloop.target_interp import (FIXPOINT, UNROLLED, exit_rho, run_tgt,
                                    shift_rho)
-from vecloop.translate import vectorise
+from vecloop.translate import vectorise, vectorise_relaxed
 
 X = Variable("x", "real")
 Y = Variable("y", "real")
@@ -325,3 +328,25 @@ def test_fixpoint_check_cost_does_not_follow_hash_seed():
                               timeout=120, check=True)
         counts.append(int(proc.stdout))
     assert counts[0] == counts[1] > 0
+
+
+def test_score_tensors_and_traces_are_pinned():
+    # Recorded before scores moved from per-statement tensors into one
+    # buffer per run; the vectorised and relaxed tiers must not change by a
+    # bit.
+    cases = [(gen_program(replace(GenConfig(), seed=seed)), gen_rdb(seed))
+             for seed in range(100)]
+    shapes = Rdb({}, "normal", 0.0, 20240901)
+    cases += [(arm_program(12, 3), shapes), (hmm_program(10, 2), shapes),
+              (tcm_program(2, 6), shapes)]
+    digest = hashlib.sha256()
+    for source, db in cases:
+        program = vectorise(source)
+        runs = [run_tgt(program, db, backend=SPARSE),
+                run_tgt(program, db, backend=DENSE),
+                run_tgt(program, db, mode=UNROLLED),
+                run_relaxed(vectorise_relaxed(source), db)[0]]
+        for out in runs:
+            digest.update(repr((out.score, out.trace)).encode())
+    assert digest.hexdigest() == \
+        "8f5c938e014f9fc91ecd67f43860a1953e85e87cc356f88170e2b4ff90fc624f"
