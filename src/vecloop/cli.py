@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 
 from . import harness
@@ -140,11 +141,22 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
+def _load_cfg(path: str) -> harness.GenConfig:
+    doc = json.loads(_read(path))
+    if not isinstance(doc, dict):
+        raise ValueError(f"--cfg {path}: expected a JSON object")
+    defaults = dataclasses.asdict(harness.GenConfig())
+    for key, value in doc.items():
+        if key not in defaults or type(value) is not type(defaults[key]):
+            raise ValueError(f"--cfg {path}: bad GenConfig field {key}={value!r}")
+    return harness.GenConfig(**doc)
+
+
 def cmd_fuzz(args) -> int:
-    cfg = None
-    if args.cfg:
-        doc = json.loads(_read(args.cfg))
-        cfg = harness.GenConfig(**doc)
+    limit = os.cpu_count() or 1
+    if not 1 <= args.jobs <= limit:
+        raise ValueError(f"--jobs {args.jobs}: must be between 1 and {limit}")
+    cfg = _load_cfg(args.cfg) if args.cfg else None
     if args.jobs > 1:
         import multiprocessing
 
@@ -227,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--seed", type=int, default=0)
     fz.add_argument("--cfg")
     fz.add_argument("--mutant", choices=sorted(harness.MUTANTS))
-    fz.add_argument("--jobs", type=int, default=1)
+    fz.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, 1 to os.cpu_count()")
     fz.add_argument("--out")
     fz.set_defaults(fn=cmd_fuzz)
 

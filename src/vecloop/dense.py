@@ -1,272 +1,256 @@
 """Dense grid backend for partial maps.
 
-Each string gets a dedicated array axis; the integer k of a pair addresses
-position k, and a reserved extra slot (addressed as -1, stored last) stands
-for "string absent".  A grid cell holds the represented value of the
-corresponding index, so broadcasting writes are plain slice assignments.
-Axis extents are fixed at allocation (max integer + 2); growing an axis
-re-encodes the grid.
+A `DenseMap` is the dense counterpart of a `PMap`: a typed grid with one
+axis per string the map was written under, in order of first appearance.
+The integer k of a pair addresses position k, and a reserved extra slot
+(addressed as -1, stored last) stands for "string absent"; a cell holds the
+represented value of the index its non-absent coordinates spell in axis
+order, so broadcasting writes are plain slice assignments.  A read stops at
+the first string without an axis, integer without a position, or pair out
+of axis order: no stored value lies above that prefix.  `copied` drops
+trailing axes along which the grid is constant, which changes no read; the
+exit copy of a loop makes its axis constant, so each grid keeps only the
+axes of the active chain.  `DenseState` holds one DenseMap per variable.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import NegativeComponent, UnknownString
 from .indices import Index
 from .pmap import PMap
-from .state import StateBase
+from .state import DENSE, StateBase
 from .syntax import INT, Variable
 
 
-class DenseMap:
-    """Standalone dense encoding of one partial map."""
+def dtype_of(var: Variable):
+    return np.int64 if var.type == INT else np.float64
 
-    def __init__(self, dims: Mapping[str, int], extents: tuple[int, ...],
-                 cells: np.ndarray):
-        self.dims = dict(dims)
-        self.extents = extents
+
+def _cell_indices(axes: tuple[str, ...], shape: tuple[int, ...]) -> Iterator[Index]:
+    """The index each grid cell stands for, in C order."""
+    for coords in np.ndindex(*shape):
+        yield Index(tuple((name, c) for name, c, extent
+                          in zip(axes, coords, shape) if c < extent - 1))
+
+
+class DenseMap:
+    """One partial map as a grid over its own axes."""
+
+    def __init__(self, axes: tuple[str, ...], cells: np.ndarray):
+        self.axes = axes
         self.cells = cells
+        self._axis = {name: k for k, name in enumerate(axes)}
+
+    def read(self, i: Index):
+        """Represented value at i: the cell of its longest addressable prefix."""
+        coords = [-1] * len(self.axes)
+        shape = self.cells.shape
+        last = -1
+        for name, value in i.pairs:
+            axis = self._axis.get(name, -1)
+            if axis <= last or not 0 <= value < shape[axis] - 1:
+                break
+            coords[axis] = value
+            last = axis
+        return self.cells.item(tuple(coords))
 
     def decode(self, i: Index):
-        """Represented value at i; None where the map is undefined."""
-        coords = [-1] * len(self.dims)
-        last_axis = -1
+        """`read`, refusing strings without an axis and negative integers."""
         for name, value in i:
-            if name not in self.dims:
+            if name not in self._axis:
                 raise UnknownString(f'string "{name}" has no axis')
             if value < 0:
                 raise NegativeComponent(f"negative integer {value} in {i.text()}")
-            axis = self.dims[name]
-            if axis <= last_axis or value >= self.extents[axis] - 1:
-                break  # out of axis order, or an integer never seen
-            coords[axis] = value
-            last_axis = axis
-        value = self.cells[tuple(coords)]
-        return value.item() if isinstance(value, np.generic) else value
+        return self.read(i)
+
+    def updated(self, tensor: Mapping[Index, object]) -> "DenseMap":
+        """Overwrite with `tensor`: each index sets every cell above it.
+        New strings become new last axes, in order of appearance."""
+        axes, extents = dict(self._axis), list(self.cells.shape)
+        for i in tensor:
+            for name, value in i.pairs:
+                axis = axes.setdefault(name, len(extents))
+                if axis == len(extents):
+                    extents.append(value + 2)
+                elif value + 2 > extents[axis]:
+                    extents[axis] = value + 2
+        m = DenseMap(tuple(axes), self._grown(extents))
+        for i, v in sorted(tensor.items(), key=lambda kv: kv[0].sort_key()):
+            m.cells[m._region(i)] = v
+        return m
+
+    def copied(self, rho: Mapping[Index, Index]) -> "DenseMap":
+        """Relocate represented values along the injective map `rho`, then
+        drop the trailing axes along which the grid is constant."""
+        m = self.updated({t: self.read(s) for s, t in rho.items()})
+        while m.axes and (short := m._dropped(len(m.axes) - 1, True)) is not None:
+            m = short
+        return m
+
+    def same_function(self, other: "DenseMap") -> bool:
+        """Both maps give the same read at every index.
+
+        An axis only one side has must be droppable there, since a read
+        naming its string stops on the other side.  The shared axes are then
+        grown to common extents and the grids compared cell by cell.
+        """
+        left, right = self._restricted(other.axes), other._restricted(self.axes)
+        if left is None or right is None:
+            return False
+        if left.axes != right.axes:
+            # the shared strings come in different orders: compare entries
+            return left._pmap().same_function(right._pmap())
+        extents = tuple(map(max, left.cells.shape, right.cells.shape))
+        return np.array_equal(left._grown(extents), right._grown(extents))
+
+    def _pmap(self) -> PMap:
+        """The PMap storing every cell at the index it stands for."""
+        return PMap(zip(_cell_indices(self.axes, self.cells.shape),
+                        self.cells.ravel().tolist()))
 
     def to_csv(self) -> str:
-        axes = sorted(self.dims, key=self.dims.get)
+        shape = self.cells.shape
         out = io.StringIO()
-        out.write(",".join(axes) + ",value\n")
-        for flat in range(self.cells.size):
-            coords = np.unravel_index(flat, self.cells.shape)
-            labels = [
-                str(c) if c < self.extents[axis] - 1 else "-1"
-                for axis, c in enumerate(coords)
-            ]
-            out.write(",".join(labels) + f",{self.cells[coords]!r}\n")
+        out.write(",".join(self.axes) + ",value\n")
+        for coords in np.ndindex(*shape):
+            labels = [str(c) if c < extent - 1 else "-1"
+                      for c, extent in zip(coords, shape)]
+            out.write(",".join(labels) + f",{self.cells.item(coords)!r}\n")
         return out.getvalue()
 
-
-def dense_encode(m: PMap, dims: Mapping[str, int]) -> DenseMap:
-    """Grid of represented values over the axes in `dims`.
-
-    A cell holds the map's value at the index formed by the cell's
-    non-absent coordinates in axis order.
-    """
-    extents = [1] * len(dims)
-    for i in m.domain():
-        for name, value in i:
-            if name not in dims:
-                raise UnknownString(f'string "{name}" has no axis')
-            if value < 0:
-                raise NegativeComponent(f"negative integer {value} in {i.text()}")
-            extents[dims[name]] = max(extents[dims[name]], value + 2)
-    axes = sorted(dims, key=dims.get)
-    cells = np.empty(tuple(extents), dtype=object)
-    for flat in range(cells.size):
-        coords = np.unravel_index(flat, cells.shape)
-        pairs = tuple(
-            (axes[axis], int(c))
-            for axis, c in enumerate(coords)
-            if c < extents[axis] - 1
-        )
-        cells[coords] = m.extend_eval(Index(pairs))
-    return DenseMap(dims, tuple(extents), cells)
-
-
-# --------------------------------------------------------------------------
-# Dense interpreter backend
-# --------------------------------------------------------------------------
-
-def _migrate(grid: np.ndarray, old_dims: tuple[str, ...], old_extents: tuple[int, ...],
-             new_dims: tuple[str, ...], new_extents: tuple[int, ...]) -> np.ndarray:
-    """Re-encode a grid into a larger schema.
-
-    New positions of a grown axis read from the old absent slot (a fresh
-    integer's value is, by definition, the broadcast fallback), as do all
-    positions of a brand-new axis.
-    """
-    order = [name for name in new_dims if name in old_dims]
-    out = np.transpose(grid, [old_dims.index(name) for name in order])
-    for axis, name in enumerate(new_dims):
-        if name not in old_dims:
-            out = np.expand_dims(out, axis)
-    for axis, name in enumerate(new_dims):
-        new_extent = new_extents[axis]
-        old_extent = out.shape[axis]
-        if old_extent != new_extent:
-            index_map = list(range(old_extent - 1))
-            index_map += [old_extent - 1] * (new_extent - old_extent + 1)
-            out = np.take(out, index_map, axis=axis)
-    return out
-
-
-class DenseState(StateBase):
-    """State backend: every cell is a grid under one shared schema."""
-
-    backend = "dense"
-
-    def __init__(self, dims: tuple[str, ...], extents: tuple[int, ...],
-                 cells: Mapping[Variable, np.ndarray]):
-        self.dims = dims
-        self.extents = extents
-        self.cells: dict[Variable, np.ndarray] = dict(cells)
-
-    @classmethod
-    def from_sparse(cls, sparse_cells: Mapping[Variable, PMap]) -> "DenseState":
-        state = cls((), (), {})
-        for var, cell in sparse_cells.items():
-            state = state._ensure(cell.domain())
-            grid = state._blank(var)
-            # shorter indices first, so deeper entries overwrite their cover
-            for i, v in sorted(cell.entries.items(),
-                               key=lambda kv: (len(kv[0]), kv[0].sort_key())):
-                grid[state._region(i)] = v
-            state = DenseState(state.dims, state.extents,
-                               {**state.cells, var: grid})
-        return state
-
-    def _blank(self, var: Variable) -> np.ndarray:
-        dtype = np.int64 if var.type == INT else np.float64
-        return np.zeros(self.extents, dtype=dtype)
-
-    def _ensure(self, indices: Iterable[Index]) -> "DenseState":
-        """Grow the schema so every given index is addressable.
-
-        New axes are allocated in first-appearance order along the pair
-        sequences (shorter indices first), which matches the nesting order
-        of index extension, the order reads and writes assume.
-        """
-        need: dict[str, int] = {}
-        for i in sorted(indices, key=lambda j: (len(j), j.sort_key())):
-            for name, value in i:
-                need[name] = max(need.get(name, -1), value)
-        dims = list(self.dims)
-        extents = list(self.extents)
-        changed = False
-        for name, top in need.items():
-            if name in dims:
-                axis = dims.index(name)
-                if top + 2 > extents[axis]:
-                    extents[axis] = top + 2
-                    changed = True
-            else:
-                dims.append(name)
-                extents.append(top + 2)
-                changed = True
-        if not changed:
-            return self
-        new_dims, new_extents = tuple(dims), tuple(extents)
-        cells = {
-            var: _migrate(grid, self.dims, self.extents, new_dims, new_extents)
-            for var, grid in self.cells.items()
-        }
-        return DenseState(new_dims, new_extents, cells)
-
-    def _align(self, other: "DenseState") -> tuple["DenseState", "DenseState"]:
-        union = {
-            name: max(
-                self.extents[self.dims.index(name)] if name in self.dims else 1,
-                other.extents[other.dims.index(name)] if name in other.dims else 1,
-            )
-            for name in set(self.dims) | set(other.dims)
-        }
-        anchors = [Index(((name, extent - 2),))
-                   for name, extent in union.items() if extent >= 2]
-        return self._ensure(anchors), other._ensure(anchors)
-
     def _region(self, i: Index) -> tuple:
-        """Slice of all grid cells whose index extends i.
+        """Slice of all cells whose index extends i.
 
         Extensions append pairs, so axes i leaves unbound below its last
-        bound axis must stay absent; later axes are free.
+        bound axis stay absent; later axes are free.
         """
-        region: list = [slice(None)] * len(self.dims)
-        bound = [self.dims.index(name) for name, _ in i]
-        for axis in range(max(bound, default=-1)):
-            region[axis] = -1
-        for (_, value), axis in zip(i, bound):
+        bound = [(self._axis[name], value) for name, value in i.pairs]
+        top = max((axis for axis, _ in bound), default=-1)
+        region: list = [-1] * (top + 1) + [slice(None)] * (len(self.axes) - top - 1)
+        for axis, value in bound:
             region[axis] = value
         return tuple(region)
 
-    def _read_coords(self, i: Index) -> tuple:
-        """Grid cell of the longest addressable prefix of i.
+    def _grown(self, extents: Sequence[int]) -> np.ndarray:
+        """A fresh grid with these extents, for this map's axes and then new
+        ones.
 
-        Stored indices follow axis-allocation order, so no stored entry can
-        sit above a prefix that leaves that order; reading stops there.
+        A read at a new position stopped on its axis before, so the
+        position takes the cell absent on that axis and every later one.
         """
-        coords = [-1] * len(self.dims)
-        last_axis = -1
-        for name, value in i:
-            if name not in self.dims:
-                break
-            axis = self.dims.index(name)
-            if axis <= last_axis or value < 0 or value >= self.extents[axis] - 1:
-                break
-            coords[axis] = value
-            last_axis = axis
-        return tuple(coords)
+        grid = self.cells.reshape(
+            self.cells.shape + (1,) * (len(extents) - self.cells.ndim)).copy()
+        for axis, extent in enumerate(extents):
+            old = grid.shape[axis]
+            if extent > old:
+                grid = np.take(grid, [*range(old), *[old - 1] * (extent - old)],
+                               axis=axis)
+                grid[(slice(None),) * axis + (slice(old - 1, -1),)] = _stop(grid, axis)
+        return grid
 
-    # -- state interface ----------------------------------------------------
+    def _dropped(self, axis: int, exact: bool) -> Optional["DenseMap"]:
+        """This map without `axis`, or None when dropping it changes a read,
+        bit for bit when `exact` (so 0.0 and -0.0 stay apart), else under ==.
+
+        Once the axis is gone a read naming its string stops there, so every
+        cell with the axis set must equal that stopped read.
+        """
+        grid = self.cells
+        if exact and grid.dtype == np.float64:
+            grid = grid.view(np.int64)
+        before = (slice(None),) * axis
+        if not (grid[before + (slice(0, -1),)] == _stop(grid, axis)).all():
+            return None
+        return DenseMap(self.axes[:axis] + self.axes[axis + 1:],
+                        self.cells[before + (-1, ...)].copy())
+
+    def _restricted(self, names: tuple[str, ...]) -> Optional["DenseMap"]:
+        """This map without the axes whose string is not in `names`, or None
+        when dropping one of them changes a read under ==."""
+        m = self
+        for axis in reversed(range(len(self.axes))):
+            if m is not None and self.axes[axis] not in names:
+                m = m._dropped(axis, False)
+        return m
+
+
+def _stop(grid: np.ndarray, axis: int) -> np.ndarray:
+    """The cells absent on `axis` and every later axis, shaped to broadcast
+    along them: what a read that stops at `axis` gives."""
+    tail = grid.ndim - axis
+    stop = grid[(slice(None),) * axis + (-1,) * tail + (...,)]
+    return stop.reshape(stop.shape + (1,) * tail)
+
+
+def dense_encode(m: PMap, dims: Optional[Mapping[str, int]] = None,
+                 dtype=None) -> DenseMap:
+    """The DenseMap reading like m.
+
+    Axes follow `dims` (string -> axis number) when given, else the first
+    appearance of each string along m's indices, shorter indices first.
+    The grid's dtype is inferred from the values unless given.
+    """
+    extents: dict[str, int] = {}
+    if dims is not None:
+        extents = dict.fromkeys(sorted(dims, key=dims.get), 1)
+    for i in sorted(m.domain(), key=lambda j: (len(j), j.sort_key())):
+        for name, value in i:
+            if name not in extents:
+                if dims is not None:
+                    raise UnknownString(f'string "{name}" has no axis')
+                extents[name] = 1
+            if value < 0:
+                raise NegativeComponent(f"negative integer {value} in {i.text()}")
+            extents[name] = max(extents[name], value + 2)
+    axes, shape = tuple(extents), tuple(extents.values())
+    values = [m.extend_eval(i) for i in _cell_indices(axes, shape)]
+    return DenseMap(axes, np.array(values, dtype=dtype).reshape(shape))
+
+
+class DenseState(StateBase):
+    """State backend: one DenseMap per touched variable."""
+
+    backend = DENSE
+
+    def __init__(self, cells: Mapping[Variable, DenseMap] | None = None):
+        self.cells: dict[Variable, DenseMap] = dict(cells or {})
 
     def variables(self) -> set[Variable]:
         return set(self.cells)
 
+    def _map(self, var: Variable) -> DenseMap:
+        m = self.cells.get(var)
+        return m if m is not None else DenseMap((), np.zeros((), dtype_of(var)))
+
     def grid(self, var: Variable) -> np.ndarray:
-        existing = self.cells.get(var)
-        return self._blank(var) if existing is None else existing
+        return self._map(var).cells
 
     def read(self, var: Variable, i: Index):
-        return self.grid(var)[self._read_coords(i)].item()
+        return self._map(var).read(i)
 
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "DenseState":
         if not tensor:
             return self
-        state = self._ensure(tensor)
-        grid = state.grid(var).copy()
-        for i, v in sorted(tensor.items(), key=lambda kv: kv[0].sort_key()):
-            grid[state._region(i)] = v
-        return DenseState(state.dims, state.extents, {**state.cells, var: grid})
+        return DenseState({**self.cells, var: self._map(var).updated(tensor)})
 
     def copied(self, rho: Mapping[Index, Index]) -> "DenseState":
         if not rho:
             return self
-        state = self._ensure(list(rho) + list(rho.values()))
-        moves = sorted(rho.items(), key=lambda kv: kv[0].sort_key())
-        cells = {}
-        for var, grid in state.cells.items():
-            values = [grid[state._read_coords(src)] for src, _ in moves]
-            new = grid.copy()
-            for (_, target), value in zip(moves, values):
-                new[state._region(target)] = value
-            cells[var] = new
-        return DenseState(state.dims, state.extents, cells)
+        return DenseState({v: m.copied(rho) for v, m in self.cells.items()})
 
     def same_function(self, other: "DenseState") -> bool:
-        left, right = self._align(other)
-        for var in sorted(left.variables() | right.variables(),
+        for var in sorted(self.variables() | other.variables(),
                           key=Variable.sort_key):
-            if not np.array_equal(left.grid(var), right.grid(var)):
+            if not self._map(var).same_function(other._map(var)):
                 return False
         return True
 
     def canonical_text(self) -> str:
-        parts = [f"dims={self.dims!r} extents={self.extents!r}"]
-        for var in sorted(self.cells, key=Variable.sort_key):
-            parts.append(f"{var.text()}={self.cells[var].tolist()!r}")
-        return "; ".join(parts)
+        return "; ".join(f"{var.text()}={m.axes!r}:{m.cells.tolist()!r}"
+                         for var, m in sorted(self.cells.items(),
+                                              key=lambda kv: kv[0].sort_key()))

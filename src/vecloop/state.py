@@ -118,6 +118,7 @@ def make_state(backend: str, cells: Mapping[Variable, PMap] | None = None):
     if backend == SPARSE:
         return SparseState(cells)
     if backend == DENSE:
-        from .dense import DenseState
-        return DenseState.from_sparse(cells or {})
+        from .dense import DenseState, dense_encode, dtype_of
+        return DenseState({v: dense_encode(cell, dtype=dtype_of(v))
+                           for v, cell in (cells or {}).items()})
     raise ValueError(f"unknown backend {backend!r}")

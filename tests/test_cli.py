@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -139,6 +140,32 @@ def test_fuzz_cfg_file(tmp_path, capsys):
     assert code == 0
     docs = [json.loads(line) for line in out.strip().splitlines()]
     assert all("ifz" not in doc["program"] for doc in docs)
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", '{"bogus": 1}',
+                                 '{"max_loop_len": "x"}'])
+def test_fuzz_malformed_cfg_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    assert main(["fuzz", "--oracle", "soundness", "--n", "2",
+                 "--cfg", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cfg") and err.count("\n") == 1
+
+
+def test_fuzz_jobs_out_of_range_exits_2(monkeypatch, capsys):
+    # refused before any pool exists; never run with a large accepted value
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for jobs in (os.cpu_count() + 1, 0):
+        assert main(["fuzz", "--oracle", "embedding", "--n", "1",
+                     "--jobs", str(jobs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --jobs") and err.count("\n") == 1
 
 
 def test_fuzz_jobs_matches_serial(capsys):

@@ -121,6 +121,7 @@ def test_dense_state_matches_sparse_on_random_ops():
         stack = [(ROOT_CHAIN, None, None)]
         names = iter(f"s{k}" for k in range(10))
         for _ in range(rng.randint(2, 10)):
+            sparse_prev, dense_prev = sparse, dense
             chain, _, _ = stack[-1]
             roll = rng.random()
             if roll < 0.3 and len(stack) < 4:
@@ -144,6 +145,8 @@ def test_dense_state_matches_sparse_on_random_ops():
                 rho = exit_rho(stack[-1][0], name, count)
                 sparse = sparse.copied(rho)
                 dense = dense.copied(rho)
+            assert (sparse_prev.same_function(sparse)
+                    == dense_prev.same_function(dense))
         probes = {i for v in sparse.variables() for i in sparse.cell(v).domain()}
         probes.update(chain for chain, _, _ in stack for chain in chain)
         for probe in sorted(probes, key=lambda i: i.sort_key()):
@@ -170,8 +173,98 @@ def test_dense_same_function_tracks_sparse_equality():
         assert d1.same_function(d2)
 
 
+def test_copy_trims_only_bit_identical_axes():
+    # 0.0 == -0.0, but a trimmed axis must leave every read bit-identical
+    from vecloop.indices import ROOT_CHAIN
+    from vecloop.target_interp import shift_rho
+
+    x = Variable("x", "real")
+    chain = ROOT_CHAIN.extend("s", 2)
+    rho = shift_rho(chain, "s")
+    for state in (SparseState(), make_state("dense")):
+        moved = state.updated(x, dict.fromkeys(chain, -0.0)).copied(rho)
+        assert [str(moved.read(x, i)) for i in chain] == ["0.0", "-0.0"]
+
+
+def test_dense_map_same_function_matches_pmap():
+    # pairs of maps whose axes, extents or axis orders differ; the sparse
+    # comparison is the oracle
+    rng = random.Random(14)
+
+    def value():
+        return rng.randint(0, 2) / 2
+
+    def pairs(nested):
+        a, b = ("a", rng.randint(0, 2)), ("b", rng.randint(0, 2))
+        return rng.choice([(a,), (b,), (a, b)] if nested else [(a,), (b,)])
+
+    def encode(m, nested):
+        names = [n for n in ("a", "b", "c") if any(i.lookup(n) is not None
+                                              for i in m.domain())]
+        if not nested:
+            rng.shuffle(names)
+        return dense_encode(m, {n: k for k, n in enumerate(names)})
+
+    outcomes = set()
+    for _ in range(400):
+        nested = rng.random() < 0.5
+        m1 = PMap({EMPTY: value(), **{Index(pairs(nested)): value()
+                                      for _ in range(rng.randint(0, 4))}})
+        entries = dict(m1.entries)
+        for _ in range(rng.randint(0, 2)):
+            deeper = nested and rng.random() < 0.3
+            i = Index(pairs(nested) + ((("c", 0),) if deeper else ()))
+            # a redundant entry changes the axes, not the function
+            entries[i] = m1.extend_eval(i) if rng.random() < 0.7 else value()
+        m2 = PMap(entries)
+        d1, d2 = encode(m1, nested), encode(m2, nested)
+        want = m1.same_function(m2)
+        assert d1.same_function(d2) == want == d2.same_function(d1)
+        outcomes.add((want, d1.axes == d2.axes))
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
 def test_dense_grids_use_int_dtype_for_int_vars():
     n = Variable("n", INT)
     dense = make_state("dense").updated(n, {EMPTY: 3})
     assert dense.grid(n).dtype == np.int64
     assert dense.read(n, Index((("a", 1),))) == 3
+
+
+def test_final_dense_grids_of_generated_programs_are_constant():
+    # every loop axis is exhausted by the time a vectorised run returns to
+    # the root chain, so each final grid holds one value, and the exit
+    # copies have dropped every axis
+    from vecloop.harness import GenConfig, gen_program, gen_rdb
+    from vecloop.target_interp import run_tgt
+    from vecloop.translate import vectorise
+
+    for seed in range(300):
+        program = vectorise(gen_program(GenConfig(seed=seed)))
+        final = run_tgt(program, gen_rdb(seed), backend="dense").state
+        for var in final.variables():
+            grid = final.grid(var)
+            assert (grid == grid.flat[0]).all(), (seed, var.text())
+            assert final.cells[var].axes == (), (seed, var.text())
+
+
+def test_axis_growth_reads_match_sparse():
+    # a read at an integer an axis did not have before stops there, so
+    # it gives the all-absent cell on every later axis
+    x, y = Variable("x", "real"), Variable("y", "real")
+    a = [Index((("a", k),)) for k in range(4)]
+    b0 = Index((("b", 0),))
+    probe = Index((("a", 2), ("b", 0)))
+    writes = [(x, {a[0]: 1.0}), (x, {b0: 5.0}), (y, {a[3]: 2.0})]
+    sparse, dense = SparseState(), make_state("dense")
+    for var, tensor in writes:
+        sparse, dense = sparse.updated(var, tensor), dense.updated(var, tensor)
+    assert sparse.read(x, probe) == dense.read(x, probe) == 0.0
+    grown = dense.updated(x, {a[3]: 2.0})
+    assert grown.read(x, probe) == 0.0
+    assert grown.read(x, b0) == 5.0
+    encoded = make_state("dense", sparse.cells)
+    for i in (probe, b0, a[0], a[3], EMPTY):
+        for var in (x, y):
+            assert encoded.read(var, i) == sparse.read(var, i), (var, i.text())
