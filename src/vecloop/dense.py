@@ -11,24 +11,99 @@ of axis order: no stored value lies above that prefix.  `copied` drops
 trailing axes along which the grid is constant, which changes no read; the
 exit copy of a loop makes its axis constant, so each grid keeps only the
 axes of the active chain.  `DenseState` holds one DenseMap per variable.
+
+A statement runs once per chain, not once per thread.  The chain's members,
+grouped by their string sequence, become integer columns (`_Group`, built
+once per chain); a map reads a whole group with one fancy index
+(`DenseMap.gather`) and writes one with one assignment, and an expression
+is evaluated once per operator node over all lanes (`DenseState.lanes`).
+Lane operators give the results the scalar ones give, bit for bit; anything
+exceptional sends the statement back to one evaluation per thread.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import repeat
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NegativeComponent, UnknownString
-from .indices import Index
+from .errors import NegativeComponent, UnknownString, VecloopError
+from .evalexpr import eval_lanes, expr_kind
+from .indices import AChain, Index
 from .pmap import PMap
-from .state import DENSE, StateBase
-from .syntax import INT, Variable
+from .state import DENSE, Lanes, StateBase
+from .syntax import INT, REAL, IndexExpr, Variable
+
+_DTYPES = {INT: np.int64, REAL: np.float64}
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 def dtype_of(var: Variable):
-    return np.int64 if var.type == INT else np.float64
+    return _DTYPES[var.type]
+
+
+class _Group:
+    """Indices that share one string sequence.
+
+    `matrix` holds their integers, one row per index; `rows` holds their
+    positions in the sequence they were grouped from, or is None when the
+    group is that whole sequence, in order.  Per column, `lows` is the least
+    integer and `needs` the extent (greatest integer + 2) a grid needs.
+    """
+
+    __slots__ = ("names", "matrix", "rows", "lows", "needs")
+
+    def __init__(self, names: tuple[str, ...], matrix: np.ndarray,
+                 rows: Optional[np.ndarray]):
+        self.names = names
+        self.matrix = matrix
+        self.rows = rows
+        self.lows = matrix.min(axis=0).tolist()
+        self.needs = (matrix.max(axis=0) + 2).tolist()
+
+
+def _grouped(indices: Sequence[Index]) -> tuple[_Group, ...]:
+    """The indices grouped by string sequence, in order of first appearance."""
+    found: dict[tuple[str, ...], tuple[list[int], list[list[int]]]] = {}
+    for position, i in enumerate(indices):
+        pairs = i.pairs
+        names = tuple([name for name, _ in pairs])
+        group = found.get(names)
+        if group is None:
+            group = found[names] = ([], [])
+        group[0].append(position)
+        group[1].append([value for _, value in pairs])
+    whole = len(found) == 1
+    return tuple(
+        _Group(names, np.array(ints, np.int64).reshape(len(ints), len(names)),
+               None if whole else np.array(rows, np.intp))
+        for names, (rows, ints) in found.items())
+
+
+_COLUMNS = "dense.columns"
+
+
+def _columns(chain: AChain) -> tuple[_Group, ...]:
+    """The chain's members as grouped columns, built once per chain."""
+    groups = chain.memo.get(_COLUMNS)
+    if groups is None:
+        groups = chain.memo[_COLUMNS] = _grouped(tuple(chain))
+    return groups
+
+
+def _subset(groups: tuple[_Group, ...], keep: np.ndarray) -> tuple[_Group, ...]:
+    """The columns of the members `keep` selects, in the order they keep."""
+    if groups[0].rows is None:
+        return (_Group(groups[0].names, groups[0].matrix[keep], None),)
+    position = np.cumsum(keep) - 1
+    return tuple(_Group(g.names, g.matrix[mine], position[g.rows[mine]])
+                 for g in groups if (mine := keep[g.rows]).any())
+
+
+def _write_order(g: _Group) -> tuple:
+    return (len(g.names), g.names)
 
 
 def _cell_indices(axes: tuple[str, ...], shape: tuple[int, ...]) -> Iterator[Index]:
@@ -68,26 +143,96 @@ class DenseMap:
                 raise NegativeComponent(f"negative integer {value} in {i.text()}")
         return self.read(i)
 
+    def gather(self, groups: tuple[_Group, ...], count: int):
+        """`read` at each of `count` grouped indices, one fancy index per
+        group: an array in the indices' order, or a Python scalar when
+        every read gives the same cell."""
+        if not self.axes:
+            return self.cells.item()
+        out = None
+        for g in groups:
+            got = self._gathered(g)
+            if g.rows is None:
+                return got
+            if out is None:
+                out = np.empty(count, self.cells.dtype)
+            out[g.rows] = got
+        return out
+
+    def _gathered(self, g: _Group):
+        """`read` at every index of one group, under the same stop rules."""
+        shape = self.cells.shape
+        coords: list = [-1] * len(shape)
+        live = None
+        last = -1
+        for k, name in enumerate(g.names):
+            axis = self._axis.get(name, -1)
+            if axis <= last:
+                break
+            last = axis
+            column = g.matrix[:, k]
+            if g.lows[k] < 0 or g.needs[k] > shape[axis]:
+                inside = (column >= 0) & (column < shape[axis] - 1)
+                live = inside if live is None else live & inside
+            coords[axis] = column if live is None else np.where(live, column, -1)
+        if last < 0:
+            return self.cells.item(tuple(coords))
+        return self.cells[tuple(coords)]
+
     def updated(self, tensor: Mapping[Index, object]) -> "DenseMap":
         """Overwrite with `tensor`: each index sets every cell above it.
         New strings become new last axes, in order of appearance."""
+        if isinstance(tensor, Lanes):
+            groups = _columns(tensor.chain)
+            data = tensor.data
+        else:
+            groups = _grouped(list(tensor))
+            data = list(tensor.values())
+        return self._written(groups, np.asarray(data, self.cells.dtype))
+
+    def _written(self, groups: tuple[_Group, ...], data) -> "DenseMap":
+        """A copy that holds data[k] at every cell above the k-th grouped
+        index (`data` may be one value for all).  The axes grow first; then
+        each group is one assignment, shorter indices first, so an index
+        overrides its prefixes."""
         axes, extents = dict(self._axis), list(self.cells.shape)
-        for i in tensor:
-            for name, value in i.pairs:
+        for g in groups:
+            for name, need in zip(g.names, g.needs):
                 axis = axes.setdefault(name, len(extents))
                 if axis == len(extents):
-                    extents.append(value + 2)
-                elif value + 2 > extents[axis]:
-                    extents[axis] = value + 2
+                    extents.append(need)
+                elif need > extents[axis]:
+                    extents[axis] = need
         m = DenseMap(tuple(axes), self._grown(extents))
-        for i, v in sorted(tensor.items(), key=lambda kv: kv[0].sort_key()):
-            m.cells[m._region(i)] = v
+        cells = m.cells
+        lanewise = isinstance(data, np.ndarray) and data.ndim == 1
+        for g in sorted(groups, key=_write_order):
+            values = data[g.rows] if lanewise and g.rows is not None else data
+            bound = [axes[name] for name in g.names]
+            if not bound:
+                cells[...] = values[-1] if lanewise else values
+                continue
+            top = max(bound)
+            free = cells.ndim - top - 1
+            region: list = [-1] * (top + 1) + [slice(None)] * free
+            for k, axis in enumerate(bound):
+                region[axis] = g.matrix[:, k]
+            if lanewise:
+                values = values.reshape(values.shape + (1,) * free)
+            cells[tuple(region)] = values
         return m
 
     def copied(self, rho: Mapping[Index, Index]) -> "DenseMap":
         """Relocate represented values along the injective map `rho`, then
         drop the trailing axes along which the grid is constant."""
-        m = self.updated({t: self.read(s) for s, t in rho.items()})
+        return self._relocated(_grouped(list(rho)), _grouped(list(rho.values())),
+                               len(rho))
+
+    def _relocated(self, sources: tuple[_Group, ...],
+                   targets: tuple[_Group, ...], count: int) -> "DenseMap":
+        """`copied`, with rho's sources and targets grouped: one gather at
+        the sources, one scatter at the targets."""
+        m = self._written(targets, self.gather(sources, count))
         while m.axes and (short := m._dropped(len(m.axes) - 1, True)) is not None:
             m = short
         return m
@@ -105,8 +250,14 @@ class DenseMap:
         if left.axes != right.axes:
             # the shared strings come in different orders: compare entries
             return left._pmap().same_function(right._pmap())
-        extents = tuple(map(max, left.cells.shape, right.cells.shape))
-        return np.array_equal(left._grown(extents), right._grown(extents))
+        mine, theirs = left.cells, right.cells
+        if mine.shape != theirs.shape:
+            extents = tuple(map(max, mine.shape, theirs.shape))
+            mine, theirs = left._grown(extents), right._grown(extents)
+        # a NaN equals a NaN, as in PMap.same_function
+        return np.array_equal(mine, theirs) or (
+            mine.dtype == np.float64
+            and np.array_equal(mine, theirs, equal_nan=True))
 
     def _pmap(self) -> PMap:
         """The PMap storing every cell at the index it stands for."""
@@ -122,19 +273,6 @@ class DenseMap:
                       for c, extent in zip(coords, shape)]
             out.write(",".join(labels) + f",{self.cells.item(coords)!r}\n")
         return out.getvalue()
-
-    def _region(self, i: Index) -> tuple:
-        """Slice of all cells whose index extends i.
-
-        Extensions append pairs, so axes i leaves unbound below its last
-        bound axis stay absent; later axes are free.
-        """
-        bound = [(self._axis[name], value) for name, value in i.pairs]
-        top = max((axis for axis, _ in bound), default=-1)
-        region: list = [-1] * (top + 1) + [slice(None)] * (len(self.axes) - top - 1)
-        for axis, value in bound:
-            region[axis] = value
-        return tuple(region)
 
     def _grown(self, extents: Sequence[int]) -> np.ndarray:
         """A fresh grid with these extents, for this map's axes and then new
@@ -155,16 +293,22 @@ class DenseMap:
 
     def _dropped(self, axis: int, exact: bool) -> Optional["DenseMap"]:
         """This map without `axis`, or None when dropping it changes a read,
-        bit for bit when `exact` (so 0.0 and -0.0 stay apart), else under ==.
+        bit for bit when `exact` (so 0.0 and -0.0 stay apart), else under ==
+        with a NaN equal to a NaN.
 
         Once the axis is gone a read naming its string stops there, so every
         cell with the axis set must equal that stopped read.
         """
         grid = self.cells
-        if exact and grid.dtype == np.float64:
+        floats = grid.dtype == np.float64
+        if exact and floats:
             grid = grid.view(np.int64)
         before = (slice(None),) * axis
-        if not (grid[before + (slice(0, -1),)] == _stop(grid, axis)).all():
+        cells, stop = grid[before + (slice(0, -1),)], _stop(grid, axis)
+        same = cells == stop
+        if floats and not exact:
+            same |= np.isnan(cells) & np.isnan(stop)
+        if not same.all():
             return None
         return DenseMap(self.axes[:axis] + self.axes[axis + 1:],
                         self.cells[before + (-1, ...)].copy())
@@ -233,6 +377,46 @@ class DenseState(StateBase):
     def read(self, var: Variable, i: Index):
         return self._map(var).read(i)
 
+    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
+        """The values of `expr` on the chain, each operator node evaluated
+        once for all lanes; None on an empty chain, and when that meets
+        anything exceptional (a domain error, an int outside int64), so that
+        the interpreter evaluates once per thread and fails as that does."""
+        if not chain:
+            return None
+        groups, count = _columns(chain), len(chain)
+        reads: dict[Variable, object] = {}
+
+        def read(var: Variable):
+            if var not in reads:
+                reads[var] = self._map(var).gather(groups, count)
+            return reads[var]
+
+        try:
+            with np.errstate(all="ignore"):
+                if isinstance(expr, IndexExpr):
+                    return Lanes(chain, _index_lanes(expr, read, count))
+                value = eval_lanes(expr, read, _apply)
+                if not isinstance(value, np.ndarray):
+                    value = np.full(count, value, _DTYPES[expr_kind(expr)])
+                return Lanes(chain, value)
+        except (VecloopError, ArithmeticError):
+            # a domain error, an index repeating a string, or an int the
+            # lanes cannot hold (OverflowError) or a divisor of 0
+            # (ZeroDivisionError) on some lane
+            return None
+
+    def split(self, cond: Lanes) -> tuple[AChain, AChain]:
+        """The chain's members whose `cond` lane is 0, and the rest; each
+        part keeps its rows of the chain's columns."""
+        zero = cond.data == 0
+        parts = cond.chain.compress(zero.tolist())
+        groups = _columns(cond.chain)
+        for part, keep in zip(parts, (zero, ~zero)):
+            if part:
+                part.memo[_COLUMNS] = _subset(groups, keep)
+        return parts
+
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "DenseState":
         if not tensor:
             return self
@@ -241,7 +425,9 @@ class DenseState(StateBase):
     def copied(self, rho: Mapping[Index, Index]) -> "DenseState":
         if not rho:
             return self
-        return DenseState({v: m.copied(rho) for v, m in self.cells.items()})
+        sources, targets = _grouped(list(rho)), _grouped(list(rho.values()))
+        return DenseState({v: m._relocated(sources, targets, len(rho))
+                           for v, m in self.cells.items()})
 
     def same_function(self, other: "DenseState") -> bool:
         for var in sorted(self.variables() | other.variables(),
@@ -254,3 +440,102 @@ class DenseState(StateBase):
         return "; ".join(f"{var.text()}={m.axes!r}:{m.cells.tolist()!r}"
                          for var, m in sorted(self.cells.items(),
                                               key=lambda kv: kv[0].sort_key()))
+
+
+# Lane forms of the operators.  Each raises OverflowError or
+# ZeroDivisionError where its scalar form would fail or give an int outside
+# int64, so that the statement runs once per thread instead.
+
+
+def _int_add(a, b):
+    r = np.add(a, b)
+    if (((a ^ r) & (b ^ r)) < 0).any():
+        raise OverflowError("int64 overflow")
+    return r
+
+
+def _int_sub(a, b):
+    r = np.subtract(a, b)
+    if (((a ^ b) & (a ^ r)) < 0).any():
+        raise OverflowError("int64 overflow")
+    return r
+
+
+def _int_mul(a, b):
+    # the float product is within a few ulps of the exact one, so every
+    # product outside int64 reaches 2**62
+    if (np.abs(np.multiply(a, b, dtype=np.float64)) >= 2.0 ** 62).any():
+        raise OverflowError("int64 overflow")
+    return np.multiply(a, b)
+
+
+def _nonzero(b) -> None:
+    if np.any(np.equal(b, 0)):
+        raise ZeroDivisionError("zero divisor")
+
+
+def _div(a, b):
+    _nonzero(b)
+    return np.true_divide(a, b)
+
+
+def _mod(a, b):
+    _nonzero(b)
+    return np.remainder(a, b)
+
+
+def _eq(a, b):
+    return np.not_equal(a, b).astype(np.int64)
+
+
+def _lt(a, b):
+    return np.logical_not(np.less(a, b)).astype(np.int64)
+
+
+def _const(a):
+    return a
+
+
+def _to_real(a):
+    return a.astype(np.float64)
+
+
+# (op, result kind) -> lane form giving the scalar form's results exactly;
+# the remaining operators (exp, log, normal_logpdf) map their scalar form
+_LANE_OPS = {
+    ("add", INT): _int_add, ("sub", INT): _int_sub, ("mul", INT): _int_mul,
+    ("mod", INT): _mod, ("eq", INT): _eq, ("lt", INT): _lt,
+    ("rlt", INT): _lt, ("const", INT): _const,
+    ("add", REAL): np.add, ("sub", REAL): np.subtract,
+    ("mul", REAL): np.multiply, ("div", REAL): _div, ("neg", REAL): np.negative,
+    ("to_real", REAL): _to_real,
+}
+
+
+def _apply(op: str, kind: str, fn, args: list):
+    """One operator node on all lanes; see `evalexpr.eval_lanes`."""
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    if not arrays:
+        # every lane holds the same arguments: the scalar form, once
+        return fn(*args)
+    if any(type(a) is int and a not in _INT64 for a in args):
+        raise OverflowError("int literal outside int64")
+    lane = _LANE_OPS.get((op, kind))
+    if lane is not None:
+        return lane(*args)
+    count = len(arrays[0])
+    columns = [a.tolist() if isinstance(a, np.ndarray) else repeat(a, count)
+               for a in args]
+    return np.array([fn(*values) for values in zip(*columns)], _DTYPES[kind])
+
+
+def _index_lanes(e: IndexExpr, read, count: int) -> list[Index]:
+    """The index `e` spells on each lane."""
+    names = [name for name, _ in e.pairs]
+    columns = []
+    for _, z in e.pairs:
+        value = eval_lanes(z, read, _apply)
+        columns.append(value.tolist() if isinstance(value, np.ndarray)
+                       else repeat(value, count))
+    rows = zip(*columns) if columns else repeat((), count)
+    return [Index(tuple(zip(names, row))) for row in rows]

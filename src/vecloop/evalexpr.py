@@ -3,7 +3,9 @@
 The caller supplies how variables are read; everything else (literals,
 operator dispatch by argument kinds, index construction) is common.  Each
 operator node is resolved against the operator table once, on first use,
-and keeps its result kind and implementation.
+and keeps its result kind and implementation.  `eval_expr` evaluates for one
+thread; `eval_lanes` evaluates each node once for all the lanes of a chain,
+applying operators through a backend's lane forms of them.
 """
 
 from __future__ import annotations
@@ -54,3 +56,23 @@ def eval_expr(e: Expr, read_var: Callable[[Variable], object]):
     if isinstance(e, IndexExpr):
         return Index(tuple((name, eval_expr(z, read_var)) for name, z in e.pairs))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def eval_lanes(e: Expr, read_lanes: Callable[[Variable], object],
+               apply: Callable[[str, str, Callable, list], object]):
+    """The values of `e` on every lane of a chain at once.
+
+    `read_lanes(var)` gives a variable's lanes, and `apply(op, kind, fn,
+    args)` applies a resolved operator node to its arguments' lanes, once
+    per node.  Literals stay Python scalars.  A node is resolved before its
+    arguments are evaluated, as in `eval_expr`.
+    """
+    if isinstance(e, Var):
+        return read_lanes(e.var)
+    if isinstance(e, PrimOp):
+        kind, fn = e.impl or resolved(e)
+        return apply(e.op, kind, fn,
+                     [eval_lanes(a, read_lanes, apply) for a in e.args])
+    if isinstance(e, (IntLit, RealLit)):
+        return e.value
+    raise TypeError(f"not a lane expression: {e!r}")

@@ -178,6 +178,12 @@ class AChain:
         """The members in `Index.sort_key` order, sorted once per chain."""
         return tuple(sorted(self.members, key=attrgetter("pairs")))
 
+    @cached_property
+    def memo(self) -> dict:
+        """Data a backend derives from the members once per chain (the
+        dense backend keeps the chain's integer columns here)."""
+        return {}
+
     def __iter__(self) -> Iterator[Index]:
         return iter(self._order)
 
@@ -217,9 +223,25 @@ class AChain:
         no = self.members - yes
         return AChain(yes, _checked=True), AChain(no, _checked=True)
 
+    def compress(self, flags: Iterable[bool]) -> tuple["AChain", "AChain"]:
+        """Split into (members whose flag is true, the rest), with one flag
+        per member in chain order; both parts keep that order."""
+        yes: list[Index] = []
+        no: list[Index] = []
+        for i, flag in zip(self._order, flags):
+            (yes if flag else no).append(i)
+        return _in_order(tuple(yes)), _in_order(tuple(no))
+
     def __repr__(self) -> str:
         inner = ", ".join(i.text() for i in self)
         return f"AChain{{{inner}}}"
+
+
+def _in_order(order: tuple[Index, ...]) -> AChain:
+    """The antichain of members already sorted in chain order."""
+    chain = AChain(order, _checked=True)
+    chain.__dict__["_order"] = order
+    return chain
 
 
 EMPTY_CHAIN = AChain(frozenset(), _checked=True)

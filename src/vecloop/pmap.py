@@ -102,14 +102,21 @@ class PMap:
         Two maps represent the same total function exactly when their
         canonical forms are equal, so this is the equality used by the
         fixed-point check.  An entry is induced when the read at its parent
-        gives the same value.  Dropping an induced entry changes no read, so
-        every entry can be judged against this map as it stands.
+        gives the same value, a NaN counting as the same as a NaN.  Dropping
+        an induced entry changes no read, so every entry can be judged
+        against this map as it stands.
         """
         return PMap({i: v for i, v in self.entries.items()
-                     if not i.pairs or self.extend_eval(i.parent()) != v})
+                     if not i.pairs or ((up := self.extend_eval(i.parent())) != v
+                                        and (up == up or v == v))})
 
     def same_function(self, other: "PMap") -> bool:
-        return self.canonical().entries == other.canonical().entries
+        """Equal reads at every index; a NaN equals a NaN."""
+        mine, theirs = self.canonical().entries, other.canonical().entries
+        # dict equality already counts a NaN object as equal to itself
+        return mine == theirs or (mine.keys() == theirs.keys() and all(
+            v == w or (v != v and w != w)
+            for v, w in ((mine[i], theirs[i]) for i in mine)))
 
     def text(self) -> str:
         inner = ", ".join(f"{i.text()}: {v!r}" for i, v in self.items_sorted())

@@ -9,10 +9,10 @@ interchangeable backends implement the same interface: the sparse one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import EmptyIndexLost
-from .indices import EMPTY, Index
+from .indices import EMPTY, AChain, Index
 from .pmap import PMap
 from .syntax import INT, Variable
 
@@ -24,17 +24,56 @@ def default_cell(var: Variable) -> PMap:
     return PMap({EMPTY: 0 if var.type == INT else 0.0})
 
 
+class Lanes(Mapping):
+    """A tensor on a chain, held as one value per member in chain order.
+
+    `data` is a list, or a backend's array when the backend evaluated the
+    chain at once; `items` gives Python values either way.
+    """
+
+    __slots__ = ("chain", "data")
+
+    def __init__(self, chain: AChain, data):
+        self.chain = chain
+        self.data = data
+
+    def python(self) -> list:
+        data = self.data
+        return data if isinstance(data, list) else data.tolist()
+
+    def items(self):
+        return zip(self.chain, self.python())
+
+    def __len__(self) -> int:
+        return len(self.chain)
+
+    def __iter__(self) -> Iterator[Index]:
+        return iter(self.chain)
+
+    def __getitem__(self, i: Index):
+        return dict(self.items())[i]
+
+
 class StateBase:
     """Methods both backends share, written against their common interface."""
 
+    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
+        """The values of `expr` on the chain, or None when the interpreter
+        is to evaluate it once per thread, as it always does on the sparse
+        backend.  A backend that gives lanes also splits a chain by them
+        (`split`)."""
+        return None
+
     def eq_on(self, other, probes: Iterable[Index],
               variables: Optional[Iterable[Variable]] = None) -> bool:
+        """Equal reads at every probe; a NaN equals a NaN."""
         probes = list(probes)
         if variables is None:
             variables = self.variables() | other.variables()
         for var in variables:
             for i in probes:
-                if self.read(var, i) != other.read(var, i):
+                a, b = self.read(var, i), other.read(var, i)
+                if a != b and (a == a or b == b):
                     return False
         return True
 
@@ -59,7 +98,7 @@ class SparseState(StateBase):
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "SparseState":
         if not tensor:
             return self
-        cell = self.cell(var).updated(PMap(tensor))
+        cell = self.cell(var).updated(PMap(tensor.items()))
         if EMPTY not in cell.entries:
             raise EmptyIndexLost(f"update left {var.text()} without a root entry")
         new = dict(self.cells)

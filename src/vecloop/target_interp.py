@@ -23,7 +23,7 @@ from .evalexpr import eval_expr
 from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
-from .state import SPARSE, LoopRound, TgtOutcome, make_state
+from .state import SPARSE, Lanes, LoopRound, TgtOutcome, make_state
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
                      Variable, free_vars, walk, validate_tier)
@@ -37,8 +37,12 @@ def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
 
     Slot (name, 0) receives the value below the name level; slot
     (name, k + 1) receives slot (name, k)'s when that slot lies in the
-    chain's downward closure.
+    chain's downward closure.  Built once per chain and name, since a loop
+    shifts the same chain every round.
     """
+    found = chain.memo.get(("shift", name))
+    if found is not None:
+        return found
     rho: dict[Index, Index] = {}
     down = {p for i in chain.members for p in i.prefixes()}
     for target in chain:
@@ -51,6 +55,7 @@ def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
             source = target.parent().append(name, k - 1)
             if source in down:
                 rho[source] = target
+    chain.memo[("shift", name)] = rho
     return rho
 
 
@@ -90,6 +95,14 @@ class _TargetRun:
     def eval_at(self, expr, state, i: Index):
         return eval_expr(expr, lambda var: state.read(var, i))
 
+    def values(self, expr, state, chain: AChain) -> Lanes:
+        """The values of `expr` on the chain: the state's lanes when it
+        evaluates a whole chain at once, else one evaluation per thread."""
+        lanes = state.lanes(expr, chain)
+        if lanes is None:
+            lanes = Lanes(chain, [self.eval_at(expr, state, i) for i in chain])
+        return lanes
+
     def reads(self, expr, chain: AChain) -> None:
         """Note a read of each free variable of `expr` on the chain."""
         if self.first is not None:
@@ -113,22 +126,25 @@ class _TargetRun:
             return state
         if isinstance(c, Score):
             score = self.score
-            for i in chain:
-                value = self.eval_at(c.expr, state, i)
+            # per thread, each value is checked before the next thread runs;
+            # lanes that evaluated without error can fail only by a NaN
+            lanes = state.lanes(c.expr, chain)
+            values = (lanes.python() if lanes is not None else
+                      (self.eval_at(c.expr, state, i) for i in chain))
+            for i, value in zip(chain, values):
                 if math.isnan(value):
                     raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
                 score[i] += value
             self.reads(c.expr, chain)
             return state
         if isinstance(c, Assign):
-            written = {i: self.eval_at(c.expr, state, i) for i in chain}
+            written = self.values(c.expr, state, chain)
             self.reads(c.expr, chain)
             self.writes(c.var, chain)
             return state.updated(c.var, written)
         if isinstance(c, Fetch):
-            written = {
-                i: self.db.lookup(self.eval_at(c.index, state, i)) for i in chain
-            }
+            indices = self.values(c.index, state, chain).python()
+            written = Lanes(chain, [self.db.lookup(j) for j in indices])
             self.reads(c.index, chain)
             self.writes(c.var, chain)
             return state.updated(c.var, written)
@@ -137,29 +153,33 @@ class _TargetRun:
                 state = self.run(item, state, chain)
             return state
         if isinstance(c, Ifz):
-            zero, nonzero = chain.partition(
-                lambda i: self.eval_at(c.cond, state, i) == 0
-            )
+            cond = state.lanes(c.cond, chain)
+            if cond is None:
+                zero, nonzero = chain.partition(
+                    lambda i: self.eval_at(c.cond, state, i) == 0
+                )
+            else:
+                zero, nonzero = state.split(cond)
             self.reads(c.cond, chain)
             state = self.run(c.then, state, zero)
             return self.run(c.orelse, state, nonzero)
         if isinstance(c, For):
             for k in range(c.count):
-                state = state.updated(c.var, {i: k for i in chain})
+                state = state.updated(c.var, Lanes(chain, [k] * len(chain)))
                 self.writes(c.var, chain)
                 state = self.run(c.body, state, chain)
             return state
         if isinstance(c, LookupIndex):
-            written: dict[Index, int] = {}
+            found: list[int] = []
             for i in chain:
                 value = i.lookup(c.name)
                 if value is None:
                     raise MissingString(
                         f'lookup_index("{c.name}") under {i.text()}'
                     )
-                written[i] = value
+                found.append(value)
             self.writes(c.var, chain)
-            return state.updated(c.var, written)
+            return state.updated(c.var, Lanes(chain, found))
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))
         if isinstance(c, ExtendIndex):

@@ -350,3 +350,51 @@ def test_score_tensors_and_traces_are_pinned():
             digest.update(repr((out.score, out.trace)).encode())
     assert digest.hexdigest() == \
         "8f5c938e014f9fc91ecd67f43860a1953e85e87cc356f88170e2b4ff90fc624f"
+
+
+NAN_LOOP = ("big := 100000000000000000000.0 * 100000000000000000000.0; "
+            "big := big * big; big := big * big; big := big * big; "
+            "z := big - big; for t:int in range(4) { y := z; score(0.0) }")
+
+
+def test_nan_equals_nan_in_every_fixed_point_check():
+    # the loop copies one NaN each round: on both backends the second round
+    # changes nothing, and the relaxed check agrees that it is a fixed point
+    from vecloop.state import LoopRound
+
+    source = parse(NAN_LOOP)
+    db = Rdb({}, "const", 0.0, 0)
+    target = vectorise(source)
+    sparse = run_tgt(target, db, backend=SPARSE)
+    dense = run_tgt(target, db, backend=DENSE)
+    assert sparse.trace == dense.trace == (LoopRound(0, 2, True),)
+    for backend in (SPARSE, DENSE):
+        relaxed, _ = run_relaxed(vectorise_relaxed(source), db, backend=backend)
+        assert relaxed.trace[0].rounds <= sparse.trace[0].rounds
+
+
+def test_nan_rule_in_maps_and_probes():
+    from vecloop.dense import dense_encode
+
+    a = Index((("a", 0),))
+    nan1, nan2 = float("nan"), float("nan")
+    assert nan1 is not nan2
+    assert PMap({EMPTY: nan1}).same_function(PMap({EMPTY: nan2}))
+    assert PMap({EMPTY: nan1, a: nan2}).canonical().entries.keys() == {EMPTY}
+    assert not PMap({EMPTY: nan1}).same_function(PMap({EMPTY: 0.0}))
+    # 0.0 == -0.0 stays an equality
+    assert PMap({EMPTY: 0.0}).same_function(PMap({EMPTY: -0.0}))
+    dense = [dense_encode(PMap({EMPTY: 1.0, a: v}), {"a": 0})
+             for v in (nan1, nan2, 0.0)]
+    assert dense[0].same_function(dense[1])
+    assert not dense[0].same_function(dense[2])
+    assert dense[0].same_function(dense_encode(PMap({EMPTY: 1.0, a: nan2})))
+    assert dense_encode(PMap({EMPTY: nan1, a: nan2}), {"a": 0}).same_function(
+        dense_encode(PMap({EMPTY: nan2})))
+    for backend in (SPARSE, DENSE):
+        left = make_state(backend).updated(X, {EMPTY: nan1})
+        right = make_state(backend).updated(X, {EMPTY: nan2})
+        assert left.eq_on(right, [EMPTY, a])
+        assert left.same_function(right)
+        assert not left.eq_on(make_state(backend).updated(X, {EMPTY: 1.0}),
+                              [EMPTY])
