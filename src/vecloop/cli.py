@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                "(ParseFailure, TierViolation), 3 runtime semantic error "
                "(PrimitiveDomainError, ScoreNaN, MissingString, "
                "StringAlreadyPresent, EmptyIndexLost, NotComparable, "
-               "UnknownString, NegativeComponent, ThreadBudgetExceeded).",
+               "UnknownString, NegativeComponent, ThreadBudgetExceeded, "
+               "IntOverflow).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

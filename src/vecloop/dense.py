@@ -29,7 +29,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NegativeComponent, UnknownString, VecloopError
+from .errors import (IntOverflow, NegativeComponent, UnknownString,
+                     VecloopError)
 from .evalexpr import eval_lanes, expr_kind
 from .indices import AChain, Index
 from .pmap import PMap
@@ -91,6 +92,17 @@ def _columns(chain: AChain) -> tuple[_Group, ...]:
     if groups is None:
         groups = chain.memo[_COLUMNS] = _grouped(tuple(chain))
     return groups
+
+
+def _relocation_columns(rho: Mapping[Index, Index]):
+    """rho's sources and targets as grouped columns; a `Relocation` keeps
+    them, so they are built once per chain."""
+    derived = getattr(rho, "derived", {})
+    found = derived.get(_COLUMNS)
+    if found is None:
+        found = derived[_COLUMNS] = (_grouped(list(rho)),
+                                     _grouped(list(rho.values())))
+    return found
 
 
 def _subset(groups: tuple[_Group, ...], keep: np.ndarray) -> tuple[_Group, ...]:
@@ -188,7 +200,7 @@ class DenseMap:
         else:
             groups = _grouped(list(tensor))
             data = list(tensor.values())
-        return self._written(groups, np.asarray(data, self.cells.dtype))
+        return self._written(groups, _typed(data, self.cells.dtype))
 
     def _written(self, groups: tuple[_Group, ...], data) -> "DenseMap":
         """A copy that holds data[k] at every cell above the k-th grouped
@@ -225,8 +237,7 @@ class DenseMap:
     def copied(self, rho: Mapping[Index, Index]) -> "DenseMap":
         """Relocate represented values along the injective map `rho`, then
         drop the trailing axes along which the grid is constant."""
-        return self._relocated(_grouped(list(rho)), _grouped(list(rho.values())),
-                               len(rho))
+        return self._relocated(*_relocation_columns(rho), len(rho))
 
     def _relocated(self, sources: tuple[_Group, ...],
                    targets: tuple[_Group, ...], count: int) -> "DenseMap":
@@ -353,7 +364,18 @@ def dense_encode(m: PMap, dims: Optional[Mapping[str, int]] = None,
             extents[name] = max(extents[name], value + 2)
     axes, shape = tuple(extents), tuple(extents.values())
     values = [m.extend_eval(i) for i in _cell_indices(axes, shape)]
-    return DenseMap(axes, np.array(values, dtype=dtype).reshape(shape))
+    return DenseMap(axes, _typed(values, dtype).reshape(shape))
+
+
+def _typed(values: list, dtype) -> np.ndarray:
+    """`values` as an array of `dtype`; an int outside int64 raises
+    IntOverflow, where the sparse backend would keep the Python int."""
+    try:
+        return np.asarray(values, dtype)
+    except OverflowError:
+        big = max(values, key=abs)
+        raise IntOverflow(f"int {big} lies outside int64, the dense "
+                          f"backend's int type") from None
 
 
 class DenseState(StateBase):
@@ -425,7 +447,7 @@ class DenseState(StateBase):
     def copied(self, rho: Mapping[Index, Index]) -> "DenseState":
         if not rho:
             return self
-        sources, targets = _grouped(list(rho)), _grouped(list(rho.values()))
+        sources, targets = _relocation_columns(rho)
         return DenseState({v: m._relocated(sources, targets, len(rho))
                            for v, m in self.cells.items()})
 

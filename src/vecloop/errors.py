@@ -61,6 +61,10 @@ class ScoreNaN(VecloopError):
     pass
 
 
+class IntOverflow(VecloopError):
+    """An int the dense backend cannot store: its grids hold int64."""
+
+
 class EmptyIndexLost(VecloopError):
     pass
 

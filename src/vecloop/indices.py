@@ -23,10 +23,16 @@ THREAD_BUDGET = 1_000_000
 class Index:
     """A finite sequence of (name, value) pairs with distinct names.
 
-    Immutable; the hash is computed once, at construction.
+    Immutable; the hash is computed once, at construction.  `_below` holds
+    the proper prefixes, longest first and ending in `EMPTY`, built on the
+    first walk (None until then).  A child built from its parent (`append`,
+    `AChain.extend`) starts with the parent and the parent's own tuple, so
+    the indices of one chain share their prefix objects, and a read usually
+    finds a stored prefix by identity.  The tuple never holds the index
+    itself, so an index is never part of a reference cycle.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ("pairs", "_hash", "_below")
 
     def __init__(self, pairs: tuple[tuple[str, int], ...] = ()):
         pairs = tuple(pairs)
@@ -34,6 +40,7 @@ class Index:
             raise DuplicateIndexString(f"index repeats a string: {pairs!r}")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_hash", hash((pairs,)))
+        object.__setattr__(self, "_below", None if pairs else ())
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -67,7 +74,7 @@ class Index:
         pairs = self.pairs + ((name, value),)
         if self.lookup(name) is not None:
             raise DuplicateIndexString(f"index repeats a string: {pairs!r}")
-        return _unchecked(pairs)
+        return _unchecked(pairs, _child_prefixes(self))
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.pairs)
@@ -84,17 +91,26 @@ class Index:
     def prefix(self, length: int) -> "Index":
         return _unchecked(self.pairs[:length])
 
-    def prefixes(self) -> Iterator["Index"]:
+    def proper_prefixes(self) -> tuple["Index", ...]:
+        """The proper prefixes from longest to shortest (`EMPTY`), built
+        once, shortest first, so that each one shares the shorter ones."""
+        below = self._below
+        if below is None:
+            pairs = self.pairs
+            below = (EMPTY,)
+            for length in range(1, len(pairs)):
+                below = (_unchecked(pairs[:length], below),) + below
+            object.__setattr__(self, "_below", below)
+        return below
+
+    def prefixes(self) -> tuple["Index", ...]:
         """This index, then its proper prefixes from longest to shortest."""
-        yield self
-        pairs = self.pairs
-        for length in range(len(pairs) - 1, -1, -1):
-            yield _unchecked(pairs[:length])
+        return (self,) + self.proper_prefixes()
 
     def parent(self) -> "Index":
         if not self.pairs:
             raise ValueError("the empty index has no parent")
-        return _unchecked(self.pairs[:-1])
+        return self.proper_prefixes()[0]
 
     def sort_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical total order: lexicographic on the pair sequence.
@@ -114,12 +130,23 @@ class Index:
         return f"Index({self.text()})"
 
 
-def _unchecked(pairs: tuple[tuple[str, int], ...]) -> Index:
-    """An index over pairs already known to have distinct names."""
+def _unchecked(pairs: tuple[tuple[str, int], ...],
+               below: Optional[tuple[Index, ...]] = None) -> Index:
+    """An index over pairs already known to have distinct names, with its
+    proper prefixes when the caller has them; `EMPTY` when `pairs` is."""
+    if not pairs:
+        return EMPTY
     i = object.__new__(Index)
     object.__setattr__(i, "pairs", pairs)
     object.__setattr__(i, "_hash", hash((pairs,)))
+    object.__setattr__(i, "_below", below)
     return i
+
+
+def _child_prefixes(i: Index) -> tuple[Index, ...]:
+    """The proper prefixes of each child of i: i, then i's own.  An empty
+    i built apart from `EMPTY` gives way to it, so every chain ends there."""
+    return (i,) + i.proper_prefixes() if i.pairs else (EMPTY,)
 
 
 EMPTY = Index(())
@@ -211,10 +238,12 @@ class AChain:
                 )
         # No member binds `name`, so every extension has distinct names;
         # extensions of an antichain by a fresh pair stay an antichain.
-        extended = frozenset(
-            _unchecked(i.pairs + ((name, k),))
-            for i in self.members for k in range(count)
-        )
+        # A member's children share one tuple of prefixes.
+        extended: list[Index] = []
+        for i in self.members:
+            below = _child_prefixes(i)
+            extended.extend(_unchecked(i.pairs + ((name, k),), below)
+                            for k in range(count))
         return AChain(extended, _checked=True)
 
     def partition(self, predicate) -> tuple["AChain", "AChain"]:

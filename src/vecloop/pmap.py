@@ -13,6 +13,8 @@ from typing import Iterable, Mapping
 
 from .indices import Index
 
+_ABSENT = object()
+
 
 @dataclass(frozen=True)
 class PMap:
@@ -44,13 +46,18 @@ class PMap:
     def extend_eval(self, i: Index):
         """Value at the longest stored prefix of i, or None if none exists.
 
-        The prefixes of i form a chain, so probing them longest first finds
-        that entry in at most len(i) + 1 probes.
+        The prefixes of i form a chain, so probing i and then its cached
+        proper prefixes, longest first, finds that entry in at most
+        len(i) + 1 probes.
         """
-        entries = self.entries
-        for p in i.prefixes():
-            if p in entries:
-                return entries[p]
+        get = self.entries.get
+        value = get(i, _ABSENT)
+        if value is not _ABSENT:
+            return value
+        for p in i.proper_prefixes():
+            value = get(p, _ABSENT)
+            if value is not _ABSENT:
+                return value
         return None
 
     def updated(self, tensor: "PMap") -> "PMap":
@@ -128,4 +135,9 @@ class PMap:
 
 def _covered(i: Index, region: Mapping[Index, object]) -> bool:
     """i lies in the upward closure of `region`'s keys: a prefix is a key."""
-    return any(p in region for p in i.prefixes())
+    if i in region:
+        return True
+    for p in i.proper_prefixes():
+        if p in region:
+            return True
+    return False

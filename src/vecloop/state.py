@@ -54,6 +54,19 @@ class Lanes(Mapping):
         return dict(self.items())[i]
 
 
+class Relocation(dict):
+    """An injective map source -> target that the interpreter builds once
+    per chain and keeps in the chain's memo.  `derived` holds what a backend
+    derives from it (the dense backend its grouped columns), so that work
+    too is done once per chain."""
+
+    __slots__ = ("derived",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.derived: dict = {}
+
+
 class StateBase:
     """Methods both backends share, written against their common interface."""
 

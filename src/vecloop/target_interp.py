@@ -23,7 +23,8 @@ from .evalexpr import eval_expr
 from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
-from .state import SPARSE, Lanes, LoopRound, TgtOutcome, make_state
+from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
+                    make_state)
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
                      Variable, free_vars, walk, validate_tier)
@@ -32,7 +33,7 @@ FIXPOINT = "fixpoint"
 UNROLLED = "unrolled"
 
 
-def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
+def shift_rho(chain: AChain, name: str) -> Relocation:
     """The relocation map of shift: each slot receives its predecessor.
 
     Slot (name, 0) receives the value below the name level; slot
@@ -43,8 +44,10 @@ def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
     found = chain.memo.get(("shift", name))
     if found is not None:
         return found
-    rho: dict[Index, Index] = {}
-    down = {p for i in chain.members for p in i.prefixes()}
+    rho = Relocation()
+    # each slot of the downward closure, as the chain's own object, so that
+    # the relocated entries keep sharing the chain's prefixes
+    down = {p: p for i in chain.members for p in i.prefixes()}
     for target in chain:
         if not target.pairs or target.pairs[-1][0] != name:
             continue
@@ -52,16 +55,23 @@ def shift_rho(chain: AChain, name: str) -> dict[Index, Index]:
         if k == 0:
             rho[target.parent()] = target
         else:
-            source = target.parent().append(name, k - 1)
-            if source in down:
+            source = down.get(target.parent().append(name, k - 1))
+            if source is not None:
                 rho[source] = target
     chain.memo[("shift", name)] = rho
     return rho
 
 
-def exit_rho(chain: AChain, name: str, count: int) -> dict[Index, Index]:
-    """The relocation applied when extend_index restores its outer chain."""
-    return {i.append(name, count - 1): i for i in chain}
+def exit_rho(chain: AChain, name: str, count: int) -> Relocation:
+    """The relocation applied when extend_index restores its outer chain:
+    each index receives its last slot's value.  Built once per chain, name
+    and count."""
+    key = ("exit", name, count)
+    rho = chain.memo.get(key)
+    if rho is None:
+        rho = chain.memo[key] = Relocation(
+            {i.append(name, count - 1): i for i in chain})
+    return rho
 
 
 def loop_sites(program: Cmd) -> dict[int, int]:

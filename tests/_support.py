@@ -8,13 +8,29 @@ interpreters under test.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 
+import vecloop
 from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN, prefix_leq
 from vecloop.pmap import PMap
 from vecloop.syntax import INT, REAL, Variable
 
 STRINGS = ("a", "b", "rv")
+
+
+def cli_process(args: list[str]) -> subprocess.CompletedProcess:
+    """`vecloop args` in a fresh interpreter, as a shell would run it, so
+    that its exit code and its whole stderr can be checked."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vecloop.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from vecloop.cli import main; sys.exit(main())", *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120)
 
 
 def rand_index(rng: random.Random, max_len: int = 3) -> Index:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from _support import cli_process
 from vecloop.cli import main
 from vecloop.indices import Index
 from vecloop.rdb import Rdb
@@ -224,3 +225,24 @@ def test_thread_budget_exits_3(tmp_path, capsys):
         assert main(["run", "--tier", tier, "--program",
                      str(translated)]) == 3
         assert "ThreadBudgetExceeded" in capsys.readouterr().err
+
+
+def test_dense_int64_overflow_exits_3_without_traceback(tmp_path, capsys):
+    # 3037000500 ** 2 leaves int64: the sparse backend keeps the Python int,
+    # the dense one refuses it with a named error
+    program = tmp_path / "big.vl"
+    program.write_text("n:int := 3037000500; for t:int in range(3) { "
+                       "m:int := mul(n:int, n:int); score(to_real(m:int)) }")
+    translated = tmp_path / "big_t.vl"
+    assert main(["translate", "--to", "target", str(program),
+                 "--out", str(translated)]) == 0
+    code, out = run_cli(["run", "--tier", "target", "--backend", "sparse",
+                         "--program", str(translated)], capsys)
+    assert code == 0
+    assert json.loads(out)["scoreTensor"]["[]"] == pytest.approx(
+        3.0 * 3037000500 ** 2)
+    proc = cli_process(["run", "--tier", "target", "--backend", "dense",
+                        "--program", str(translated)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("IntOverflow: int 9223372037000250000 ")
+    assert "Traceback" not in proc.stderr

@@ -184,6 +184,10 @@ def test_copy_trims_only_bit_identical_axes():
     for state in (SparseState(), make_state("dense")):
         moved = state.updated(x, dict.fromkeys(chain, -0.0)).copied(rho)
         assert [str(moved.read(x, i)) for i in chain] == ["0.0", "-0.0"]
+    # the dense copy grouped rho's sources and targets once, kept with rho
+    grouped = rho.derived["dense.columns"]
+    make_state("dense").updated(x, {EMPTY: 1.0}).copied(rho)
+    assert rho.derived["dense.columns"] is grouped
 
 
 def test_dense_map_same_function_matches_pmap():

@@ -136,6 +136,61 @@ def test_unchecked_prefixes_equal_checked_indices(i):
         assert hash(i.parent()) == hash(Index(i.pairs[:-1]))
 
 
+def check_prefix_cache(i: Index) -> None:
+    """The cached prefixes agree with the slice definitions, end in EMPTY,
+    share the shorter ones, and never hold the index itself."""
+    n = len(i)
+    assert i.prefixes() == tuple(Index(i.pairs[:k]) for k in range(n, -1, -1))
+    assert hash(i) == hash((i.pairs,))
+    assert pickle.dumps(i) == pickle.dumps(Index(i.pairs))
+    proper = i.proper_prefixes()
+    assert all(p is not i for p in proper)
+    if n:
+        assert i.parent() == Index(i.pairs[:-1]) and i.parent() is proper[0]
+        assert proper[-1] is EMPTY
+    for k, p in enumerate(proper):
+        assert all(a is b for a, b in zip(p.proper_prefixes(), proper[k + 1:],
+                                          strict=True))
+
+
+OPS = ("append", "concat", "prefix", "parent", "extend", "partition",
+       "compress", "pickle", "deepcopy")
+
+
+@given(indexes, st.lists(st.sampled_from(OPS), max_size=5), st.data())
+def test_prefix_cache_through_every_constructor(i, ops, data):
+    check_prefix_cache(i)
+    for op in ops:
+        fresh = [name for name in "efghijklm" if i.lookup(name) is None]
+        name, value = data.draw(st.sampled_from(fresh)), data.draw(st.integers(0, 5))
+        if op == "append":
+            i = i.append(name, value)
+        elif op == "concat":
+            i = i.concat(Index(((name, value), (name.upper(), value))))
+        elif op == "prefix":
+            i = i.prefix(data.draw(st.integers(0, len(i) + 1)))
+        elif op == "parent" and i.pairs:
+            i = i.parent()
+        elif op in ("extend", "partition", "compress"):
+            chain = AChain([i]).extend(name, data.draw(st.integers(1, 4)))
+            if op == "partition":
+                parts = chain.partition(lambda j: j.pairs[-1][1] % 2 == 0)
+            elif op == "compress":
+                parts = chain.compress(data.draw(st.lists(
+                    st.booleans(), min_size=len(chain), max_size=len(chain))))
+            else:
+                parts = (chain,)
+            member = data.draw(st.sampled_from([j for part in parts for j in part]))
+            # a member's children start their prefixes with the member
+            assert member.parent() is (i if i.pairs else EMPTY)
+            i = member
+        elif op == "pickle":
+            i = pickle.loads(pickle.dumps(i))
+        elif op == "deepcopy":
+            i = copy.deepcopy(i)
+        check_prefix_cache(i)
+
+
 @given(indexes, indexes, indexes)
 def test_prefix_order_is_a_partial_order(i, j, k):
     assert prefix_leq(i, i)

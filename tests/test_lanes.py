@@ -8,17 +8,14 @@ chains must agree with them, and the lane evaluator must give what
 """
 
 import math
-import os
 import struct
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import vecloop
+from _support import cli_process
 from vecloop.dense import DenseMap, DenseState, _columns, _grouped, dense_encode
 from vecloop.errors import MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr
@@ -438,13 +435,14 @@ def test_score_nan_and_missing_string_fail_as_on_sparse():
 
 def test_int_overflow_falls_back_to_the_per_thread_rule():
     # Python ints do not overflow; the dense grid cannot hold the result,
-    # and fails as the per-thread write always did
+    # and the per-thread write refuses it with a named error
     program = vectorise(parse(
         "n:int := 3037000500; for t:int in range(3) { "
         "m:int := mul(n:int, n:int); score(to_real(mul(m:int, 2))) }"))
     sparse, dense = both_backends(program)
     assert sparse[0].startswith("PMap(")
-    assert dense == ("OverflowError", "Python int too large to convert to C long")
+    assert dense == ("IntOverflow", "int 9223372037000250000 lies outside "
+                                    "int64, the dense backend's int type")
     scored = vectorise(parse(
         "n:int := 3037000500; for t:int in range(3) { "
         "score(to_real(mul(add(n:int, t:int), n:int))) }"))
@@ -475,16 +473,9 @@ def test_cli_dense_run_leaves_stderr_empty(tmp_path):
     source = tmp_path / "noisy.vl"
     source.write_text(NOISY)
     target = tmp_path / "noisy_t.vl"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vecloop.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    cli = [sys.executable, "-c",
-           "import sys; from vecloop.cli import main; sys.exit(main())"]
-    subprocess.run(cli + ["translate", "--to", "target", str(source),
-                          "--out", str(target)], env=env, check=True,
-                   timeout=120)
-    proc = subprocess.run(cli + ["run", "--tier", "target", "--program",
-                                 str(target), "--backend", "dense"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    cli_process(["translate", "--to", "target", str(source),
+                 "--out", str(target)]).check_returncode()
+    proc = cli_process(["run", "--tier", "target", "--program", str(target),
+                        "--backend", "dense"])
     assert proc.returncode == 0
     assert proc.stderr == ""

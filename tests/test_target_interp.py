@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import random
@@ -137,6 +138,10 @@ def test_shift_rule_matches_figure_relocation():
     out = run_tgt(parse('shift("vec")', "target"), Rdb(), state, A_VEC3)
     assert out.state.cell(X).entries == {EMPTY: 1.0, VEC[0]: 1.0, VEC[2]: 3.0}
     assert exit_rho(ROOT_CHAIN, "vec", 3) == {VEC[2]: EMPTY}
+    # built once per chain, name (and count), with the chain's own objects
+    assert shift_rho(A_VEC3, "vec") is rho
+    assert exit_rho(ROOT_CHAIN, "vec", 3) is exit_rho(ROOT_CHAIN, "vec", 3)
+    assert all(any(s is i for i in A_VEC3) for s in rho if s.pairs)
 
 
 def test_extend_index_sums_scores_and_keeps_last_slot():
@@ -398,3 +403,28 @@ def test_nan_rule_in_maps_and_probes():
         assert left.same_function(right)
         assert not left.eq_on(make_state(backend).updated(X, {EMPTY: 1.0}),
                               [EMPTY])
+
+
+def test_runs_leave_no_reference_cycles():
+    # an index caches its proper prefixes, never itself, so the vectorised
+    # runs leave the cyclic collector nothing to find
+    db = Rdb({}, "normal", 0.0, 5)
+    cases = [(arm_program(12, 3), db), (hmm_program(8, 2), db),
+             (tcm_program(2, 5), db)]
+    cases += [(gen_program(GenConfig(seed=s)), gen_rdb(s)) for s in range(12)]
+
+    def run_all():
+        for program, rdb in cases:
+            target = vectorise(program)
+            run_tgt(target, rdb)
+            run_tgt(target, rdb, backend=DENSE)
+            run_relaxed(vectorise_relaxed(program), rdb)
+
+    run_all()  # first imports (numpy's among them) leave cyclic garbage
+    gc.collect()
+    gc.disable()
+    try:
+        run_all()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
