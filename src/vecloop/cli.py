@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(PrimitiveDomainError, ScoreNaN, MissingString, "
                "StringAlreadyPresent, EmptyIndexLost, NotComparable, "
                "UnknownString, NegativeComponent, ThreadBudgetExceeded, "
-               "IntOverflow).",
+               "IntOverflow, AxisOrderConflict).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -15,10 +15,12 @@ axes of the active chain.  `DenseState` holds one DenseMap per variable.
 A statement runs once per chain, not once per thread.  The chain's members,
 grouped by their string sequence, become integer columns (`_Group`, built
 once per chain); a map reads a whole group with one fancy index
-(`DenseMap.gather`) and writes one with one assignment, and an expression
-is evaluated once per operator node over all lanes (`DenseState.lanes`).
-Lane operators give the results the scalar ones give, bit for bit; anything
-exceptional sends the statement back to one evaluation per thread.
+(`DenseMap.gather`) and writes one with one assignment, an expression is
+evaluated once per operator node over all lanes (`DenseState.lanes`), and a
+fetch on a wide enough chain hashes every lane's index in one pass
+(`DenseState.fetched`).  Lane forms give the results the scalar ones give,
+bit for bit; anything exceptional sends the statement back to one
+evaluation per thread.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (IntOverflow, NegativeComponent, UnknownString,
-                     VecloopError)
+from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
+                     UnknownString, VecloopError)
 from .evalexpr import eval_lanes, expr_kind
 from .indices import AChain, Index
 from .pmap import PMap
+from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
+                  box_muller, fnv1a)
 from .state import DENSE, Lanes, StateBase
 from .syntax import INT, REAL, IndexExpr, Variable
 
@@ -206,11 +210,18 @@ class DenseMap:
         """A copy that holds data[k] at every cell above the k-th grouped
         index (`data` may be one value for all).  The axes grow first; then
         each group is one assignment, shorter indices first, so an index
-        overrides its prefixes."""
+        overrides its prefixes.  A group whose strings do not map to
+        strictly increasing axes raises AxisOrderConflict."""
         axes, extents = dict(self._axis), list(self.cells.shape)
         for g in groups:
+            last = -1
             for name, need in zip(g.names, g.needs):
                 axis = axes.setdefault(name, len(extents))
+                if axis <= last:
+                    raise AxisOrderConflict(
+                        f"a write under the strings {g.names} meets the "
+                        f"axes {tuple(axes)} in another order")
+                last = axis
                 if axis == len(extents):
                     extents.append(need)
                 elif need > extents[axis]:
@@ -416,17 +427,31 @@ class DenseState(StateBase):
 
         try:
             with np.errstate(all="ignore"):
-                if isinstance(expr, IndexExpr):
-                    return Lanes(chain, _index_lanes(expr, read, count))
                 value = eval_lanes(expr, read, _apply)
                 if not isinstance(value, np.ndarray):
                     value = np.full(count, value, _DTYPES[expr_kind(expr)])
                 return Lanes(chain, value)
         except (VecloopError, ArithmeticError):
-            # a domain error, an index repeating a string, or an int the
-            # lanes cannot hold (OverflowError) or a divisor of 0
-            # (ZeroDivisionError) on some lane
+            # a domain error, or an int the lanes cannot hold (OverflowError)
+            # or a divisor of 0 (ZeroDivisionError) on some lane
             return None
+
+    def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
+        """`db`'s value at the index `index` spells on each thread of the
+        chain, from one pass over all lanes (`_looked_up`); None on a chain
+        narrower than FETCH_MIN_LANES, on an index repeating a string, and
+        where `lanes` declines a pair's integer, so that the interpreter
+        fetches once per thread and fails as that does."""
+        names = tuple([name for name, _ in index.pairs])
+        if len(chain) < FETCH_MIN_LANES or len(set(names)) < len(names):
+            return None
+        columns = []
+        for _, z in index.pairs:
+            column = self.lanes(z, chain)
+            if column is None or column.data.dtype != np.int64:
+                return None
+            columns.append(column.data)
+        return Lanes(chain, _looked_up(db, names, columns, len(chain)))
 
     def split(self, cond: Lanes) -> tuple[AChain, AChain]:
         """The chain's members whose `cond` lane is 0, and the rest; each
@@ -551,13 +576,110 @@ def _apply(op: str, kind: str, fn, args: list):
     return np.array([fn(*values) for values in zip(*columns)], _DTYPES[kind])
 
 
-def _index_lanes(e: IndexExpr, read, count: int) -> list[Index]:
-    """The index `e` spells on each lane."""
-    names = [name for name, _ in e.pairs]
-    columns = []
-    for _, z in e.pairs:
-        value = eval_lanes(z, read, _apply)
-        columns.append(value.tolist() if isinstance(value, np.ndarray)
-                       else repeat(value, count))
-    rows = zip(*columns) if columns else repeat((), count)
-    return [Index(tuple(zip(names, row))) for row in rows]
+# Chains narrower than this fetch once per thread.  For `[("y",t)]` on a
+# seeded-normal database, one batched fetch took 55-95 us of CPU time at 2
+# to 16 lanes and 214 us at 200, one fetch per thread 10-14 us per lane
+# (shared 2-core x86-64 host, Python 3.11, numpy 2.4): the pass breaks even
+# at about 6 lanes.  Most dense fetches of `perfbench` `fuzz-corpus` are
+# narrower (2,061 of 2,599 have at most 6 lanes, 717 one).
+FETCH_MIN_LANES = 8
+
+_U64 = np.uint64
+_PRIME, _MIX_ADD, _MIX_MUL1, _MIX_MUL2, _SECOND = map(
+    _U64, (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND))
+_11, _27, _30, _31 = map(_U64, (11, 27, 30, 31))
+_ONE = _U64(1)
+
+
+def _looked_up(db: Rdb, names: tuple[str, ...], columns: list[np.ndarray],
+               count: int) -> list:
+    """`db.lookup` at each lane's index, whose integers are the lanes of
+    `columns`, one column per string in `names`: the default on every lane,
+    then each explicit entry on the lanes that spell its index."""
+    if db.default_kind == "const":
+        values = [db.default_value] * count
+    else:
+        values = _hash_normal_lanes(names, columns, db.seed, count)
+    explicit = {tuple([value for _, value in i.pairs]): v
+                for i, v in db.explicit.items() if i.names() == names}
+    if explicit:
+        rows = (zip(*[column.tolist() for column in columns]) if columns
+                else repeat((), count))
+        for lane, row in enumerate(rows):
+            v = explicit.get(row)
+            if v is not None:
+                values[lane] = v
+    return values
+
+
+def _hash_normal_lanes(names: tuple[str, ...], columns: list[np.ndarray],
+                       seed: int, count: int) -> list[float]:
+    """`rdb.hash_normal` at each lane's index.
+
+    FNV-1a runs over the index's text `[("name",k);...]` on `uint64` lanes:
+    the text up to the first column whose lanes differ is hashed once, as a
+    Python int; each later constant piece is hashed on every lane, and a
+    column's digits byte by byte.  Every operand is `uint64`: numpy turns
+    `uint64` mixed with `int64` into `float64`.  The uniform draws are exact
+    in `float64`; Box-Muller stays `math` per lane, since numpy's `log` and
+    `cos` need not round as libm does.
+    """
+    h = None
+    text = "["
+    for k, (name, column) in enumerate(zip(names, columns)):
+        text += f'{";" if k else ""}("{name}",'
+        low, high = column.min().item(), column.max().item()
+        if h is None and low == high:
+            text += f"{low})"
+            continue
+        h = _fnv_digits(_fnv_lanes(h, text, seed, count), column, low, high)
+        text = ")"
+    h = _mix_lanes(_fnv_lanes(h, text + "]", seed, count))
+    u1, u2 = _unit_lanes(h), _unit_lanes(_mix_lanes(h ^ _SECOND))
+    return list(map(box_muller, u1.tolist(), u2.tolist()))
+
+
+def _fnv_lanes(h: Optional[np.ndarray], text: str, seed: int,
+               count: int) -> np.ndarray:
+    """FNV-1a continued over `text` on every lane of `h`, in place, or
+    started over it on `count` lanes when `h` is None."""
+    data = text.encode("utf-8")
+    if h is None:
+        return np.full(count, fnv1a(data, seed), _U64)
+    for byte in data:
+        h ^= _U64(byte)
+        h *= _PRIME
+    return h
+
+
+def _fnv_digits(h: np.ndarray, column: np.ndarray, low: int,
+                high: int) -> np.ndarray:
+    """FNV-1a continued over each lane's decimal integer, in place; `low`
+    and `high` bound the column.  `astype` pads the shorter decimals with
+    NUL bytes, which leave a lane's hash alone: xor with 0 and a factor of
+    1.  The width is the widest decimal's, as plain `astype("S")` is 21
+    bytes wide for any `int64`."""
+    width = max(len(str(low)), len(str(high)))
+    digits = np.ascontiguousarray(
+        column.astype(f"S{width}").view(np.uint8).reshape(-1, width).T, _U64)
+    for byte, factor in zip(digits, np.where(digits != 0, _PRIME, _ONE)):
+        h ^= byte
+        h *= factor
+    return h
+
+
+def _mix_lanes(h: np.ndarray) -> np.ndarray:
+    """`rdb._mix` on every lane, in place."""
+    h += _MIX_ADD
+    h ^= h >> _30
+    h *= _MIX_MUL1
+    h ^= h >> _27
+    h *= _MIX_MUL2
+    h ^= h >> _31
+    return h
+
+
+def _unit_lanes(h: np.ndarray) -> np.ndarray:
+    """`rdb._unit` on every lane, exact: both operands of the division are
+    integers of at most 53 bits, and the divisor a power of two."""
+    return ((h >> _11) + _ONE).astype(np.float64) / float(1 << 53)

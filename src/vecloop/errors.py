@@ -65,6 +65,12 @@ class IntOverflow(VecloopError):
     """An int the dense backend cannot store: its grids hold int64."""
 
 
+class AxisOrderConflict(VecloopError):
+    """A dense write whose strings nest in another order than its grid's
+    axes: a grid addresses cells by coordinates in axis order, so it could
+    not read such an index back."""
+
+
 class EmptyIndexLost(VecloopError):
     pass
 

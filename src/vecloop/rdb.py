@@ -17,22 +17,28 @@ from typing import Mapping
 from .indices import Index
 
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+FNV_PRIME = 0x100000001B3
 _MASK = (1 << 64) - 1
+# splitmix64 finalizer constants, and the word whose xor with the hash
+# gives Box-Muller's second input
+MIX_ADD = 0x9E3779B97F4A7C15
+MIX_MUL1 = 0xBF58476D1CE4E5B9
+MIX_MUL2 = 0x94D049BB133111EB
+SECOND = 0xD1B54A32D192ED03
 
 
-def _fnv1a(data: bytes, seed: int) -> int:
+def fnv1a(data: bytes, seed: int) -> int:
     h = (_FNV_OFFSET ^ (seed & _MASK)) & _MASK
     for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK
+        h = ((h ^ byte) * FNV_PRIME) & _MASK
     return h
 
 
 def _mix(h: int) -> int:
     # splitmix64 finalizer
-    h = (h + 0x9E3779B97F4A7C15) & _MASK
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK
+    h = (h + MIX_ADD) & _MASK
+    h = ((h ^ (h >> 30)) * MIX_MUL1) & _MASK
+    h = ((h ^ (h >> 27)) * MIX_MUL2) & _MASK
     return h ^ (h >> 31)
 
 
@@ -41,16 +47,18 @@ def _unit(word: int) -> float:
     return ((word >> 11) + 1) / float(1 << 53)
 
 
+def box_muller(u1: float, u2: float) -> float:
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 def index_bytes(i: Index) -> bytes:
     """Canonical byte encoding hashed by the normal default."""
     return i.text().encode("utf-8")
 
 
 def hash_normal(i: Index, seed: int) -> float:
-    h = _mix(_fnv1a(index_bytes(i), seed))
-    u1 = _unit(h)
-    u2 = _unit(_mix(h ^ 0xD1B54A32D192ED03))
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    h = _mix(fnv1a(index_bytes(i), seed))
+    return box_muller(_unit(h), _unit(_mix(h ^ SECOND)))
 
 
 @dataclass(frozen=True)

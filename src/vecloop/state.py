@@ -14,14 +14,14 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .errors import EmptyIndexLost
 from .indices import EMPTY, AChain, Index
 from .pmap import PMap
-from .syntax import INT, Variable
+from .syntax import INT, REAL, Variable
 
 SPARSE = "sparse"
 DENSE = "dense"
 
 
-def default_cell(var: Variable) -> PMap:
-    return PMap({EMPTY: 0 if var.type == INT else 0.0})
+# The cell of a variable never written, one per type, shared by every read.
+_DEFAULT_CELLS = {INT: PMap({EMPTY: 0}), REAL: PMap({EMPTY: 0.0})}
 
 
 class Lanes(Mapping):
@@ -77,6 +77,12 @@ class StateBase:
         (`split`)."""
         return None
 
+    def fetched(self, index, chain: AChain, db) -> Optional[Lanes]:
+        """The database values at the index `index` spells on each thread
+        of the chain, or None when the interpreter is to fetch once per
+        thread, as it always does on the sparse backend."""
+        return None
+
     def eq_on(self, other, probes: Iterable[Index],
               variables: Optional[Iterable[Variable]] = None) -> bool:
         """Equal reads at every probe; a NaN equals a NaN."""
@@ -103,7 +109,8 @@ class SparseState(StateBase):
         return set(self.cells)
 
     def cell(self, var: Variable) -> PMap:
-        return self.cells.get(var) or default_cell(var)
+        cell = self.cells.get(var)
+        return cell if cell is not None else _DEFAULT_CELLS[var.type]
 
     def read(self, var: Variable, i: Index):
         return self.cell(var).extend_eval(i)

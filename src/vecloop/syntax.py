@@ -23,8 +23,23 @@ TIERS = (SOURCE, TARGET, RELAXED)
 
 @dataclass(frozen=True)
 class Variable:
+    """A typed variable.  Its hash, `hash((name, type))` as the dataclass
+    would compute it on every dict probe, is computed once, at
+    construction."""
+
     name: str
     type: str  # INT or REAL
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.type)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a clone computes its own hash: string hashes follow the process's
+        # hash seed, so a hash carried into another process would be wrong
+        return (Variable, (self.name, self.type))
 
     def text(self) -> str:
         return f"{self.name}:int" if self.type == INT else self.name

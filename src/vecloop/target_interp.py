@@ -153,8 +153,11 @@ class _TargetRun:
             self.writes(c.var, chain)
             return state.updated(c.var, written)
         if isinstance(c, Fetch):
-            indices = self.values(c.index, state, chain).python()
-            written = Lanes(chain, [self.db.lookup(j) for j in indices])
+            written = state.fetched(c.index, chain, self.db)
+            if written is None:
+                written = Lanes(chain, [
+                    self.db.lookup(self.eval_at(c.index, state, i))
+                    for i in chain])
             self.reads(c.index, chain)
             self.writes(c.var, chain)
             return state.updated(c.var, written)

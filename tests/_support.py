@@ -21,16 +21,23 @@ from vecloop.syntax import INT, REAL, Variable
 STRINGS = ("a", "b", "rv")
 
 
-def cli_process(args: list[str]) -> subprocess.CompletedProcess:
-    """`vecloop args` in a fresh interpreter, as a shell would run it, so
-    that its exit code and its whole stderr can be checked."""
+def python_process(code: str, *args: str, stdin: str = "",
+                   **env: str) -> subprocess.CompletedProcess:
+    """`python -c code args` in a fresh interpreter that imports this
+    vecloop, with `env` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(vecloop.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from vecloop.cli import main; sys.exit(main())", *args],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-        timeout=120)
+        [sys.executable, "-c", code, *args], input=stdin,
+        env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True,
+        text=True, timeout=120)
+
+
+def cli_process(args: list[str]) -> subprocess.CompletedProcess:
+    """`vecloop args` in a fresh interpreter, as a shell would run it, so
+    that its exit code and its whole stderr can be checked."""
+    return python_process(
+        "import sys; from vecloop.cli import main; sys.exit(main())", *args)
 
 
 def rand_index(rng: random.Random, max_len: int = 3) -> Index:

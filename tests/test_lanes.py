@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _support import cli_process
-from vecloop.dense import DenseMap, DenseState, _columns, _grouped, dense_encode
-from vecloop.errors import MissingString, ScoreNaN
+from _support import cli_process, python_process
+from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState, _columns,
+                          _grouped, _looked_up, dense_encode)
+from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr
 from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
                              is_antichain, prefix_leq)
@@ -311,9 +312,14 @@ def test_literal_arguments_stay_scalars_and_empty_chains_do_nothing():
     assert lanes.python() == [eval_expr(expr, lambda v: state.read(v, i))
                               for i in chain]
     assert state.lanes(expr, EMPTY_CHAIN) is None
-    fetched = state.lanes(IndexExpr((("z", PrimOp("const", (IntLit(2),))),)),
-                          chain)
-    assert fetched.python() == [Index((("z", 2),))] * 3
+    # an index whose lanes all agree fetches once per lane on a narrow chain
+    # and is hashed as one Python int on a wide one
+    index = IndexExpr((("z", PrimOp("const", (IntLit(2),))),))
+    db = Rdb({}, "normal", 0.0, 7)
+    assert state.fetched(index, chain, db) is None
+    wide = ROOT_CHAIN.extend("s", FETCH_MIN_LANES)
+    assert state.fetched(index, wide, db).python() == \
+        [db.lookup(Index((("z", 2),)))] * FETCH_MIN_LANES
 
 
 def test_columns_are_built_once_per_chain():
@@ -342,6 +348,23 @@ def test_chains_of_several_string_sequences_run_as_on_sparse():
             [dense.state.read(var, i) for i in chain]
 
 
+def test_strings_nesting_in_two_orders_are_refused_on_dense():
+    # the loop over "s" gives the grids the axes a, s, c; the members under
+    # ("a",1);("c",0) then write under a, c, s, which those axes cannot hold
+    chain = AChain([Index((("a", 0),)), Index((("b", 1),)),
+                    Index((("a", 1), ("c", 0)))])
+    program = parse('extend_index("s", 3) { t:int := lookup_index("s"); '
+                    'x := to_real(t:int); y := fetch([("z", t:int)]); '
+                    'ifz lt(t:int, 1) { y := mul(x, 2.0) } else { y := neg(y) }; '
+                    'score(add(x, y)) }', "target")
+    db = Rdb({}, "normal", 0.0, 5)
+    sparse = run_tgt(program, db, chain=chain, backend=SPARSE)
+    assert set(sparse.score.entries) == set(chain)
+    assert {round(v, 4) for v in sparse.score.entries.values()} == {4.5869}
+    with pytest.raises(AxisOrderConflict, match=r"\('a', 'c', 's'\)"):
+        run_tgt(program, db, chain=chain, backend=DENSE)
+
+
 def test_dense_arm_runs_without_a_per_thread_read(monkeypatch):
     from vecloop.bench import arm_program
 
@@ -353,6 +376,92 @@ def test_dense_arm_runs_without_a_per_thread_read(monkeypatch):
                   backend=DENSE)
     assert calls == []
     assert [type(v) for v in out.score.entries.values()] == [float]
+
+
+# --------------------------------------------------------------------------
+# Batched fetch, bit for bit against Rdb.lookup per thread
+# --------------------------------------------------------------------------
+
+# quotes, brackets, separators, `$`, non-ASCII and astral characters, all of
+# which the index text carries unescaped
+fetch_names = st.text(st.sampled_from('az$"\'()[];,\\ é€😀'), max_size=4)
+# mixed digit lengths and signs, and both ends of int64
+fetch_ints = st.one_of(
+    st.sampled_from([0, 1, -1, 9, 10, -10, 99, -100, 12345, BIG - 1, -BIG]),
+    st.integers(-BIG, BIG - 1))
+
+
+@st.composite
+def fetch_cases(draw):
+    """A dense state over a chain on either side of FETCH_MIN_LANES, a
+    fetch index of 0-3 pairs, each a variable varying along the chain or a
+    literal, and a database: a constant or seeded-normal default, with
+    explicit entries at some lanes' indices, at other indices and under
+    other strings."""
+    count = draw(st.integers(1, 3 * FETCH_MIN_LANES))
+    chain = ROOT_CHAIN.extend("s", count)
+    names = draw(st.lists(fetch_names, max_size=3, unique=True))
+    state = make_state(DENSE)
+    pairs = []
+    for k, name in enumerate(names):
+        if draw(st.booleans()):
+            pairs.append((name, IntLit(draw(fetch_ints))))
+            continue
+        var = Variable(f"v{k}", INT)
+        values = draw(st.lists(fetch_ints, min_size=count, max_size=count))
+        state = state.updated(var, Lanes(chain, values))
+        pairs.append((name, Var(var)))
+    index = IndexExpr(tuple(pairs))
+    lanes = [eval_expr(index, lambda var: state.read(var, i)) for i in chain]
+    picked = draw(st.lists(st.sampled_from(lanes), max_size=3))
+    others = draw(st.lists(st.lists(st.tuples(fetch_names, fetch_ints),
+                                    max_size=2, unique_by=lambda p: p[0]),
+                           max_size=2))
+    explicit = {i: draw(st.floats(allow_nan=False))
+                for i in picked + [Index(tuple(p)) for p in others]}
+    if draw(st.booleans()):
+        db = Rdb(explicit, "const", draw(st.floats(allow_nan=False)), 0)
+    else:
+        db = Rdb(explicit, "normal", 0.0, draw(st.integers(-2 ** 65, 2 ** 65)))
+    return state, chain, index, db, lanes
+
+
+@settings(max_examples=500, deadline=None)
+@given(fetch_cases())
+def test_batched_fetch_is_the_per_thread_lookup_bit_for_bit(case):
+    state, chain, index, db, lanes = case
+    want = [bits(db.lookup(i)) for i in lanes]
+    names = tuple(name for name, _ in index.pairs)
+    columns = [np.array([i.lookup(name) for i in lanes], np.int64)
+               for name in names]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [bits(v) for v in _looked_up(db, names, columns, len(chain))] \
+            == want
+        fetched = state.fetched(index, chain, db)
+    if len(chain) < FETCH_MIN_LANES:
+        assert fetched is None
+    else:
+        assert [bits(v) for v in fetched.python()] == want
+
+
+def test_fetch_declines_a_repeated_string_and_a_declining_pair():
+    chain = ROOT_CHAIN.extend("s", FETCH_MIN_LANES)
+    state = make_state(DENSE)
+    db = Rdb({}, "normal", 0.0, 1)
+    one = IntLit(1)
+    assert state.fetched(IndexExpr((("a", one), ("a", one))), chain, db) is None
+    n = Variable("n", INT)
+    state = state.updated(n, Lanes(chain, [0] * FETCH_MIN_LANES))
+    assert state.fetched(IndexExpr((("a", PrimOp("mod", (one, Var(n)))),)),
+                         chain, db) is None
+    assert state.fetched(IndexExpr((("a", Var(n)),)), chain, db) is not None
+
+
+def test_importing_vecloop_imports_no_numpy():
+    proc = python_process("import sys, vecloop; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import pickle
 from dataclasses import replace
 
 import pytest
+
+from _support import python_process
 
 from vecloop.errors import ParseFailure, TierViolation
 from vecloop.harness import GenConfig, gen_program
@@ -153,3 +156,24 @@ def test_roundtrip_translated_corpus():
 def test_validate_tier_accepts_source_in_target():
     program = parse("for t:int in range(2) { score(1.0) }")
     validate_tier(program, "target")
+
+
+UNPICKLE_AND_HASH = """
+import pickle, sys
+from vecloop.syntax import Variable
+v = pickle.loads(bytes.fromhex(sys.stdin.read()))
+print(hash(v) == hash((v.name, v.type)), v in {Variable(v.name, v.type)})
+"""
+
+
+def test_variable_hash_is_the_dataclass_hash_and_pickles_rebuild_it():
+    v = Variable("x", INT)
+    assert hash(v) == hash(("x", INT)) == hash(Variable("x", INT))
+    assert {v: 1}[Variable("x", INT)] == 1 and v != Variable("x", "real")
+    # string hashes follow the hash seed, so a clone in another process must
+    # compute its own; one of the two seeds differs from this process's
+    for hash_seed in ("1", "2"):
+        proc = python_process(UNPICKLE_AND_HASH, stdin=pickle.dumps(v).hex(),
+                              PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]

@@ -60,6 +60,18 @@ def test_expression_reads_go_through_extend():
     assert m.extend_eval(Index((("rv", 1),))) == 5
 
 
+def test_reads_of_an_unwritten_variable_build_no_pmap(monkeypatch):
+    built = []
+    init = PMap.__init__
+    monkeypatch.setattr(PMap, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    state = SparseState()
+    assert state.read(X, Index((("a", 1),))) == 0.0
+    assert state.read(T, EMPTY) == 0 and type(state.read(T, EMPTY)) is int
+    assert state.cell(X) is state.cell(X)
+    assert built == []
+
+
 def test_fetch_rule_broadcasts():
     state = SparseState({T: PMap({EMPTY: 0, VEC[1]: 1, VEC[2]: 2})})
     out = run_tgt(parse('x := fetch([("z", t:int)])', "target"), zdb(),
