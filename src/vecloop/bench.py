@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .harness import _close
 from .indices import EMPTY, ROOT_CHAIN
+from .ops import same_value
 from .source_interp import run_src
 from .state import SPARSE, make_state
 from .syntax import (INT, REAL, Assign, Cmd, Fetch, For, Ifz, IndexExpr,
@@ -50,12 +51,9 @@ def _run(program: Cmd, site: int) -> BenchResult:
     entries = [rec.rounds for rec in outcome.trace if rec.site == site]
     rounds = max(entries) if entries else 0
     got = outcome.score.get(EMPTY)
-    agree = outcome.score.domain() == {EMPTY} and _close(got, src_score)
-    if agree:
-        for var, value in src_state.values.items():
-            if outcome.state.read(var, EMPTY) != value:
-                agree = False
-                break
+    agree = (outcome.score.domain() == {EMPTY} and _close(got, src_score)
+             and all(same_value(outcome.state.read(var, EMPTY), value)
+                     for var, value in src_state.values.items()))
     return BenchResult(rounds, agree, elapsed, program)
 
 

@@ -200,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                "0 success, 1 oracle failure, 2 usage/parse error "
                "(ParseFailure, TierViolation), 3 runtime semantic error "
                "(PrimitiveDomainError, ScoreNaN, MissingString, "
-               "StringAlreadyPresent, EmptyIndexLost, NotComparable, "
-               "UnknownString, NegativeComponent, ThreadBudgetExceeded, "
-               "IntOverflow, AxisOrderConflict).",
+               "StringAlreadyPresent, EmptyIndexLost, UnknownString, "
+               "NegativeComponent, ThreadBudgetExceeded, IntOverflow, "
+               "AxisOrderConflict).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,6 @@ evaluation per thread.
 
 from __future__ import annotations
 
-import io
 from itertools import repeat
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -149,15 +148,6 @@ class DenseMap:
             coords[axis] = value
             last = axis
         return self.cells.item(tuple(coords))
-
-    def decode(self, i: Index):
-        """`read`, refusing strings without an axis and negative integers."""
-        for name, value in i:
-            if name not in self._axis:
-                raise UnknownString(f'string "{name}" has no axis')
-            if value < 0:
-                raise NegativeComponent(f"negative integer {value} in {i.text()}")
-        return self.read(i)
 
     def gather(self, groups: tuple[_Group, ...], count: int):
         """`read` at each of `count` grouped indices, one fancy index per
@@ -285,16 +275,6 @@ class DenseMap:
         """The PMap storing every cell at the index it stands for."""
         return PMap(zip(_cell_indices(self.axes, self.cells.shape),
                         self.cells.ravel().tolist()))
-
-    def to_csv(self) -> str:
-        shape = self.cells.shape
-        out = io.StringIO()
-        out.write(",".join(self.axes) + ",value\n")
-        for coords in np.ndindex(*shape):
-            labels = [str(c) if c < extent - 1 else "-1"
-                      for c, extent in zip(coords, shape)]
-            out.write(",".join(labels) + f",{self.cells.item(coords)!r}\n")
-        return out.getvalue()
 
     def _grown(self, extents: Sequence[int]) -> np.ndarray:
         """A fresh grid with these extents, for this map's axes and then new
@@ -455,8 +435,9 @@ class DenseState(StateBase):
 
     def split(self, cond: Lanes) -> tuple[AChain, AChain]:
         """The chain's members whose `cond` lane is 0, and the rest; each
-        part keeps its rows of the chain's columns."""
-        zero = cond.data == 0
+        part keeps its rows of the chain's columns.  `cond` may hold an
+        array or a list."""
+        zero = np.asarray(cond.data) == 0
         parts = cond.chain.compress(zero.tolist())
         groups = _columns(cond.chain)
         for part, keep in zip(parts, (zero, ~zero)):

@@ -75,10 +75,6 @@ class EmptyIndexLost(VecloopError):
     pass
 
 
-class NotComparable(VecloopError):
-    pass
-
-
 class UnknownString(VecloopError):
     pass
 

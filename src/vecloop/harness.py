@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .indices import EMPTY, AChain, Index, ROOT_CHAIN
+from .ops import same_value
 from .pmap import PMap
 from .rdb import Rdb
 from .source_interp import SrcState, run_src
@@ -36,14 +37,10 @@ class GenConfig:
     max_depth: int = 4
     max_loop_len: int = 6
     max_vars: int = 6
-    tier: str = "source"
     allow_ifz: bool = True
     allow_nesting: bool = True
     allow_fetch: bool = True
     data_dependence: bool = True
-
-    def digest(self) -> str:
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,8 @@ def probe_indices(states: Iterable, seed: int, count: int = 64) -> list[Index]:
 
 
 def _close(a: float, b: float, tol: float = SCORE_TOL) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    """Equal under `same_value` (-inf matches -inf), else within `tol`."""
+    return same_value(a, b) or abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +264,7 @@ def _check_root(oracle: str, translate: Callable, mode: str, label: str,
     for var in variables_of(program) | set(init.values):
         got = outcome.state.read(var, EMPTY)
         want = src_state.read(var)
-        if got != want:
+        if not same_value(got, want):
             problems.append(f"{var.text()}: scalar {want!r} vs {label} {got!r}")
     if outcome.score.domain() != {EMPTY}:
         problems.append(f"score domain {sorted(i.text() for i in outcome.score.domain())}")
@@ -297,14 +295,11 @@ def check_int_vs_fixpoint(program: Cmd, db: Rdb, state=None,
 
 
 def _first_state_diff(left, right, probes) -> list[str]:
-    for var in sorted(left.variables() | right.variables(),
-                      key=Variable.sort_key):
-        for i in probes:
-            a, b = left.read(var, i), right.read(var, i)
-            if a != b:
-                return [f"states differ at {var.text()}@{i.text()}: "
-                        f"{a!r} vs {b!r}"]
-    return []
+    found = left.first_difference(right, probes)
+    if found is None:
+        return []
+    var, i, a, b = found
+    return [f"states differ at {var.text()}@{i.text()}: {a!r} vs {b!r}"]
 
 
 def check_relaxed(program: Cmd, db: Rdb, init: SrcState | None = None,

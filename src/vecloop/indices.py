@@ -157,28 +157,6 @@ def prefix_leq(i: Index, j: Index) -> bool:
     return len(i) <= len(j) and j.pairs[: len(i)] == i.pairs
 
 
-def max_below(candidates: Iterable[Index], i: Index) -> Optional[Index]:
-    """The longest element of `candidates` that is a prefix of i, if any.
-
-    The prefixes of a fixed index form a chain, so "longest" is the maximum.
-    """
-    best: Optional[Index] = None
-    for c in candidates:
-        if prefix_leq(c, i) and (best is None or len(c) > len(best)):
-            best = c
-    return best
-
-
-def in_up(i: Index, below: Iterable[Index]) -> bool:
-    """Membership of i in the upward closure of `below`."""
-    return any(prefix_leq(j, i) for j in below)
-
-
-def in_down(i: Index, above: Iterable[Index]) -> bool:
-    """Membership of i in the downward closure of `above`."""
-    return any(prefix_leq(i, j) for j in above)
-
-
 def is_antichain(indices: Iterable[Index]) -> bool:
     items = list(indices)
     for a in range(len(items)):
@@ -247,10 +225,9 @@ class AChain:
         return AChain(extended, _checked=True)
 
     def partition(self, predicate) -> tuple["AChain", "AChain"]:
-        """Split into (members satisfying predicate, the rest)."""
-        yes = frozenset(i for i in self.members if predicate(i))
-        no = self.members - yes
-        return AChain(yes, _checked=True), AChain(no, _checked=True)
+        """Split into (members satisfying predicate, the rest), asking the
+        predicate in chain order."""
+        return self.compress(map(predicate, self._order))
 
     def compress(self, flags: Iterable[bool]) -> tuple["AChain", "AChain"]:
         """Split into (members whose flag is true, the rest), with one flag

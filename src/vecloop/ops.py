@@ -41,6 +41,12 @@ def _exp(a: float) -> float:
         return math.inf
 
 
+def same_value(a, b) -> bool:
+    """The one value equality of the fixed-point checks, the oracles and
+    `bench`: `==`, except that a NaN equals a NaN."""
+    return a == b or (a != a and b != b)
+
+
 def _eq(a, b) -> int:
     return 0 if a == b else 1
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .indices import Index
+from .ops import same_value
 
 _ABSENT = object()
 
@@ -115,14 +116,14 @@ class PMap:
         """
         return PMap({i: v for i, v in self.entries.items()
                      if not i.pairs or ((up := self.extend_eval(i.parent())) != v
-                                        and (up == up or v == v))})
+                                        and not same_value(up, v))})
 
     def same_function(self, other: "PMap") -> bool:
-        """Equal reads at every index; a NaN equals a NaN."""
+        """Equal reads at every index, under `same_value`."""
         mine, theirs = self.canonical().entries, other.canonical().entries
         # dict equality already counts a NaN object as equal to itself
         return mine == theirs or (mine.keys() == theirs.keys() and all(
-            v == w or (v != v and w != w)
+            v == w or same_value(v, w)
             for v, w in ((mine[i], theirs[i]) for i in mine)))
 
     def text(self) -> str:

@@ -11,6 +11,7 @@ from typing import Mapping
 
 from .errors import PrimitiveDomainError, ScoreNaN
 from .evalexpr import eval_expr
+from .ops import same_value
 from .rdb import Rdb
 from .syntax import (INT, Assign, Cmd, Fetch, For, Ifz, Score, Seq, Skip,
                      Variable, validate_tier)
@@ -33,10 +34,8 @@ class SrcState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SrcState):
             return NotImplemented
-        for var in set(self.values) | set(other.values):
-            if self.read(var) != other.read(var):
-                return False
-        return True
+        return all(same_value(self.read(var), other.read(var))
+                   for var in set(self.values) | set(other.values))
 
     def __repr__(self) -> str:
         inner = ", ".join(

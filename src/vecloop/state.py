@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import EmptyIndexLost
 from .indices import EMPTY, AChain, Index
+from .ops import same_value
 from .pmap import PMap
 from .syntax import INT, REAL, Variable
 
@@ -73,9 +74,13 @@ class StateBase:
     def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
         """The values of `expr` on the chain, or None when the interpreter
         is to evaluate it once per thread, as it always does on the sparse
-        backend.  A backend that gives lanes also splits a chain by them
-        (`split`)."""
+        backend."""
         return None
+
+    def split(self, cond: Lanes) -> tuple[AChain, AChain]:
+        """The chain's members whose `cond` lane is 0, and the rest, each
+        part in chain order."""
+        return cond.chain.compress(v == 0 for v in cond.python())
 
     def fetched(self, index, chain: AChain, db) -> Optional[Lanes]:
         """The database values at the index `index` spells on each thread
@@ -85,16 +90,23 @@ class StateBase:
 
     def eq_on(self, other, probes: Iterable[Index],
               variables: Optional[Iterable[Variable]] = None) -> bool:
-        """Equal reads at every probe; a NaN equals a NaN."""
+        """Equal reads at every probe, under `same_value`."""
+        return self.first_difference(other, probes, variables) is None
+
+    def first_difference(self, other, probes: Iterable[Index],
+                         variables: Optional[Iterable[Variable]] = None):
+        """The first (variable, probe, read here, read there) that differs
+        under `same_value`, or None; by default both sides' variables."""
         probes = list(probes)
         if variables is None:
-            variables = self.variables() | other.variables()
+            variables = sorted(self.variables() | other.variables(),
+                               key=Variable.sort_key)
         for var in variables:
             for i in probes:
                 a, b = self.read(var, i), other.read(var, i)
-                if a != b and (a == a or b == b):
-                    return False
-        return True
+                if a != b and not same_value(a, b):
+                    return var, i, a, b
+        return None
 
 
 class SparseState(StateBase):

@@ -166,13 +166,7 @@ class _TargetRun:
                 state = self.run(item, state, chain)
             return state
         if isinstance(c, Ifz):
-            cond = state.lanes(c.cond, chain)
-            if cond is None:
-                zero, nonzero = chain.partition(
-                    lambda i: self.eval_at(c.cond, state, i) == 0
-                )
-            else:
-                zero, nonzero = state.split(cond)
+            zero, nonzero = state.split(self.values(c.cond, state, chain))
             self.reads(c.cond, chain)
             state = self.run(c.then, state, zero)
             return self.run(c.orelse, state, nonzero)
@@ -205,19 +199,23 @@ class _TargetRun:
         raise TypeError(f"not a target command: {c!r}")
 
     def run_loop(self, c: LoopFixpt, state, chain: AChain):
-        site = self.sites[id(c)]
-        before = {i: self.score[i] for i in chain}
-        hit = False
-        rounds = 0
-        for _ in range(c.count):
-            self.score.update(before)
-            previous = state
-            state = self.run(c.body, state, chain)
+        def one_round(k: int, state):
+            after = self.run(c.body, state, chain)
+            return after, self.mode == FIXPOINT and state.same_function(after)
+
+        restore = {i: self.score[i] for i in chain}
+        return self.run_rounds(c, restore, one_round, state)
+
+    def run_rounds(self, c: Cmd, restore: dict, one_round, state):
+        """Up to `c.count` rounds of a loop, traced.  Each first resets the
+        score entries in `restore`; `one_round(k, state)` returns round
+        k's state and whether it is a fixed point, which ends the loop."""
+        hit, rounds = False, 0
+        while not hit and rounds < c.count:
+            self.score.update(restore)
+            state, hit = one_round(rounds, state)
             rounds += 1
-            if self.mode == FIXPOINT and previous.same_function(state):
-                hit = True
-                break
-        self.trace.append(LoopRound(site, rounds, hit))
+        self.trace.append(LoopRound(self.sites[id(c)], rounds, hit))
         return state
 
     def leave(self, state, chain: AChain, name: str, count: int):

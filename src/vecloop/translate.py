@@ -14,6 +14,8 @@ execution can mention.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq,
                      Shift, Skip, seq, validate_tier)
@@ -25,27 +27,17 @@ def embed(c: Cmd) -> Cmd:
     return c
 
 
-class _FreshNames:
-    def __init__(self) -> None:
-        self.counter = 0
-
-    def take(self) -> str:
-        name = f"$loop{self.counter}"
-        self.counter += 1
-        return name
-
-
 def vectorise(c: Cmd) -> Cmd:
     validate_tier(c, "source")
-    return _vectorise(c, _FreshNames(), relaxed=False)
+    return _vectorise(c, count(), relaxed=False)
 
 
 def vectorise_relaxed(c: Cmd) -> Cmd:
     validate_tier(c, "source")
-    return _vectorise(c, _FreshNames(), relaxed=True)
+    return _vectorise(c, count(), relaxed=True)
 
 
-def _vectorise(c: Cmd, fresh: _FreshNames, relaxed: bool) -> Cmd:
+def _vectorise(c: Cmd, fresh: count, relaxed: bool) -> Cmd:
     if isinstance(c, (Skip, Score, Assign, Fetch, LookupIndex, Shift)):
         return c
     if isinstance(c, Seq):
@@ -54,7 +46,7 @@ def _vectorise(c: Cmd, fresh: _FreshNames, relaxed: bool) -> Cmd:
         return Ifz(c.cond, _vectorise(c.then, fresh, relaxed),
                    _vectorise(c.orelse, fresh, relaxed))
     if isinstance(c, For):
-        name = fresh.take()
+        name = f"$loop{next(fresh)}"
         body = seq(LookupIndex(c.var, name), _vectorise(c.body, fresh, relaxed))
         if relaxed:
             return ExtendedLoopShift(name, c.count, body)

@@ -33,11 +33,12 @@ def python_process(code: str, *args: str, stdin: str = "",
         text=True, timeout=120)
 
 
-def cli_process(args: list[str]) -> subprocess.CompletedProcess:
+def cli_process(args: list[str], **env: str) -> subprocess.CompletedProcess:
     """`vecloop args` in a fresh interpreter, as a shell would run it, so
     that its exit code and its whole stderr can be checked."""
     return python_process(
-        "import sys; from vecloop.cli import main; sys.exit(main())", *args)
+        "import sys; from vecloop.cli import main; sys.exit(main())", *args,
+        **env)
 
 
 def rand_index(rng: random.Random, max_len: int = 3) -> Index:

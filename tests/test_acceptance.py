@@ -9,13 +9,14 @@ import random
 import time
 from dataclasses import replace
 
+from _spec import decode, in_down, in_up
 from _support import (oracle_copy, oracle_update, probes_for, rand_cell,
                       rand_chain, rand_tensor, shift_shape_rho)
 from vecloop.bench import bench_arm, bench_hmm, bench_tcm_like
 from vecloop.dense import dense_encode
 from vecloop.harness import (GenConfig, MUTANTS, fuzz, gen_program, gen_rdb,
                              gen_target_case, probe_indices, run_one)
-from vecloop.indices import EMPTY, AChain, Index, in_down, in_up
+from vecloop.indices import EMPTY, AChain, Index
 from vecloop.pmap import PMap
 from vecloop.state import DENSE, SPARSE, SparseState, make_state
 from vecloop.syntax import INT, Ifz, IntLit, PrimOp, Var, Variable, free_vars
@@ -127,7 +128,7 @@ def test_criterion_6_dense_grid_fixture():
             pairs = tuple(p for p in (("alpha", i), ("beta", j))
                           if p[1] is not None)
             probe = Index(pairs)
-            if dense.decode(probe) == m.extend_eval(probe):
+            if decode(dense, probe) == m.extend_eval(probe):
                 agreed += 1
     ok = ok and agreed == 110
     report(6, ok,

@@ -10,6 +10,16 @@ from vecloop.parser import parse
 from vecloop.rdb import Rdb
 from vecloop.source_interp import SrcState
 from vecloop.syntax import Skip, Variable, print_cmd
+from vecloop.translate import vectorise
+
+# A loop that copies one NaN (inf - inf) each round; every oracle must
+# count the scalar NaN and the vectorised NaN as the same value.
+NAN_LOOP = parse(
+    "big := 100000000000000000000.0 * 100000000000000000000.0; "
+    "big := big * big; big := big * big; big := big * big; "
+    "z := big - big; for t:int in range(4) { y := z; score(0.0) }")
+# gap * gap overflows, so both runs score -inf
+NEG_INF_SCORE = parse("score(normal_logpdf(1e200, 0.0, 1.0))")
 
 
 def test_generator_is_deterministic():
@@ -40,6 +50,9 @@ def test_check_embedding_trivial_cases():
     assert report.ok
     report = check_embedding(parse("score(2.0)"), Rdb())
     assert report.ok
+    for program in (NAN_LOOP, NEG_INF_SCORE):
+        report = check_embedding(program, Rdb())
+        assert report.ok, report.detail
 
 
 def test_check_soundness_trivial_and_fixture():
@@ -53,6 +66,9 @@ def test_check_soundness_trivial_and_fixture():
       }
     """)
     assert check_soundness(hmm, gen_rdb(3)).ok
+    for program in (NAN_LOOP, NEG_INF_SCORE):
+        report = check_soundness(program, Rdb())
+        assert report.ok, report.detail
 
 
 def test_check_soundness_respects_initial_state():
@@ -64,10 +80,14 @@ def test_check_soundness_respects_initial_state():
 
 def test_check_int_vs_fixpoint_trivial():
     assert check_int_vs_fixpoint(parse("skip", "target"), Rdb()).ok
+    report = check_int_vs_fixpoint(vectorise(NAN_LOOP), Rdb())
+    assert report.ok, report.detail
 
 
 def test_check_relaxed_trivial():
     assert check_relaxed(Skip(), Rdb()).ok
+    report = check_relaxed(NAN_LOOP, Rdb())
+    assert report.ok, report.detail
 
 
 def test_fuzz_small_corpora_all_green():

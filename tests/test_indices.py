@@ -6,11 +6,12 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from _spec import in_down, in_up, max_below
 from vecloop import indices
 from vecloop.errors import (DuplicateIndexString, StringAlreadyPresent,
                             ThreadBudgetExceeded)
-from vecloop.indices import (EMPTY, AChain, Index, ROOT_CHAIN, in_down, in_up,
-                             is_antichain, max_below, prefix_leq)
+from vecloop.indices import (EMPTY, AChain, Index, ROOT_CHAIN, is_antichain,
+                             prefix_leq)
 
 
 def idx(*pairs):

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from _spec import in_down, in_up
 from _support import (oracle_copy, oracle_extend, oracle_update, probes_for,
                       rand_cell, rand_chain, rand_index, rand_tensor,
                       shift_shape_rho, var)
 from vecloop.errors import EmptyIndexLost
-from vecloop.indices import EMPTY, AChain, Index, in_down, in_up
+from vecloop.indices import EMPTY, AChain, Index
 from vecloop.pmap import PMap
 from vecloop.state import SparseState
 from vecloop.target_interp import shift_rho

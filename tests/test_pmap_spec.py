@@ -1,6 +1,6 @@
 """The prefix-walk PMap operations against their scan definitions.
 
-`max_below`, `in_up` and `in_down` in `vecloop.indices` define extend, the
+`max_below`, `in_up` and `in_down` in `_spec` define extend, the
 written region and the downward closure by scanning every candidate.  The
 interpreters walk an index's own prefixes instead; these properties check
 that both give the same maps on random PMaps and antichains.
@@ -8,7 +8,8 @@ that both give the same maps on random PMaps and antichains.
 
 from hypothesis import assume, given, strategies as st
 
-from vecloop.indices import AChain, Index, in_down, in_up, max_below, prefix_leq
+from _spec import in_down, in_up, max_below
+from vecloop.indices import AChain, Index, prefix_leq
 from vecloop.pmap import PMap
 from vecloop.target_interp import shift_rho
 

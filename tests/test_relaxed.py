@@ -4,16 +4,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from _spec import (EMPTY_FLAG, NotComparable, bits_on, flag_diff, flag_leq,
+                   flag_restrict, flag_shift, flag_unshift, flag_update,
+                   in_down)
 from _support import rand_cell
-from vecloop.errors import NotComparable
 from vecloop.harness import GenConfig, gen_program, gen_rdb, probe_indices
 from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN
 from vecloop.parser import parse
 from vecloop.pmap import PMap
-from vecloop.relaxed import (EMPTY_FLAG, Flag, bits_on, fixcheck, flag_diff,
-                             flag_leq, flag_pull_back, flag_restrict,
-                             flag_shift, flag_unshift, flag_update,
-                             run_relaxed)
+from vecloop.relaxed import Flag, fixcheck, flag_pull_back, run_relaxed
 from vecloop.state import SPARSE, SparseState, make_state
 from vecloop.syntax import INT, Variable
 from vecloop.target_interp import FIXPOINT, run_tgt, shift_rho
@@ -250,7 +249,6 @@ def test_relaxed_command_lemma():
 
 
 def test_flag_domains_stay_below_the_chain():
-    from vecloop.indices import in_down
     for seed in range(80):
         source = gen_program(replace(GenConfig(), seed=seed))
         _, flag = run_relaxed(vectorise_relaxed(source), gen_rdb(seed))

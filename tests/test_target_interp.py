@@ -9,19 +9,19 @@ from dataclasses import replace
 import pytest
 
 import vecloop
-from _support import logpdf, probes_for, rand_chain
+from _spec import in_down, in_up
+from _support import cli_process, logpdf, probes_for, rand_chain
 from vecloop.bench import arm_program, hmm_program, tcm_program
 from vecloop.errors import MissingString, StringAlreadyPresent
 from vecloop.harness import (GenConfig, gen_program, gen_rdb, gen_target_case,
                              probe_indices)
-from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
-                             in_down, in_up)
+from vecloop.indices import EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN
 from vecloop.parser import parse
 from vecloop.pmap import PMap
 from vecloop.rdb import Rdb
 from vecloop.relaxed import run_relaxed
 from vecloop.state import DENSE, SPARSE, SparseState, make_state
-from vecloop.syntax import INT, Variable, variables_of
+from vecloop.syntax import INT, Variable, print_cmd, variables_of
 from vecloop.target_interp import (FIXPOINT, UNROLLED, exit_rho, run_tgt,
                                    shift_rho)
 from vecloop.translate import vectorise, vectorise_relaxed
@@ -345,6 +345,27 @@ def test_fixpoint_check_cost_does_not_follow_hash_seed():
                               timeout=120, check=True)
         counts.append(int(proc.stdout))
     assert counts[0] == counts[1] > 0
+
+
+IFZ_LOG = ("for t:int in range(4) { x := to_real(t:int); "
+           "ifz rlt(log(sub(x, 5.0)), 0.0) {skip} else {skip}; score(x) }")
+
+
+def test_ifz_failure_names_the_first_thread_under_every_hash_seed(tmp_path):
+    # the condition is evaluated in chain order, so the failing thread is
+    # the scalar run's, t = 0, whatever order a set of indices iterates in
+    program = tmp_path / "ifz_t.vl"
+    program.write_text(print_cmd(vectorise(parse(IFZ_LOG))))
+    for backend in (SPARSE, DENSE):
+        errors = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            proc = cli_process(["run", "--tier", "target", "--backend",
+                                backend, "--program", str(program)],
+                               PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 3
+            errors.add(proc.stderr)
+        assert len(errors) == 1, backend
+        assert errors.pop().startswith("PrimitiveDomainError: log(-5.0,) ")
 
 
 def test_score_tensors_and_traces_are_pinned():
