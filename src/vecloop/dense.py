@@ -14,31 +14,46 @@ axes of the active chain.  `DenseState` holds one DenseMap per variable.
 
 A statement runs once per chain, not once per thread.  The chain's members,
 grouped by their string sequence, become integer columns (`_Group`, built
-once per chain); a map reads a whole group with one fancy index
-(`DenseMap.gather`) and writes one with one assignment, an expression is
-evaluated once per operator node over all lanes (`DenseState.lanes`), and a
-fetch on a wide enough chain hashes every lane's index in one pass
-(`DenseState.fetched`).  Lane forms give the results the scalar ones give,
-bit for bit; anything exceptional sends the statement back to one
-evaluation per thread.
+once per chain, from the parent's columns for a chain `AChain.extend`
+made); a map reads a whole group with one fancy index (`DenseMap.gather`)
+and writes one with one assignment, an expression is evaluated once per
+operator node over all lanes (`DenseState.lanes`), and a fetch on a wide
+enough chain hashes every lane's index in one pass (`DenseState.fetched`).
+Lane forms give the results the scalar ones give, bit for bit; anything
+exceptional sends the statement back to one evaluation per thread.
+
+A loop that `target_interp.resident_loops` admits (what `vectorise` makes
+of an innermost for-loop) runs its rounds on a `ResidentState` where the
+entry state allows it (`DenseState.resident`): the chain has one string
+sequence and every grid's axes are a proper prefix of it, without the
+loop's own string.  Each variable the body writes is then one array over
+the chain; the shift is a slice copy plus the parents' values, read once;
+a write under `ifz` is a masked write; a fixed-point check, round 1
+included, compares arrays, since no entry grid stores a value above a
+member; and at exit each written variable is written back to its grid
+once.  The scores, and the grids once the extend_index's exit copy has
+run, are those of running each round on grids, bit for bit.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import math
+from itertools import islice, repeat
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
-                     UnknownString, VecloopError)
+                     PrimitiveDomainError, ScoreNaN, UnknownString,
+                     VecloopError)
 from .evalexpr import eval_lanes, expr_kind
 from .indices import AChain, Index
+from .ops import LOG_2PI, normal_logpdf
 from .pmap import PMap
 from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
                   box_muller, fnv1a)
 from .state import DENSE, Lanes, StateBase
-from .syntax import INT, REAL, IndexExpr, Variable
+from .syntax import INT, REAL, IndexExpr, Var, Variable
 
 _DTYPES = {INT: np.int64, REAL: np.float64}
 _INT64 = range(-(1 << 63), 1 << 63)
@@ -90,11 +105,39 @@ _COLUMNS = "dense.columns"
 
 
 def _columns(chain: AChain) -> tuple[_Group, ...]:
-    """The chain's members as grouped columns, built once per chain."""
+    """The chain's members as grouped columns, built once per chain: from
+    the parent's columns for a chain that `AChain.extend` built, else from
+    the members."""
     groups = chain.memo.get(_COLUMNS)
     if groups is None:
-        groups = chain.memo[_COLUMNS] = _grouped(tuple(chain))
+        origin = chain.origin
+        groups = chain.memo[_COLUMNS] = (
+            _grouped(tuple(chain)) if origin is None
+            else _extended(_columns(origin[0]), origin[1], origin[2]))
     return groups
+
+
+def _extended(groups: tuple[_Group, ...], name: str,
+              count: int) -> tuple[_Group, ...]:
+    """The columns of parent.extend(name, count), given the parent's.
+
+    Chain order puts the children of the parent's r-th member at
+    r * count + k, k < count, so each group repeats every row `count` times
+    and gains the column k.
+    """
+    if not count:
+        return ()
+    slots = np.arange(count)
+    out = []
+    for g in groups:
+        size, width = g.matrix.shape
+        matrix = np.empty((size * count, width + 1), np.int64)
+        matrix[:, :width] = np.repeat(g.matrix, count, axis=0)
+        matrix[:, width] = np.tile(slots, size)
+        rows = (None if g.rows is None
+                else (g.rows[:, None] * count + slots).ravel())
+        out.append(_Group(g.names + (name,), matrix, rows))
+    return tuple(out)
 
 
 def _relocation_columns(rho: Mapping[Index, Index]):
@@ -392,58 +435,51 @@ class DenseState(StateBase):
 
     def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
         """The values of `expr` on the chain, each operator node evaluated
-        once for all lanes; None on an empty chain, and when that meets
-        anything exceptional (a domain error, an int outside int64), so that
-        the interpreter evaluates once per thread and fails as that does."""
+        once for all lanes (`_lanes`)."""
         if not chain:
             return None
         groups, count = _columns(chain), len(chain)
-        reads: dict[Variable, object] = {}
-
-        def read(var: Variable):
-            if var not in reads:
-                reads[var] = self._map(var).gather(groups, count)
-            return reads[var]
-
-        try:
-            with np.errstate(all="ignore"):
-                value = eval_lanes(expr, read, _apply)
-                if not isinstance(value, np.ndarray):
-                    value = np.full(count, value, _DTYPES[expr_kind(expr)])
-                return Lanes(chain, value)
-        except (VecloopError, ArithmeticError):
-            # a domain error, or an int the lanes cannot hold (OverflowError)
-            # or a divisor of 0 (ZeroDivisionError) on some lane
-            return None
+        return _lanes(expr, chain,
+                      lambda var: self._map(var).gather(groups, count))
 
     def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
         """`db`'s value at the index `index` spells on each thread of the
-        chain, from one pass over all lanes (`_looked_up`); None on a chain
-        narrower than FETCH_MIN_LANES, on an index repeating a string, and
-        where `lanes` declines a pair's integer, so that the interpreter
-        fetches once per thread and fails as that does."""
-        names = tuple([name for name, _ in index.pairs])
-        if len(chain) < FETCH_MIN_LANES or len(set(names)) < len(names):
+        chain, from one pass over all lanes (`_looked_up`), or None where
+        `_index_columns` declines."""
+        found = _index_columns(self, index, chain)
+        if found is None:
             return None
-        columns = []
-        for _, z in index.pairs:
-            column = self.lanes(z, chain)
-            if column is None or column.data.dtype != np.int64:
-                return None
-            columns.append(column.data)
-        return Lanes(chain, _looked_up(db, names, columns, len(chain)))
+        return Lanes(chain, _looked_up(db, *found, len(chain)))
+
+    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
+        """The chain's column of `name`; None on an empty chain and where a
+        member lacks the string, so that the interpreter fails as one
+        lookup per thread does."""
+        groups = _columns(chain)
+        if not chain or any(name not in g.names for g in groups):
+            return None
+        if groups[0].rows is None:
+            return Lanes(chain, _column(groups[0], name))
+        found = np.empty(len(chain), np.int64)
+        for g in groups:
+            found[g.rows] = _column(g, name)
+        return Lanes(chain, found)
 
     def split(self, cond: Lanes) -> tuple[AChain, AChain]:
         """The chain's members whose `cond` lane is 0, and the rest; each
         part keeps its rows of the chain's columns.  `cond` may hold an
         array or a list."""
-        zero = np.asarray(cond.data) == 0
-        parts = cond.chain.compress(zero.tolist())
+        parts, keeps = _split(cond)
         groups = _columns(cond.chain)
-        for part, keep in zip(parts, (zero, ~zero)):
+        for part, keep in zip(parts, keeps):
             if part:
                 part.memo[_COLUMNS] = _subset(groups, keep)
         return parts
+
+    def add_scores(self, buffer: dict, lanes: Lanes) -> None:
+        _nan_free(lanes)
+        for i, value in lanes.items():
+            buffer[i] += value
 
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "DenseState":
         if not tensor:
@@ -468,6 +504,311 @@ class DenseState(StateBase):
         return "; ".join(f"{var.text()}={m.axes!r}:{m.cells.tolist()!r}"
                          for var, m in sorted(self.cells.items(),
                                               key=lambda kv: kv[0].sort_key()))
+
+    def resident(self, writes: frozenset[Variable], chain: AChain,
+                 restore: list[float]) -> Optional["ResidentState"]:
+        """This state as the start of a loop whose rounds run on lane
+        arrays, or None when the loop must run on grids.
+
+        The chain must be parent.extend(name, count) with one string
+        sequence, and every grid's axes a proper prefix of that sequence
+        without `name`: then no grid stores a value above a member, each
+        member reads its parent's value, and no write can meet the axes in
+        another order.  A grid of a variable in `writes` that the loop's
+        shift could shrink (a trailing axis it drops because the grid is
+        constant along it, wider than the chain needs) would regrow to
+        other extents, so it keeps the loop on grids too.
+        """
+        groups = _columns(chain)
+        if chain.origin is None or len(groups) != 1:
+            return None
+        names, needs = groups[0].names, groups[0].needs
+        for m in self.cells.values():
+            if len(m.axes) >= len(names) or m.axes != names[:len(m.axes)]:
+                return None
+        for var in writes:
+            m = self.cells.get(var)
+            if m is not None and not _regrows_alike(m, needs):
+                return None
+        loop = _Loop(self, chain, restore)
+        return ResidentState(loop, {var: loop.start(var) for var
+                                    in sorted(writes, key=Variable.sort_key)})
+
+
+def _column(g: _Group, name: str) -> np.ndarray:
+    return g.matrix[:, g.names.index(name)]
+
+
+def _regrows_alike(m: DenseMap, needs: Sequence[int]) -> bool:
+    """No axis of `m` that is wider than `needs` is among the trailing axes
+    along which `m` is constant (those a relocation drops)."""
+    wide = [axis for axis, (extent, need)
+            in enumerate(zip(m.cells.shape, needs)) if extent > need]
+    if not wide:
+        return True
+    kept = m
+    while kept.axes and (short := kept._dropped(len(kept.axes) - 1, True)) is not None:
+        kept = short
+    return max(wide) < len(kept.axes)
+
+
+def _lanes(expr, chain: AChain, gather) -> Optional[Lanes]:
+    """The values of `expr` on a non-empty chain, each operator node
+    evaluated once for all lanes; `gather(var)` gives a variable's lanes
+    (or one Python value for all).  None when that meets anything
+    exceptional (a domain error, an int outside int64), so that the
+    interpreter evaluates once per thread and fails as that does."""
+    count = len(chain)
+    if isinstance(expr, Var):
+        value = gather(expr.var)
+        if not isinstance(value, np.ndarray):
+            value = np.full(count, value, dtype_of(expr.var))
+        return Lanes(chain, value)
+    reads: dict[Variable, object] = {}
+
+    def read(var: Variable):
+        if var not in reads:
+            reads[var] = gather(var)
+        return reads[var]
+
+    try:
+        with np.errstate(all="ignore"):
+            value = eval_lanes(expr, read, _apply)
+            if not isinstance(value, np.ndarray):
+                value = np.full(count, value, _DTYPES[expr_kind(expr)])
+            return Lanes(chain, value)
+    except (VecloopError, ArithmeticError):
+        # a domain error, or an int the lanes cannot hold (OverflowError)
+        # or a divisor of 0 (ZeroDivisionError) on some lane
+        return None
+
+
+def _index_columns(state, index: IndexExpr, chain: AChain):
+    """(strings, int64 lanes of each pair's integer) of a fetch index on
+    the chain; None on a chain narrower than FETCH_MIN_LANES, on an index
+    repeating a string, and where `lanes` declines a pair's integer, so
+    that the interpreter fetches once per thread and fails as that does."""
+    names = tuple([name for name, _ in index.pairs])
+    if len(chain) < FETCH_MIN_LANES or len(set(names)) < len(names):
+        return None
+    columns = []
+    for _, z in index.pairs:
+        column = state.lanes(z, chain)
+        if column is None or column.data.dtype != np.int64:
+            return None
+        columns.append(column.data)
+    return names, columns
+
+
+def _split(cond: Lanes):
+    """The parts of `cond.chain` whose lane is 0 and the rest, with the
+    flags that pick each part's rows."""
+    zero = np.asarray(cond.data) == 0
+    return cond.chain.compress(zero.tolist()), (zero, ~zero)
+
+
+def _nan_free(lanes: Lanes) -> None:
+    """Raise ScoreNaN at the first NaN lane in chain order, as the
+    per-thread rule would; a list was checked lane by lane already."""
+    data = lanes.data
+    if isinstance(data, np.ndarray) and np.isnan(data).any():
+        first = int(np.flatnonzero(np.isnan(data))[0])
+        raise ScoreNaN(f"score evaluated to NaN at "
+                       f"{next(islice(lanes.chain, first, None)).text()}")
+
+
+def _same_lanes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal lanes under ==, a NaN equal to a NaN, as in
+    DenseMap.same_function.  Equal bytes are the common case, and the
+    cheapest test of it."""
+    return a is b or a.tobytes() == b.tobytes() or np.array_equal(a, b) or (
+        a.dtype == np.float64 and np.array_equal(a, b, equal_nan=True))
+
+
+_ROWS = "dense.rows"
+
+
+class _Loop:
+    """What the rounds of one lane-resident loop share.
+
+    The state the loop entered with and its chain, parent.extend(name,
+    count), in whose order the parent's r-th member has its children at
+    rows r * count + k; each written variable's value at the parent's
+    members; the score slots of the chain's members, restarted each round
+    from `restore`; each fetch's last index columns and values; and which
+    variables a round wrote.
+    """
+
+    def __init__(self, entry: DenseState, chain: AChain, restore: list[float]):
+        parent, _, self.count = chain.origin
+        self.entry = entry
+        self.chain = chain
+        self.restore = np.array(restore, np.float64)
+        self.slots = self.restore.copy()
+        self.parents: dict[Variable, object] = {}
+        self.written: set[Variable] = set()
+        self.fetches: dict[int, tuple] = {}
+        self._parent = (_columns(parent), len(parent))
+        self._entry: dict[Variable, object] = {}
+        self._row: Optional[dict[Index, int]] = None
+
+    def start(self, var: Variable) -> np.ndarray:
+        """A written variable's lanes at entry, its parents' values."""
+        parent = self.entry._map(var).gather(*self._parent)
+        self.parents[var] = parent
+        if isinstance(parent, np.ndarray):
+            return np.repeat(parent, self.count)
+        return np.full(len(self.chain), parent, dtype_of(var))
+
+    def entry_lanes(self, var: Variable):
+        """An unwritten variable's lanes, or its one value on all of them."""
+        found = self._entry.get(var)
+        if found is None:
+            found = self._entry[var] = self.entry._map(var).gather(
+                _columns(self.chain), len(self.chain))
+        return found
+
+    def row(self, i: Index) -> int:
+        if self._row is None:
+            self._row = {j: k for k, j in enumerate(self.chain)}
+        return self._row[i]
+
+    def rows(self, chain: AChain) -> Optional[np.ndarray]:
+        """The chain's rows in the loop's chain; None for the whole of it.
+        Every other chain a round meets is a part `split` made."""
+        return None if chain is self.chain else chain.memo[_ROWS]
+
+
+class ResidentState(StateBase):
+    """The state inside a lane-resident loop (`DenseState.resident`).
+
+    Each variable the loop body writes is one array over the loop's chain,
+    in chain order; every other variable is read from the entry state,
+    which the loop does not change.  States are values, as on the grids:
+    a write makes a new state, copying a variable's array only for a write
+    to part of the chain.  The shift is a slice copy along each parent's
+    children plus the parents' values in slot 0; a fixed-point check
+    compares arrays; scores go into one array of slots; and a fetch whose
+    index lanes equal its previous round's takes that round's values, the
+    database being a function of the index.  `written_back` leaves the
+    loop: one `DenseMap.updated` per variable a round wrote.
+    """
+
+    backend = DENSE
+
+    def __init__(self, loop: _Loop, regs: dict[Variable, np.ndarray]):
+        self.loop = loop
+        self.regs = regs
+
+    def read(self, var: Variable, i: Index):
+        lanes = self.regs.get(var)
+        if lanes is None:
+            return self.loop.entry.read(var, i)
+        return lanes[self.loop.row(i)].item()
+
+    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
+        if not chain:
+            return None
+        rows = self.loop.rows(chain)
+
+        def gather(var: Variable):
+            lanes = self.regs.get(var)
+            if lanes is None:
+                lanes = self.loop.entry_lanes(var)
+            if rows is None or not isinstance(lanes, np.ndarray):
+                return lanes
+            return lanes[rows]
+
+        return _lanes(expr, chain, gather)
+
+    def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
+        found = _index_columns(self, index, chain)
+        if found is None:
+            return None
+        names, columns = found
+        last = self.loop.fetches.get(id(index))
+        if last is not None and all(a.tobytes() == b.tobytes()
+                                    for a, b in zip(last[0], columns)):
+            return Lanes(chain, last[1])
+        values = _looked_up(db, names, columns, len(chain))
+        self.loop.fetches[id(index)] = (columns, values)
+        return Lanes(chain, values)
+
+    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
+        (group,) = _columns(self.loop.chain)
+        if not chain or name not in group.names:
+            return None
+        column = _column(group, name)
+        rows = self.loop.rows(chain)
+        return Lanes(chain, column if rows is None else column[rows])
+
+    def split(self, cond: Lanes) -> tuple[AChain, AChain]:
+        """As DenseState.split; each part keeps its rows of the loop's
+        chain, an empty part too."""
+        parts, keeps = _split(cond)
+        rows = self.loop.rows(cond.chain)
+        if rows is None:
+            rows = np.arange(len(cond.chain))
+        for part, keep in zip(parts, keeps):
+            part.memo[_ROWS] = rows[keep]
+        return parts
+
+    def add_scores(self, buffer: dict, lanes: Lanes) -> None:
+        """Into the loop's score slots; `written_back` moves them into the
+        buffer."""
+        _nan_free(lanes)
+        rows = self.loop.rows(lanes.chain)
+        if rows is None:
+            self.loop.slots += lanes.data
+        else:
+            self.loop.slots[rows] += lanes.data
+
+    def updated(self, var: Variable, tensor: Lanes) -> "ResidentState":
+        if not tensor:
+            return self
+        data = _typed(tensor.data, dtype_of(var))
+        rows = self.loop.rows(tensor.chain)
+        if rows is not None:
+            whole = self.regs[var].copy()
+            whole[rows] = data
+            data = whole
+        self.loop.written.add(var)
+        return ResidentState(self.loop, {**self.regs, var: data})
+
+    def copied(self, rho: Mapping[Index, Index]) -> "ResidentState":
+        """The loop's own shift, the first command of every round."""
+        loop, count = self.loop, self.loop.count
+        regs = {}
+        for var, lanes in self.regs.items():
+            shifted = np.empty_like(lanes)
+            shifted[1:] = lanes[:-1]
+            shifted[::count] = loop.parents[var]
+            regs[var] = shifted
+        return ResidentState(loop, regs)
+
+    def same_function(self, other: "ResidentState") -> bool:
+        """Both states read alike everywhere.  They differ from the entry
+        state only above the chain's members, where each is constant, so
+        comparing the arrays decides it, round 1 included."""
+        return all(_same_lanes(lanes, other.regs[var])
+                   for var, lanes in self.regs.items())
+
+    def restart(self) -> None:
+        """Reset the score slots to the loop's entry values: a round's
+        scores replace the previous round's."""
+        self.loop.slots[:] = self.loop.restore
+
+    def written_back(self, buffer: dict) -> DenseState:
+        """The grids at loop exit, and the final round's scores in
+        `buffer`.  A variable no round wrote keeps its entry grid, or stays
+        absent."""
+        loop = self.loop
+        buffer.update(zip(loop.chain, loop.slots.tolist()))
+        cells = dict(loop.entry.cells)
+        for var in sorted(loop.written, key=Variable.sort_key):
+            cells[var] = loop.entry._map(var).updated(
+                Lanes(loop.chain, self.regs[var]))
+        return DenseState(cells)
 
 
 # Lane forms of the operators.  Each raises OverflowError or
@@ -528,30 +869,50 @@ def _to_real(a):
     return a.astype(np.float64)
 
 
+def _normal_logpdf(x, mean, sd):
+    # with one deviation for all lanes, math.log runs once and the rest is
+    # IEEE arithmetic in the scalar form's order; numpy's log need not
+    # round as libm's does, so a deviation per lane maps the scalar form
+    if isinstance(sd, np.ndarray):
+        return _each(normal_logpdf, [x, mean, sd], REAL)
+    if sd <= 0.0:
+        raise PrimitiveDomainError("normal_logpdf", (x, mean, sd))
+    spread = 2.0 * sd * sd
+    _nonzero(spread)
+    gap = np.subtract(x, mean)
+    return -0.5 * LOG_2PI - math.log(sd) - gap * gap / spread
+
+
 # (op, result kind) -> lane form giving the scalar form's results exactly;
-# the remaining operators (exp, log, normal_logpdf) map their scalar form
+# the remaining operators (exp, log) map their scalar form
 _LANE_OPS = {
     ("add", INT): _int_add, ("sub", INT): _int_sub, ("mul", INT): _int_mul,
     ("mod", INT): _mod, ("eq", INT): _eq, ("lt", INT): _lt,
     ("rlt", INT): _lt, ("const", INT): _const,
     ("add", REAL): np.add, ("sub", REAL): np.subtract,
     ("mul", REAL): np.multiply, ("div", REAL): _div, ("neg", REAL): np.negative,
-    ("to_real", REAL): _to_real,
+    ("to_real", REAL): _to_real, ("normal_logpdf", REAL): _normal_logpdf,
 }
 
 
 def _apply(op: str, kind: str, fn, args: list):
     """One operator node on all lanes; see `evalexpr.eval_lanes`."""
-    arrays = [a for a in args if isinstance(a, np.ndarray)]
-    if not arrays:
+    scalars = [a for a in args if not isinstance(a, np.ndarray)]
+    if len(scalars) == len(args):
         # every lane holds the same arguments: the scalar form, once
         return fn(*args)
-    if any(type(a) is int and a not in _INT64 for a in args):
-        raise OverflowError("int literal outside int64")
+    for a in scalars:
+        if type(a) is int and a not in _INT64:
+            raise OverflowError("int literal outside int64")
     lane = _LANE_OPS.get((op, kind))
     if lane is not None:
         return lane(*args)
-    count = len(arrays[0])
+    return _each(fn, args, kind)
+
+
+def _each(fn, args: list, kind: str) -> np.ndarray:
+    """The scalar form on each lane."""
+    count = len(next(a for a in args if isinstance(a, np.ndarray)))
     columns = [a.tolist() if isinstance(a, np.ndarray) else repeat(a, count)
                for a in args]
     return np.array([fn(*values) for values in zip(*columns)], _DTYPES[kind])

@@ -168,9 +168,15 @@ def is_antichain(indices: Iterable[Index]) -> bool:
 
 @dataclass(frozen=True)
 class AChain:
-    """A finite antichain of indices: the active thread ids of one run."""
+    """A finite antichain of indices: the active thread ids of one run.
+
+    `origin` is (parent, name, count) for a chain that `extend` built, and
+    None for any other, so that a backend can derive the chain's data from
+    its parent's.
+    """
 
     members: frozenset[Index]
+    origin = None
 
     def __init__(self, members: Iterable[Index] = (), *, _checked: bool = False):
         frozen = frozenset(members)
@@ -222,7 +228,9 @@ class AChain:
             below = _child_prefixes(i)
             extended.extend(_unchecked(i.pairs + ((name, k),), below)
                             for k in range(count))
-        return AChain(extended, _checked=True)
+        chain = AChain(extended, _checked=True)
+        object.__setattr__(chain, "origin", (self, name, count))
+        return chain
 
     def partition(self, predicate) -> tuple["AChain", "AChain"]:
         """Split into (members satisfying predicate, the rest), asking the

@@ -11,6 +11,7 @@ the flag as they go.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from .evalexpr import eval_expr
@@ -101,7 +102,7 @@ class _RelaxedRun(_TargetRun):
         return super().run(c, state, chain)
 
     def run_fused(self, c: ExtendedLoopShift, state, chain: AChain):
-        inner = chain.extend(c.name, c.count)
+        inner = self.extended(chain, c.name, c.count)
         rho = shift_rho(inner, c.name)
         outer = self.first
 
@@ -118,8 +119,10 @@ class _RelaxedRun(_TargetRun):
             return state, fixcheck(shifted, state.copied(rho), round_flag,
                                    inner)
 
-        state = self.run_rounds(c, dict.fromkeys(inner, 0.0), one_round, state)
-        return self.leave(state, chain, c.name, c.count)
+        state = self.run_rounds(
+            c, partial(self.score.update, dict.fromkeys(inner, 0.0)),
+            one_round, state)
+        return self.leave(state, chain, inner, c.name, c.count)
 
 
 def run_relaxed(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,

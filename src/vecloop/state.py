@@ -88,6 +88,26 @@ class StateBase:
         thread, as it always does on the sparse backend."""
         return None
 
+    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
+        """Each thread's integer under `name`, or None when the
+        interpreter is to look it up once per thread, as it always does on
+        the sparse backend."""
+        return None
+
+    def add_scores(self, buffer: dict, lanes: Lanes) -> None:
+        """Add each lane into the run's score buffer {Index: float}.  Lanes
+        that `lanes` evaluated at once are checked for NaN first, failing
+        at the first NaN thread in chain order as the per-thread rule
+        does."""
+        for i, value in lanes.items():
+            buffer[i] += value
+
+    def resident(self, writes, chain: AChain, restore: list):
+        """A state on which a loop over `chain` that writes `writes` runs
+        its rounds in lane arrays, or None to run them on this state, as
+        the sparse backend always does."""
+        return None
+
     def eq_on(self, other, probes: Iterable[Index],
               variables: Optional[Iterable[Variable]] = None) -> bool:
         """Equal reads at every probe, under `same_value`."""

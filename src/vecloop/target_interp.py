@@ -9,13 +9,18 @@ on leaving, adds each index's slot sums to it.  Loops come in two modes:
 "fixpoint" stops re-running the body once a round leaves the state
 unchanged (as a represented function), "unrolled" always runs the declared
 number of rounds.  Both keep only the final round's scores: each round
-starts from the buffer entries the loop began with.  The relaxed interpreter
-(`relaxed.py`) runs the same rules and adds its fused loop.
+starts from the buffer entries the loop began with.  A loop that
+`resident_loops` admits runs its rounds on the state's lane arrays where
+the backend offers them (`StateBase.resident`), by the same rules.  The
+relaxed interpreter (`relaxed.py`) runs the same rules and adds its fused
+loop.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import islice
 from typing import Optional
 
 from .errors import MissingString, PrimitiveDomainError, ScoreNaN
@@ -27,7 +32,7 @@ from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
                     make_state)
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
-                     Variable, free_vars, walk, validate_tier)
+                     Variable, free_vars, subcommands, walk, validate_tier)
 
 FIXPOINT = "fixpoint"
 UNROLLED = "unrolled"
@@ -83,6 +88,40 @@ def loop_sites(program: Cmd) -> dict[int, int]:
     return sites
 
 
+def resident_loops(program: Cmd) -> dict[int, frozenset[Variable]]:
+    """The fixed-point loops a backend may run in lane arrays, by node
+    identity, each with the variables its body writes.
+
+    Such a loop is the whole body of an extend_index(name, n); its body
+    starts with shift(name) and holds no other shift, extend_index or
+    loop.  This is what `vectorise` makes of an innermost for-loop: every
+    round runs on the one chain the extend_index made, and only the
+    extend_index's exit sees the state the loop leaves.
+    """
+    found: dict[int, frozenset[Variable]] = {}
+    _writes(program, found)
+    return found
+
+
+def _writes(c: Cmd, found: dict) -> Optional[frozenset[Variable]]:
+    """The variables `c` writes, or None when it holds a shift, an
+    extend_index or a loop; adds the loops `resident_loops` admits to
+    `found` on the way, in one pass over the program."""
+    if isinstance(c, ExtendIndex) and isinstance(c.body, LoopFixpt):
+        body = c.body.body
+        items = body.items if isinstance(body, Seq) else (body,)
+        inner = [_writes(item, found) for item in items]
+        if items[0] == Shift(c.name) and None not in inner[1:]:
+            found[id(c.body)] = frozenset().union(*inner[1:])
+        return None
+    subs = [_writes(sub, found) for sub in subcommands(c)]
+    if None in subs or isinstance(c, (Shift, ExtendIndex, LoopFixpt,
+                                      ExtendedLoopShift)):
+        return None
+    own = (c.var,) if isinstance(c, (Assign, Fetch, For, LookupIndex)) else ()
+    return frozenset(own).union(*subs)
+
+
 class _TargetRun:
     """The command rules, shared by the target and the relaxed tier.
 
@@ -98,6 +137,8 @@ class _TargetRun:
         self.db = db
         self.mode = mode
         self.sites = loop_sites(program)
+        self.resident = resident_loops(program)
+        self.inner_chains: dict[tuple, AChain] = {}
         self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
         self.trace: list[LoopRound] = []
         self.first: Optional[dict[Variable, dict[Index, int]]] = None
@@ -135,16 +176,19 @@ class _TargetRun:
         if isinstance(c, Skip):
             return state
         if isinstance(c, Score):
-            score = self.score
-            # per thread, each value is checked before the next thread runs;
-            # lanes that evaluated without error can fail only by a NaN
             lanes = state.lanes(c.expr, chain)
-            values = (lanes.python() if lanes is not None else
-                      (self.eval_at(c.expr, state, i) for i in chain))
-            for i, value in zip(chain, values):
-                if math.isnan(value):
-                    raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
-                score[i] += value
+            if lanes is None:
+                # per thread, each value is checked before the next thread
+                # runs; lanes that evaluated without error can fail only by
+                # a NaN, which add_scores checks
+                values = []
+                for i in chain:
+                    value = self.eval_at(c.expr, state, i)
+                    if math.isnan(value):
+                        raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
+                    values.append(value)
+                lanes = Lanes(chain, values)
+            state.add_scores(self.score, lanes)
             self.reads(c.expr, chain)
             return state
         if isinstance(c, Assign):
@@ -177,54 +221,79 @@ class _TargetRun:
                 state = self.run(c.body, state, chain)
             return state
         if isinstance(c, LookupIndex):
-            found: list[int] = []
-            for i in chain:
-                value = i.lookup(c.name)
-                if value is None:
-                    raise MissingString(
-                        f'lookup_index("{c.name}") under {i.text()}'
-                    )
-                found.append(value)
+            found = state.looked_up(c.name, chain)
+            if found is None:
+                values: list[int] = []
+                for i in chain:
+                    value = i.lookup(c.name)
+                    if value is None:
+                        raise MissingString(
+                            f'lookup_index("{c.name}") under {i.text()}'
+                        )
+                    values.append(value)
+                found = Lanes(chain, values)
             self.writes(c.var, chain)
-            return state.updated(c.var, Lanes(chain, found))
+            return state.updated(c.var, found)
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))
         if isinstance(c, ExtendIndex):
-            inner = chain.extend(c.name, c.count)
+            inner = self.extended(chain, c.name, c.count)
             self.score.update(dict.fromkeys(inner, 0.0))
             state = self.run(c.body, state, inner)
-            return self.leave(state, chain, c.name, c.count)
+            return self.leave(state, chain, inner, c.name, c.count)
         if isinstance(c, LoopFixpt):
             return self.run_loop(c, state, chain)
         raise TypeError(f"not a target command: {c!r}")
 
     def run_loop(self, c: LoopFixpt, state, chain: AChain):
+        """The loop's rounds, in lane arrays where the state offers them
+        (`StateBase.resident`) and the run records no accesses."""
         def one_round(k: int, state):
             after = self.run(c.body, state, chain)
             return after, self.mode == FIXPOINT and state.same_function(after)
 
         restore = {i: self.score[i] for i in chain}
-        return self.run_rounds(c, restore, one_round, state)
+        writes = self.resident.get(id(c)) if self.first is None else None
+        lanes = (None if writes is None else
+                 state.resident(writes, chain, list(restore.values())))
+        if lanes is None:
+            return self.run_rounds(c, partial(self.score.update, restore),
+                                   one_round, state)
+        lanes = self.run_rounds(c, lanes.restart, one_round, lanes)
+        return lanes.written_back(self.score)
 
-    def run_rounds(self, c: Cmd, restore: dict, one_round, state):
-        """Up to `c.count` rounds of a loop, traced.  Each first resets the
-        score entries in `restore`; `one_round(k, state)` returns round
-        k's state and whether it is a fixed point, which ends the loop."""
+    def run_rounds(self, c: Cmd, reset, one_round, state):
+        """Up to `c.count` rounds of a loop, traced.  Each first calls
+        `reset()`, which restores the score entries the loop began with;
+        `one_round(k, state)` returns round k's state and whether it is a
+        fixed point, which ends the loop."""
         hit, rounds = False, 0
         while not hit and rounds < c.count:
-            self.score.update(restore)
+            reset()
             state, hit = one_round(rounds, state)
             rounds += 1
         self.trace.append(LoopRound(self.sites[id(c)], rounds, hit))
         return state
 
-    def leave(self, state, chain: AChain, name: str, count: int):
-        """Restore `chain` after a body ran under chain.extend(name, count):
-        the last slot's values move down and each index takes its slots'
-        scores, which leave the buffer."""
-        score = self.score
+    def extended(self, chain: AChain, name: str, count: int) -> AChain:
+        """chain.extend(name, count), built once per run, so that an
+        extend_index under a loop finds the inner chain, and all the data
+        its memo holds, from one round to the next."""
+        key = (chain, name, count)
+        inner = self.inner_chains.get(key)
+        if inner is None:
+            inner = self.inner_chains[key] = chain.extend(name, count)
+        return inner
+
+    def leave(self, state, chain: AChain, inner: AChain, name: str,
+              count: int):
+        """Restore `chain` after a body ran under inner = chain.extend(name,
+        count): the last slot's values move down and each index takes its
+        slots' scores, which leave the buffer.  In chain order, each
+        index's slots follow one another in `inner`."""
+        score, slots = self.score, iter(inner)
         for i in chain:
-            score[i] += sum(score.pop(i.append(name, k)) for k in range(count))
+            score[i] += sum(score.pop(slot) for slot in islice(slots, count))
         return state.copied(exit_rho(chain, name, count))
 
 

@@ -4,7 +4,9 @@
 below (one slice assignment per index, in index order) is how `updated`
 wrote before writes were grouped.  Gathers, scatters and copies over whole
 chains must agree with them, and the lane evaluator must give what
-`eval_expr` gives thread by thread, bit for bit, or decline.
+`eval_expr` gives thread by thread, bit for bit, or decline.  A loop run
+in lane arrays (`ResidentState`) must give what the same loop gives on
+grids, byte for byte, and what the sparse backend gives.
 """
 
 import math
@@ -16,10 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _support import cli_process, python_process
-from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState, _columns,
-                          _grouped, _looked_up, dense_encode)
+from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState,
+                          ResidentState, _columns, _grouped, _looked_up,
+                          dense_encode)
 from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr
+from vecloop.harness import (GenConfig, gen_program, gen_rdb,
+                             gen_target_case, probe_indices)
 from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
                              is_antichain, prefix_leq)
 from vecloop.ops import same_value
@@ -30,7 +35,7 @@ from vecloop.relaxed import run_relaxed
 from vecloop.state import DENSE, SPARSE, Lanes, make_state
 from vecloop.syntax import (INT, REAL, IndexExpr, IntLit, PrimOp, RealLit,
                             Var, Variable)
-from vecloop.target_interp import run_tgt
+from vecloop.target_interp import FIXPOINT, UNROLLED, run_tgt
 from vecloop.translate import vectorise, vectorise_relaxed
 
 NAMES = "abc"
@@ -332,6 +337,25 @@ def test_columns_are_built_once_per_chain():
                                          for i in chain]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ordered, min_size=1, max_size=8), st.integers(0, 3),
+       st.integers(1, 3))
+def test_extended_columns_are_the_members_columns(members, count, again):
+    # parents of one or several string sequences, extended once and twice
+    chain = maximal(members).extend("d", count)
+    for built in (chain, chain.extend("e", again)):
+        groups, fresh = _columns(built), _grouped(tuple(built))
+        assert len(groups) == len(fresh)
+        for g, f in zip(groups, fresh):
+            assert g.names == f.names
+            assert g.matrix.dtype == f.matrix.dtype == np.int64
+            assert g.matrix.tolist() == f.matrix.tolist()
+            assert (g.rows is None) == (f.rows is None)
+            if g.rows is not None:
+                assert g.rows.tolist() == f.rows.tolist()
+            assert (g.lows, g.needs) == (f.lows, f.needs)
+
+
 def test_chains_of_several_string_sequences_run_as_on_sparse():
     # two groups whose strings nest in one order, as the grids assume
     chain = AChain([Index((("a", 0),)), Index((("a", 2),)),
@@ -506,6 +530,16 @@ def test_a_nan_score_fails_before_a_later_threads_domain_error():
                                'score evaluated to NaN at [("out",0)]')
 
 
+def test_a_nan_score_names_the_first_nan_thread_in_chain_order():
+    # lanes 1 and 2 are NaN (inf - inf); the lanes are checked at once
+    program = parse('n:int := lookup_index("out"); x := mul(1000.0, '
+                    'to_real(n:int)); score(sub(exp(x), exp(x)))', "target")
+    three = AChain([Index((("out", k),)) for k in (2, 0, 1)])
+    sparse, dense = both_backends(program, three)
+    assert sparse == dense == ("ScoreNaN",
+                               'score evaluated to NaN at [("out",1)]')
+
+
 PARTIAL = ("{init}; for t:int in range(3) {{ ifz lt(t:int, 1) {{ {one} }} "
            "else {{ skip }}; score({expr}) }}")
 
@@ -589,3 +623,260 @@ def test_cli_dense_run_leaves_stderr_empty(tmp_path):
                         "--backend", "dense"])
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# --------------------------------------------------------------------------
+# Lane-resident loops against the sparse reference
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def resident(monkeypatch):
+    """Whether each loop the dense backend offered lane arrays took them."""
+    taken = []
+    offer = DenseState.resident
+
+    def recorded(self, *args):
+        state = offer(self, *args)
+        taken.append(state is not None)
+        return state
+
+    monkeypatch.setattr(DenseState, "resident", recorded)
+    return taken
+
+
+def run_on(backend, program, chain=ROOT_CHAIN, db=CONST0, mode=FIXPOINT,
+           cells=None):
+    """One run: its outcome, or (error class, message)."""
+    try:
+        return run_tgt(program, db, make_state(backend, cells), chain, mode,
+                       backend)
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def run_dense(*args, **kwargs):
+    """The dense run, which must be the dense run on grids alone, byte for
+    byte, final grids included."""
+    dense = run_on(DENSE, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DenseState, "resident", lambda self, *offer: None)
+        grids = run_on(DENSE, *args, **kwargs)
+    if isinstance(dense, tuple) or isinstance(grids, tuple):
+        assert dense == grids
+    else:
+        assert (repr(dense.score), dense.trace, dense.state.canonical_text()) \
+            == (repr(grids.score), grids.trace, grids.state.canonical_text())
+    return dense
+
+
+def run_both(*args, **kwargs):
+    """The sparse and the dense run (`run_dense`)."""
+    dense = run_dense(*args, **kwargs)
+    return run_on(SPARSE, *args, **kwargs), dense
+
+
+def assert_agree(sparse, dense, seed=0):
+    """Equal errors, or equal scores and traces bit for bit and equal
+    reads at the sparse state's indices and random extensions of them."""
+    if isinstance(sparse, tuple) or isinstance(dense, tuple):
+        assert sparse == dense
+        return
+    assert repr(sparse.score) == repr(dense.score)
+    assert [bits(v) for v in sparse.score.entries.values()] == \
+        [bits(dense.score.entries[i]) for i in sparse.score.entries]
+    assert sparse.trace == dense.trace
+    assert sparse.state.variables() == dense.state.variables()
+    for i in probe_indices([sparse.state], seed):
+        for var in sparse.state.variables():
+            a, b = sparse.state.read(var, i), dense.state.read(var, i)
+            assert same_value(a, b), (var, i.text(), a, b)
+
+
+LOOPS = {
+    # masked writes under nested ifz; `lt(t, 0)` never holds, so one branch
+    # is always empty, and a nested ifz splits that empty part again
+    "nested-ifz": "y := 0.5; for t:int in range(6) { "
+                  "ifz lt(t:int, 3) { ifz lt(t:int, 1) { y := add(y, 1.0) } "
+                  "else { ifz lt(t:int, 0) { y := 5.0 } else { skip } } } "
+                  "else { y := mul(y, 2.0) }; "
+                  "ifz lt(t:int, 0) { ifz lt(t:int, 1) { z := 1.0 } "
+                  "else { w := 2.0 } } else { skip }; score(y) }",
+    # a NaN carried from round to round is equal to itself, also when
+    # `neg` flips its sign bit
+    "nan-carried": "big := 1e300 * 1e300; n := sub(big, big); "
+                   "for t:int in range(4) { y := n; x := add(y, 1.0); "
+                   "score(0.0) }",
+    "nan-sign": "big := 1e300 * 1e300; y := sub(big, big); "
+                "for t:int in range(3) { y := neg(y); score(0.0) }",
+    # mul declines on the lanes (a product may reach 2**62) and runs per
+    # thread, reading each thread's t from the lane arrays
+    "per-thread-read": "n:int := 2305843009213693952; y := 0.0; "
+                       "for t:int in range(5) { "
+                       "m:int := mul(add(n:int, t:int), 2); "
+                       "y := add(y, to_real(sub(m:int, n:int))); score(y) }",
+    # the fetch index changes from round to round, until k settles
+    "fetch-carried": "k:int := 0; for t:int in range(9) { "
+                     "k:int := add(k:int, t:int); "
+                     "y := fetch([(\"y\", mod(k:int, 7))]); score(y) }",
+    "nan-score": "big := 1e300 * 1e300; for t:int in range(3) { "
+                 "ifz lt(t:int, 1) { score(1.0) } else { score(sub(big, big)) } }",
+    "arm": "p1 := 0.0; p2 := 0.0; for i:int in range(9) { "
+           "y := fetch([(\"y\", i:int)]); score(normal_logpdf(y, add(p1, p2), 1.0)); "
+           "p2 := p1; p1 := y }",
+    "nested": "for s:int in range(3) { prev := 20.0; for t:int in range(9) { "
+              "u := fetch([(\"u\", s:int); (\"t\", t:int)]); "
+              "ifz rlt(u, 0.0) { score(normal_logpdf(u, prev, 0.5)) } "
+              "else { score(neg(prev)) }; prev := add(prev, u) } }",
+}
+LOOPS.update({f"partial-{op}": PARTIAL.format(init=init, one=one, expr=expr)
+              for op, (init, one, expr) in {
+                  "log": ("y := 0.0", "y := 1.0", "log(y)"),
+                  "div": ("y := 0.0", "y := 1.0", "div(1.0, y)"),
+                  "mod": ("n:int := 0", "n:int := 1", "to_real(mod(5, n:int))"),
+                  "normal_logpdf": ("y := 0.0", "y := 1.0",
+                                    "normal_logpdf(0.0, 0.0, y)")}.items()})
+NORMAL = Rdb({}, "normal", 0.0, 11)
+
+
+@pytest.mark.parametrize("mode", [FIXPOINT, UNROLLED])
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_resident_loops_run_as_on_sparse(name, mode, resident):
+    program = vectorise(parse(LOOPS[name]))
+    for chain in (ROOT_CHAIN, TWO):
+        resident.clear()
+        sparse, dense = run_both(program, chain, NORMAL, mode)
+        assert_agree(sparse, dense)
+        assert resident and resident[0]
+
+
+def test_int_overflow_inside_a_resident_loop(resident):
+    # sparse ints do not overflow: the dense backend's named error instead
+    program = vectorise(parse(
+        "n:int := 3037000500; for t:int in range(3) { "
+        "m:int := add(mul(n:int, n:int), t:int); score(to_real(m:int)) }"))
+    sparse, dense = run_both(program)
+    assert sparse.score.entries[EMPTY] > 2.0 ** 63
+    assert dense == ("IntOverflow", "int 9223372037000250002 lies outside "
+                                    "int64, the dense backend's int type")
+    assert resident == [True]
+
+
+def test_a_variable_written_only_on_empty_branches_stays_absent(resident):
+    sparse, dense = run_both(vectorise(parse(LOOPS["nested-ifz"])))
+    assert_agree(sparse, dense)
+    assert resident == [True]
+    names = {var.name for var in dense.state.variables()}
+    assert "y" in names and not names & {"z", "w"}
+
+
+def test_a_resident_loop_reads_per_thread_where_the_lanes_decline(
+        resident, monkeypatch):
+    reads = []
+    read = ResidentState.read
+    monkeypatch.setattr(ResidentState, "read", lambda self, var, i:
+                        reads.append(var.name) or read(self, var, i))
+    sparse, dense = run_both(vectorise(parse(LOOPS["per-thread-read"])))
+    assert_agree(sparse, dense)
+    assert resident == [True] and {"n", "t"} <= set(reads)
+
+
+def test_for_inside_a_resident_loop(resident):
+    program = parse('x := 1.0; extend_index("s", 4) { loop_fixpt_noacc(4) { '
+                    'shift("s"); t:int := lookup_index("s"); '
+                    'for j:int in range(3) { '
+                    'x := add(x, to_real(mul(t:int, j:int))) }; score(x) } }',
+                    "target")
+    sparse, dense = run_both(program, TWO)
+    assert_agree(sparse, dense)
+    assert resident == [True]
+    assert sparse.trace[0].rounds == 4
+
+
+def test_entry_grids_storing_values_above_the_members_run_on_grids(resident):
+    # x stores 7.0 above the member [("s",1)]: round 1 leaves every member's
+    # lane as it was but overwrites that value, so the fixed point needs a
+    # second round, as on the sparse backend
+    x = Variable("x", REAL)
+    cells = {x: PMap({EMPTY: 0.0, Index((("s", 1), ("u", 0))): 7.0})}
+    program = parse('extend_index("s", 3) { loop_fixpt_noacc(3) { '
+                    'shift("s"); x := 0.0; score(x) } }', "target")
+    sparse, dense = run_both(program, cells=cells)
+    assert_agree(sparse, dense)
+    assert resident == [False]
+    assert sparse.trace[0].rounds == 2
+    # an entry grid with the loop's own axis runs on grids too
+    resident.clear()
+    cells = {x: PMap({EMPTY: 0.0, Index((("s", 1),)): 7.0})}
+    sparse, dense = run_both(program, cells=cells)
+    assert_agree(sparse, dense)
+    assert resident == [False]
+
+
+def test_a_grid_a_shift_would_shrink_keeps_the_loop_on_grids(resident):
+    # v is 0.0 on both threads and below them, so a copy drops its axis
+    # "out", 3 wide; the loop runs on the part out = 0, which needs 2, and
+    # on grids the write that follows regrows the axis 2 wide
+    program = parse('v := 0.0; o:int := lookup_index("out"); '
+                    'ifz lt(o:int, 1) { extend_index("s", 3) { '
+                    'loop_fixpt_noacc(3) { shift("s"); v := add(v, 1.0) } } } '
+                    'else { skip }', "target")
+    sparse, dense = run_both(program, TWO)
+    assert_agree(sparse, dense)
+    assert resident == [False]
+    assert dense.state.grid(Variable("v", REAL)).shape == (2,)
+
+
+def test_every_loop_of_arm_hmm_and_tcm_innermost_runs_resident(resident):
+    from vecloop.bench import arm_program, hmm_program, tcm_program
+
+    for program, site in ((arm_program(20, 3), 0), (hmm_program(20, 2), 0),
+                          (tcm_program(3, 10), 1)):
+        resident.clear()
+        sparse, dense = run_both(vectorise(program), db=NORMAL)
+        assert_agree(sparse, dense)
+        # tcm's outer loop holds a loop, so it runs on grids; its inner loop
+        # runs once per outer round, on all outer threads at once
+        runs = [record for record in sparse.trace if record.site == site]
+        assert resident == [True] * len(runs) and runs
+
+
+def test_generated_programs_run_alike_in_lanes_and_on_grids(resident):
+    for seed in range(60):
+        cfg = GenConfig(seed=seed)
+        db = gen_rdb(seed)
+        run_dense(vectorise(gen_program(cfg)), db=db)
+        program, chain = gen_target_case(seed, cfg)
+        for mode in (FIXPOINT, UNROLLED):
+            run_dense(program, chain, db, mode)
+    assert resident.count(True) >= 100
+
+
+def _arm_counts(monkeypatch, k: int) -> tuple[int, int, int]:
+    """`DenseMap._written` calls, batched hash passes and rounds of one
+    dense run of vectorised arm N=48."""
+    from vecloop import dense
+    from vecloop.bench import arm_program
+
+    calls = {"written": 0, "hashed": 0}
+
+    def counted(name, original):
+        def run(*args):
+            calls[name] += 1
+            return original(*args)
+        return run
+
+    monkeypatch.setattr(DenseMap, "_written",
+                        counted("written", DenseMap._written))
+    monkeypatch.setattr(dense, "_hash_normal_lanes",
+                        counted("hashed", dense._hash_normal_lanes))
+    out = run_tgt(vectorise(arm_program(48, k)), NORMAL, backend=DENSE)
+    monkeypatch.undo()
+    return calls["written"], calls["hashed"], out.trace[0].rounds
+
+
+def test_grid_writes_and_hash_passes_do_not_grow_with_rounds(monkeypatch):
+    # K + 1 rounds each; the grids are written once at loop exit (i, y and
+    # p1..pK) and once by the extend_index's exit copy, and the fetch's
+    # index lanes repeat every round, so the database is hashed once
+    assert _arm_counts(monkeypatch, 4) == (2 * (4 + 2), 1, 5)
+    assert _arm_counts(monkeypatch, 16) == (2 * (16 + 2), 1, 17)
