@@ -15,10 +15,13 @@ axes of the active chain.  `DenseState` holds one DenseMap per variable.
 A statement runs once per chain, not once per thread.  The chain's members,
 grouped by their string sequence, become integer columns (`_Group`, built
 once per chain, from the parent's columns for a chain `AChain.extend`
-made); a map reads a whole group with one fancy index (`DenseMap.gather`)
-and writes one with one assignment, an expression is evaluated once per
-operator node over all lanes (`DenseState.lanes`), and a fetch on a wide
-enough chain hashes every lane's index in one pass (`DenseState.fetched`).
+made).  An `ifz` splits a chain into parts; each part keeps its base
+chain, the chain the splits started from, and its rows in it
+(`_part_of`), and takes those rows of the base's columns.  A map reads a
+whole group with one fancy index (`DenseMap.gather`) and writes one with
+one assignment, an expression is evaluated once per operator node over
+all lanes (`DenseState.lanes`), and a fetch on a wide enough chain hashes
+every lane's index in one pass (`DenseState.fetched`).
 Lane forms give the results the scalar ones give, bit for bit; anything
 exceptional sends the statement back to one evaluation per thread.
 
@@ -28,27 +31,26 @@ entry state allows it (`DenseState.resident`): the chain has one string
 sequence and every grid's axes are a proper prefix of it, without the
 loop's own string.  Each variable the body writes is then one array over
 the chain; the shift is a slice copy plus the parents' values, read once;
-a write under `ifz` is a masked write; a fixed-point check, round 1
-included, compares arrays, since no entry grid stores a value above a
-member; and at exit each written variable is written back to its grid
-once.  The scores, and the grids once the extend_index's exit copy has
-run, are those of running each round on grids, bit for bit.
+a write under `ifz` is a masked write at the part's rows; a fixed-point
+check, round 1 included, compares arrays, since no entry grid stores a
+value above a member; scores go into slots that start each round at 0.0;
+and at exit each written variable is written back to its grid once.  The
+scores, and the grids once the extend_index's exit copy has run, are
+those of running each round on grids, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import islice, repeat
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
-                     PrimitiveDomainError, ScoreNaN, UnknownString,
-                     VecloopError)
+                     ScoreNaN, UnknownString, VecloopError)
 from .evalexpr import eval_lanes, expr_kind
 from .indices import AChain, Index
-from .ops import LOG_2PI, normal_logpdf
+from .ops import normal_logpdf
 from .pmap import PMap
 from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
                   box_muller, fnv1a)
@@ -102,18 +104,33 @@ def _grouped(indices: Sequence[Index]) -> tuple[_Group, ...]:
 
 
 _COLUMNS = "dense.columns"
+_PART = "dense.part"
+
+
+def _part_of(chain: AChain) -> tuple[AChain, Optional[np.ndarray]]:
+    """The chain `split` made this chain a part of, through any number of
+    splits, and the chain's rows in it; (chain, None) for a chain that no
+    split made."""
+    return chain.memo.get(_PART) or (chain, None)
 
 
 def _columns(chain: AChain) -> tuple[_Group, ...]:
-    """The chain's members as grouped columns, built once per chain: from
-    the parent's columns for a chain that `AChain.extend` built, else from
-    the members."""
+    """The chain's members as grouped columns, built once per chain: for a
+    part, its rows of its base chain's columns; for a chain that
+    `AChain.extend` built, from the parent's columns; else from the
+    members."""
     groups = chain.memo.get(_COLUMNS)
     if groups is None:
-        origin = chain.origin
-        groups = chain.memo[_COLUMNS] = (
-            _grouped(tuple(chain)) if origin is None
-            else _extended(_columns(origin[0]), origin[1], origin[2]))
+        base, rows = _part_of(chain)
+        if not chain:
+            groups = ()
+        elif rows is not None:
+            groups = _subset(_columns(base), rows, len(base))
+        elif chain.origin is not None:
+            groups = _extended(_columns(chain.origin[0]), *chain.origin[1:])
+        else:
+            groups = _grouped(tuple(chain))
+        chain.memo[_COLUMNS] = groups
     return groups
 
 
@@ -151,10 +168,13 @@ def _relocation_columns(rho: Mapping[Index, Index]):
     return found
 
 
-def _subset(groups: tuple[_Group, ...], keep: np.ndarray) -> tuple[_Group, ...]:
-    """The columns of the members `keep` selects, in the order they keep."""
+def _subset(groups: tuple[_Group, ...], rows: np.ndarray,
+            count: int) -> tuple[_Group, ...]:
+    """The columns of the members at `rows`, ascending, of `count`."""
     if groups[0].rows is None:
-        return (_Group(groups[0].names, groups[0].matrix[keep], None),)
+        return (_Group(groups[0].names, groups[0].matrix[rows], None),)
+    keep = np.zeros(count, bool)
+    keep[rows] = True
     position = np.cumsum(keep) - 1
     return tuple(_Group(g.names, g.matrix[mine], position[g.rows[mine]])
                  for g in groups if (mine := keep[g.rows]).any())
@@ -279,15 +299,15 @@ class DenseMap:
         return m
 
     def copied(self, rho: Mapping[Index, Index]) -> "DenseMap":
-        """Relocate represented values along the injective map `rho`, then
-        drop the trailing axes along which the grid is constant."""
-        return self._relocated(*_relocation_columns(rho), len(rho))
+        """Relocate represented values along the injective map `rho`, one
+        gather at its sources and one scatter at its targets, then trim."""
+        sources, targets = _relocation_columns(rho)
+        return self._written(targets, self.gather(sources, len(rho))).trimmed()
 
-    def _relocated(self, sources: tuple[_Group, ...],
-                   targets: tuple[_Group, ...], count: int) -> "DenseMap":
-        """`copied`, with rho's sources and targets grouped: one gather at
-        the sources, one scatter at the targets."""
-        m = self._written(targets, self.gather(sources, count))
+    def trimmed(self) -> "DenseMap":
+        """This map without the trailing axes along which its grid is
+        constant, bit for bit; no read changes."""
+        m = self
         while m.axes and (short := m._dropped(len(m.axes) - 1, True)) is not None:
             m = short
         return m
@@ -454,7 +474,7 @@ class DenseState(StateBase):
     def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
         """The chain's column of `name`; None on an empty chain and where a
         member lacks the string, so that the interpreter fails as one
-        lookup per thread does."""
+        lookup per thread does.  Both dense states share this rule."""
         groups = _columns(chain)
         if not chain or any(name not in g.names for g in groups):
             return None
@@ -466,14 +486,18 @@ class DenseState(StateBase):
         return Lanes(chain, found)
 
     def split(self, cond: Lanes) -> tuple[AChain, AChain]:
-        """The chain's members whose `cond` lane is 0, and the rest; each
-        part keeps its rows of the chain's columns.  `cond` may hold an
-        array or a list."""
-        parts, keeps = _split(cond)
-        groups = _columns(cond.chain)
-        for part, keep in zip(parts, keeps):
-            if part:
-                part.memo[_COLUMNS] = _subset(groups, keep)
+        """The chain's members whose `cond` lane is 0, and the rest.  Each
+        part, an empty one too, records its base chain (`_part_of`) and its
+        rows in it, from which `_columns` builds its columns on first use.
+        `cond` may hold an array or a list.  Both dense states share this
+        rule."""
+        zero = np.asarray(cond.data) == 0
+        parts = cond.chain.compress(zero.tolist())
+        base, rows = _part_of(cond.chain)
+        if rows is None:
+            rows = np.arange(len(cond.chain))
+        for part, keep in zip(parts, (zero, ~zero)):
+            part.memo[_PART] = (base, rows[keep])
         return parts
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
@@ -489,9 +513,7 @@ class DenseState(StateBase):
     def copied(self, rho: Mapping[Index, Index]) -> "DenseState":
         if not rho:
             return self
-        sources, targets = _relocation_columns(rho)
-        return DenseState({v: m._relocated(sources, targets, len(rho))
-                           for v, m in self.cells.items()})
+        return DenseState({v: m.copied(rho) for v, m in self.cells.items()})
 
     def same_function(self, other: "DenseState") -> bool:
         for var in sorted(self.variables() | other.variables(),
@@ -505,8 +527,8 @@ class DenseState(StateBase):
                          for var, m in sorted(self.cells.items(),
                                               key=lambda kv: kv[0].sort_key()))
 
-    def resident(self, writes: frozenset[Variable], chain: AChain,
-                 restore: list[float]) -> Optional["ResidentState"]:
+    def resident(self, writes: frozenset[Variable],
+                 chain: AChain) -> Optional["ResidentState"]:
         """This state as the start of a loop whose rounds run on lane
         arrays, or None when the loop must run on grids.
 
@@ -530,7 +552,7 @@ class DenseState(StateBase):
             m = self.cells.get(var)
             if m is not None and not _regrows_alike(m, needs):
                 return None
-        loop = _Loop(self, chain, restore)
+        loop = _Loop(self, chain)
         return ResidentState(loop, {var: loop.start(var) for var
                                     in sorted(writes, key=Variable.sort_key)})
 
@@ -546,10 +568,7 @@ def _regrows_alike(m: DenseMap, needs: Sequence[int]) -> bool:
             in enumerate(zip(m.cells.shape, needs)) if extent > need]
     if not wide:
         return True
-    kept = m
-    while kept.axes and (short := kept._dropped(len(kept.axes) - 1, True)) is not None:
-        kept = short
-    return max(wide) < len(kept.axes)
+    return max(wide) < len(m.trimmed().axes)
 
 
 def _lanes(expr, chain: AChain, gather) -> Optional[Lanes]:
@@ -600,13 +619,6 @@ def _index_columns(state, index: IndexExpr, chain: AChain):
     return names, columns
 
 
-def _split(cond: Lanes):
-    """The parts of `cond.chain` whose lane is 0 and the rest, with the
-    flags that pick each part's rows."""
-    zero = np.asarray(cond.data) == 0
-    return cond.chain.compress(zero.tolist()), (zero, ~zero)
-
-
 def _nan_free(lanes: Lanes) -> None:
     """Raise ScoreNaN at the first NaN lane in chain order, as the
     per-thread rule would; a list was checked lane by lane already."""
@@ -625,26 +637,23 @@ def _same_lanes(a: np.ndarray, b: np.ndarray) -> bool:
         a.dtype == np.float64 and np.array_equal(a, b, equal_nan=True))
 
 
-_ROWS = "dense.rows"
-
-
 class _Loop:
     """What the rounds of one lane-resident loop share.
 
     The state the loop entered with and its chain, parent.extend(name,
     count), in whose order the parent's r-th member has its children at
     rows r * count + k; each written variable's value at the parent's
-    members; the score slots of the chain's members, restarted each round
-    from `restore`; each fetch's last index columns and values; and which
-    variables a round wrote.
+    members; the score slots of the chain's members, which start each round
+    at 0.0, as the extend_index whose whole body the loop is has just set
+    them; each fetch's last index columns and values; and which variables a
+    round wrote.
     """
 
-    def __init__(self, entry: DenseState, chain: AChain, restore: list[float]):
+    def __init__(self, entry: DenseState, chain: AChain):
         parent, _, self.count = chain.origin
         self.entry = entry
         self.chain = chain
-        self.restore = np.array(restore, np.float64)
-        self.slots = self.restore.copy()
+        self.slots = np.zeros(len(chain))
         self.parents: dict[Variable, object] = {}
         self.written: set[Variable] = set()
         self.fetches: dict[int, tuple] = {}
@@ -675,8 +684,8 @@ class _Loop:
 
     def rows(self, chain: AChain) -> Optional[np.ndarray]:
         """The chain's rows in the loop's chain; None for the whole of it.
-        Every other chain a round meets is a part `split` made."""
-        return None if chain is self.chain else chain.memo[_ROWS]
+        Every other chain a round meets is a part `split` made of it."""
+        return _part_of(chain)[1]
 
 
 class ResidentState(StateBase):
@@ -734,24 +743,8 @@ class ResidentState(StateBase):
         self.loop.fetches[id(index)] = (columns, values)
         return Lanes(chain, values)
 
-    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
-        (group,) = _columns(self.loop.chain)
-        if not chain or name not in group.names:
-            return None
-        column = _column(group, name)
-        rows = self.loop.rows(chain)
-        return Lanes(chain, column if rows is None else column[rows])
-
-    def split(self, cond: Lanes) -> tuple[AChain, AChain]:
-        """As DenseState.split; each part keeps its rows of the loop's
-        chain, an empty part too."""
-        parts, keeps = _split(cond)
-        rows = self.loop.rows(cond.chain)
-        if rows is None:
-            rows = np.arange(len(cond.chain))
-        for part, keep in zip(parts, keeps):
-            part.memo[_ROWS] = rows[keep]
-        return parts
+    looked_up = DenseState.looked_up
+    split = DenseState.split
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
         """Into the loop's score slots; `written_back` moves them into the
@@ -794,9 +787,9 @@ class ResidentState(StateBase):
                    for var, lanes in self.regs.items())
 
     def restart(self) -> None:
-        """Reset the score slots to the loop's entry values: a round's
-        scores replace the previous round's."""
-        self.loop.slots[:] = self.loop.restore
+        """Reset the score slots to 0.0: a round's scores replace the
+        previous round's."""
+        self.loop.slots.fill(0.0)
 
     def written_back(self, buffer: dict) -> DenseState:
         """The grids at loop exit, and the final round's scores in
@@ -870,17 +863,12 @@ def _to_real(a):
 
 
 def _normal_logpdf(x, mean, sd):
-    # with one deviation for all lanes, math.log runs once and the rest is
-    # IEEE arithmetic in the scalar form's order; numpy's log need not
-    # round as libm's does, so a deviation per lane maps the scalar form
+    # with one deviation for all lanes, the scalar form runs on the lanes:
+    # math.log once, and the rest IEEE arithmetic in its order; numpy's log
+    # need not round as libm's does, so a deviation per lane maps it
     if isinstance(sd, np.ndarray):
         return _each(normal_logpdf, [x, mean, sd], REAL)
-    if sd <= 0.0:
-        raise PrimitiveDomainError("normal_logpdf", (x, mean, sd))
-    spread = 2.0 * sd * sd
-    _nonzero(spread)
-    gap = np.subtract(x, mean)
-    return -0.5 * LOG_2PI - math.log(sd) - gap * gap / spread
+    return normal_logpdf(x, mean, sd)
 
 
 # (op, result kind) -> lane form giving the scalar form's results exactly;

@@ -63,8 +63,14 @@ def normal_logpdf(x: float, mean: float, sd: float) -> float:
     if sd <= 0.0:
         raise PrimitiveDomainError("normal_logpdf", (x, mean, sd))
     gap = x - mean
+    spread = 2.0 * sd * sd
+    if spread == 0.0:
+        # 2 sd^2 underflows (sd below about 1e-162): square the gap in
+        # units of sd instead
+        q = gap / sd
+        return -0.5 * LOG_2PI - math.log(sd) - 0.5 * (q * q)
     # gap * gap tops out at IEEE infinity, giving log-density -inf
-    return -0.5 * LOG_2PI - math.log(sd) - gap * gap / (2.0 * sd * sd)
+    return -0.5 * LOG_2PI - math.log(sd) - gap * gap / spread
 
 
 # op -> (argument kinds, result kind, implementation)

@@ -4,8 +4,9 @@ A flag records, per variable and per active index, whether the first
 access in the current scope was a read (0) or a write (1).  The relaxed
 loop masks write-first indices out of its fixed-point comparison, which
 can retire speculation one round earlier than plain state equality.
-Every other command runs by the target interpreter's rules, which record
-the flag as they go.
+Every other command first records its own accesses in the flag (the reads
+of its expression, then the write of its variable) and then runs by the
+target interpreter's rules.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
-from .evalexpr import eval_expr
+# not called here: perfbench/tracer.py wraps eval_expr in every
+# interpreter module, this one included
+from .evalexpr import eval_expr  # noqa: F401
 from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
 from .state import SPARSE, TgtOutcome, make_state
-from .syntax import Cmd, ExtendedLoopShift, Variable, validate_tier
+from .syntax import (Assign, Cmd, ExtendedLoopShift, Fetch, For, Ifz,
+                     LookupIndex, Score, Variable, free_vars, validate_tier)
 from .target_interp import FIXPOINT, _TargetRun, shift_rho
 
 
@@ -85,21 +89,40 @@ def fixcheck(state0, state1, flag: Flag, chain: AChain) -> bool:
     return True
 
 
+# the field holding the expression a command reads
+_READS = {Score: "expr", Assign: "expr", Fetch: "index", Ifz: "cond"}
+
+
 class _RelaxedRun(_TargetRun):
-    """The shared rules with first accesses recorded, plus the fused loop."""
+    """The shared rules with first accesses recorded, plus the fused loop.
+
+    `first` is {Variable: {Index: bit}}: each variable's first access per
+    index, read (0) or write (1).
+    """
 
     def __init__(self, program: Cmd, db: Rdb, chain: AChain):
         super().__init__(program, db, FIXPOINT, chain)
-        self.first = {}
-
-    def eval_at(self, expr, state, i: Index):
-        # looked up in this module, where perfbench/tracer.py wraps it
-        return eval_expr(expr, lambda var: state.read(var, i))
+        self.first: dict[Variable, dict[Index, int]] = {}
 
     def run(self, c: Cmd, state, chain: AChain):
+        """Record the accesses `c` makes before its subcommands run, then
+        run it: a for-loop writes its counter only when it iterates."""
         if isinstance(c, ExtendedLoopShift):
             return self.run_fused(c, state, chain)
+        read = _READS.get(type(c))
+        if read is not None:
+            for var in free_vars(getattr(c, read)):
+                self.note(var, ((i, 0) for i in chain))
+        if (isinstance(c, (Assign, Fetch, LookupIndex))
+                or isinstance(c, For) and c.count > 0):
+            self.note(c.var, ((i, 1) for i in chain))
         return super().run(c, state, chain)
+
+    def note(self, var: Variable, bits) -> None:
+        """Record (index, bit) pairs; an index's first access sticks."""
+        cell = self.first.setdefault(var, {})
+        for i, b in bits:
+            cell.setdefault(i, b)
 
     def run_fused(self, c: ExtendedLoopShift, state, chain: AChain):
         inner = self.extended(chain, c.name, c.count)

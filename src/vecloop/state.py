@@ -102,7 +102,7 @@ class StateBase:
         for i, value in lanes.items():
             buffer[i] += value
 
-    def resident(self, writes, chain: AChain, restore: list):
+    def resident(self, writes, chain: AChain):
         """A state on which a loop over `chain` that writes `writes` runs
         its rounds in lane arrays, or None to run them on this state, as
         the sparse backend always does."""

@@ -12,8 +12,8 @@ number of rounds.  Both keep only the final round's scores: each round
 starts from the buffer entries the loop began with.  A loop that
 `resident_loops` admits runs its rounds on the state's lane arrays where
 the backend offers them (`StateBase.resident`), by the same rules.  The
-relaxed interpreter (`relaxed.py`) runs the same rules and adds its fused
-loop.
+relaxed interpreter (`relaxed.py`) records each command's own accesses,
+runs it by the same rules, and adds its fused loop.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
                     make_state)
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
-                     Variable, free_vars, subcommands, walk, validate_tier)
+                     Variable, subcommands, walk, validate_tier)
 
 FIXPOINT = "fixpoint"
 UNROLLED = "unrolled"
@@ -127,10 +127,7 @@ class _TargetRun:
 
     Each rule returns the new state and adds its scores into `score`, the
     run's buffer, which holds an entry for every index of every active
-    chain.  `first` is None in target runs.  Relaxed runs set it to a record
-    {Variable: {Index: bit}} of each variable's first access per index,
-    read (0) or write (1); the rules report their accesses through `reads`
-    and `writes`, in execution order.
+    chain.
     """
 
     def __init__(self, program: Cmd, db: Rdb, mode: str, chain: AChain):
@@ -141,7 +138,6 @@ class _TargetRun:
         self.inner_chains: dict[tuple, AChain] = {}
         self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
         self.trace: list[LoopRound] = []
-        self.first: Optional[dict[Variable, dict[Index, int]]] = None
 
     def eval_at(self, expr, state, i: Index):
         return eval_expr(expr, lambda var: state.read(var, i))
@@ -153,23 +149,6 @@ class _TargetRun:
         if lanes is None:
             lanes = Lanes(chain, [self.eval_at(expr, state, i) for i in chain])
         return lanes
-
-    def reads(self, expr, chain: AChain) -> None:
-        """Note a read of each free variable of `expr` on the chain."""
-        if self.first is not None:
-            for var in free_vars(expr):
-                self.note(var, ((i, 0) for i in chain))
-
-    def writes(self, var: Variable, chain: AChain) -> None:
-        """Note a write of `var` on the chain."""
-        if self.first is not None:
-            self.note(var, ((i, 1) for i in chain))
-
-    def note(self, var: Variable, bits) -> None:
-        """Record (index, bit) pairs; an index's first access sticks."""
-        cell = self.first.setdefault(var, {})
-        for i, b in bits:
-            cell.setdefault(i, b)
 
     def run(self, c: Cmd, state, chain: AChain):
         """Run `c` on the chain and return the new state."""
@@ -189,12 +168,9 @@ class _TargetRun:
                     values.append(value)
                 lanes = Lanes(chain, values)
             state.add_scores(self.score, lanes)
-            self.reads(c.expr, chain)
             return state
         if isinstance(c, Assign):
             written = self.values(c.expr, state, chain)
-            self.reads(c.expr, chain)
-            self.writes(c.var, chain)
             return state.updated(c.var, written)
         if isinstance(c, Fetch):
             written = state.fetched(c.index, chain, self.db)
@@ -202,8 +178,6 @@ class _TargetRun:
                 written = Lanes(chain, [
                     self.db.lookup(self.eval_at(c.index, state, i))
                     for i in chain])
-            self.reads(c.index, chain)
-            self.writes(c.var, chain)
             return state.updated(c.var, written)
         if isinstance(c, Seq):
             for item in c.items:
@@ -211,13 +185,11 @@ class _TargetRun:
             return state
         if isinstance(c, Ifz):
             zero, nonzero = state.split(self.values(c.cond, state, chain))
-            self.reads(c.cond, chain)
             state = self.run(c.then, state, zero)
             return self.run(c.orelse, state, nonzero)
         if isinstance(c, For):
             for k in range(c.count):
                 state = state.updated(c.var, Lanes(chain, [k] * len(chain)))
-                self.writes(c.var, chain)
                 state = self.run(c.body, state, chain)
             return state
         if isinstance(c, LookupIndex):
@@ -232,7 +204,6 @@ class _TargetRun:
                         )
                     values.append(value)
                 found = Lanes(chain, values)
-            self.writes(c.var, chain)
             return state.updated(c.var, found)
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))
@@ -247,16 +218,15 @@ class _TargetRun:
 
     def run_loop(self, c: LoopFixpt, state, chain: AChain):
         """The loop's rounds, in lane arrays where the state offers them
-        (`StateBase.resident`) and the run records no accesses."""
+        (`StateBase.resident`)."""
         def one_round(k: int, state):
             after = self.run(c.body, state, chain)
             return after, self.mode == FIXPOINT and state.same_function(after)
 
-        restore = {i: self.score[i] for i in chain}
-        writes = self.resident.get(id(c)) if self.first is None else None
-        lanes = (None if writes is None else
-                 state.resident(writes, chain, list(restore.values())))
+        writes = self.resident.get(id(c))
+        lanes = None if writes is None else state.resident(writes, chain)
         if lanes is None:
+            restore = {i: self.score[i] for i in chain}
             return self.run_rounds(c, partial(self.score.update, restore),
                                    one_round, state)
         lanes = self.run_rounds(c, lanes.restart, one_round, lanes)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -246,3 +247,13 @@ def test_dense_int64_overflow_exits_3_without_traceback(tmp_path, capsys):
     assert proc.returncode == 3
     assert proc.stderr.startswith("IntOverflow: int 9223372037000250000 ")
     assert "Traceback" not in proc.stderr
+
+
+def test_an_underflowing_normal_variance_runs_without_traceback(tmp_path):
+    # 2 * sd * sd is 0.0 here; the scalar rule once divided by it
+    program = tmp_path / "tiny_sd.vl"
+    program.write_text("x := 1.0; score(normal_logpdf(x, 0.0, 1e-170))")
+    proc = cli_process(["run", "--tier", "source", "--program", str(program)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["score"] == -math.inf

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -8,8 +9,10 @@ from vecloop.harness import (GenConfig, MUTANTS, check_embedding,
                              run_one, shrink)
 from vecloop.parser import parse
 from vecloop.rdb import Rdb
-from vecloop.source_interp import SrcState
+from vecloop.source_interp import SrcState, run_src
+from vecloop.state import DENSE, SPARSE, make_state
 from vecloop.syntax import Skip, Variable, print_cmd
+from vecloop.target_interp import run_tgt
 from vecloop.translate import vectorise
 
 # A loop that copies one NaN (inf - inf) each round; every oracle must
@@ -68,6 +71,31 @@ def test_check_soundness_trivial_and_fixture():
     assert check_soundness(hmm, gen_rdb(3)).ok
     for program in (NAN_LOOP, NEG_INF_SCORE):
         report = check_soundness(program, Rdb())
+        assert report.ok, report.detail
+
+
+# 2 * sd * sd underflows to 0.0: the first scores -inf, the others are
+# finite, the last on a loop whose dense run evaluates lanes
+UNDERFLOWING_SD = [
+    ("x := 1.0; score(normal_logpdf(x, 0.0, 1e-170))", -math.inf),
+    ("x := 1.0; score(normal_logpdf(x, 1.0, 1e-170))",
+     -0.5 * math.log(2.0 * math.pi) - math.log(1e-170)),
+    ("for t:int in range(3) { x := mul(to_real(t:int), 1e-170); "
+     "score(normal_logpdf(x, 0.0, 1e-170)) }", None),
+]
+
+
+@pytest.mark.parametrize("backend", [SPARSE, DENSE])
+def test_soundness_where_the_normal_variance_underflows(backend):
+    def tgt_run(program, db, state, chain, mode):
+        return run_tgt(program, db, make_state(backend, state.cells), chain,
+                       mode, backend)
+
+    for text, want in UNDERFLOWING_SD:
+        program = parse(text)
+        _, score = run_src(program, Rdb(), SrcState())
+        assert score == want if want is not None else math.isfinite(score)
+        report = check_soundness(program, Rdb(), tgt_run=tgt_run)
         assert report.ok, report.detail
 
 

@@ -168,7 +168,7 @@ def test_split_keeps_each_parts_rows_of_the_columns(members, data):
         assert list(part) == sorted(part.members, key=Index.sort_key)
         if part:
             fresh = _grouped(tuple(part))
-            kept = part.memo["dense.columns"]
+            kept = _columns(part)
             for k, i in enumerate(part):
                 assert row_of(kept, k) == row_of(fresh, k) == i.pairs
 

@@ -13,8 +13,8 @@ from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN
 from vecloop.parser import parse
 from vecloop.pmap import PMap
 from vecloop.relaxed import Flag, fixcheck, flag_pull_back, run_relaxed
-from vecloop.state import SPARSE, SparseState, make_state
-from vecloop.syntax import INT, Variable
+from vecloop.state import DENSE, SPARSE, SparseState, make_state
+from vecloop.syntax import INT, For, Variable, seq
 from vecloop.target_interp import FIXPOINT, run_tgt, shift_rho
 from vecloop.translate import lower_relaxed, vectorise, vectorise_relaxed
 
@@ -142,6 +142,30 @@ def test_run_relaxed_assignment_flags():
 def test_read_then_write_keeps_read_flag():
     _, flag = run_relaxed(parse("x := x + 1.0", "relaxed"), gen_rdb(0))
     assert flag.bits(X) == {EMPTY: 0}
+
+
+@pytest.mark.parametrize("backend", [SPARSE, DENSE])
+def test_for_counters_and_branches_record_their_first_access(backend):
+    # a for writes its counter before its body reads it, and only when it
+    # iterates (the parser admits no range(0), a For node does); an ifz
+    # reads its condition before a branch writes it
+    t, k, n, u = (Variable(name, INT) for name in "tknu")
+    program = seq(For(u, 0, parse("y := 1.0", "relaxed")), parse("""
+      for t:int in range(2) { x := add(x, to_real(t:int)) };
+      k:int := lookup_index("rv");
+      ifz lt(k:int, 1) { n:int := 3 } else { skip };
+      ifz lt(n:int, 2) { n:int := 1; y := 2.0 } else { z := y }
+    """, "relaxed"))
+    _, flag = run_relaxed(program, gen_rdb(0), make_state(backend), A_RV,
+                          backend)
+    assert flag == Flag({
+        t: {RV[0]: 1, RV[1]: 1, RV[2]: 1},
+        X: {RV[0]: 0, RV[1]: 0, RV[2]: 0},
+        k: {RV[0]: 1, RV[1]: 1, RV[2]: 1},
+        n: {RV[0]: 1, RV[1]: 0, RV[2]: 0},
+        Y: {RV[0]: 0, RV[1]: 1, RV[2]: 1},
+        Variable("z", "real"): {RV[0]: 1},
+    })
 
 
 def test_engineered_masked_early_exit():
