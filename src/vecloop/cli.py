@@ -19,7 +19,7 @@ from .errors import ParseFailure, TierViolation, VecloopError
 from .indices import ROOT_CHAIN, Index
 from .parser import parse
 from .pmap import PMap
-from .rdb import Rdb
+from .rdb import Rdb, json_number
 from .relaxed import run_relaxed
 from .source_interp import SrcState, run_src
 from .state import SPARSE, make_state
@@ -54,10 +54,13 @@ def _load_state(path: str | None) -> SrcState:
     if not path:
         return SrcState()
     doc = json.loads(_read(path))
+    if not isinstance(doc, dict):
+        raise ValueError(f"--state {path}: expected a JSON object")
     values = {}
     for label, value in doc.items():
         var = _parse_var(label)
-        values[var] = int(value) if var.type == INT else float(value)
+        values[var] = json_number(value, f"--state {path}: {label}",
+                                  integer=var.type == INT)
     return SrcState(values)
 
 

@@ -10,7 +10,11 @@ the first string without an axis, integer without a position, or pair out
 of axis order: no stored value lies above that prefix.  `copied` drops
 trailing axes along which the grid is constant, which changes no read; the
 exit copy of a loop makes its axis constant, so each grid keeps only the
-axes of the active chain.  `DenseState` holds one DenseMap per variable.
+axes of the active chain.  `DenseState` holds one DenseMap per variable in
+the container both backends share (`state.StateBase`).  The grid layout is
+private to this module: a map prints as the canonical entries of the
+function it represents (`DenseMap.canonical`), as a PMap does, so a state
+prints alike on both backends whatever its grids' shapes.
 
 A statement runs once per chain, not once per thread.  The chain's members,
 grouped by their string sequence, become integer columns (`_Group`, built
@@ -34,9 +38,10 @@ the chain; the shift is a slice copy plus the parents' values, read once;
 a write under `ifz` is a masked write at the part's rows; a fixed-point
 check, round 1 included, compares arrays, since no entry grid stores a
 value above a member; scores go into slots that start each round at 0.0;
-and at exit each written variable is written back to its grid once.  The
-scores, and the grids once the extend_index's exit copy has run, are
-those of running each round on grids, bit for bit.
+and at exit each written variable's grid takes each parent's last slot,
+once.  The scores are those of running each round on grids, bit for bit,
+and the state the extend_index's exit copy leaves reads and prints the
+same, though its grids may be wider.
 """
 
 from __future__ import annotations
@@ -334,6 +339,11 @@ class DenseMap:
             mine.dtype == np.float64
             and np.array_equal(mine, theirs, equal_nan=True))
 
+    def canonical(self) -> PMap:
+        """The canonical PMap of the function this map represents, as
+        `PMap.canonical` gives it for any PMap reading alike."""
+        return self._pmap().canonical()
+
     def _pmap(self) -> PMap:
         """The PMap storing every cell at the index it stands for."""
         return PMap(zip(_cell_indices(self.axes, self.cells.shape),
@@ -437,12 +447,6 @@ class DenseState(StateBase):
 
     backend = DENSE
 
-    def __init__(self, cells: Mapping[Variable, DenseMap] | None = None):
-        self.cells: dict[Variable, DenseMap] = dict(cells or {})
-
-    def variables(self) -> set[Variable]:
-        return set(self.cells)
-
     def _map(self, var: Variable) -> DenseMap:
         m = self.cells.get(var)
         return m if m is not None else DenseMap((), np.zeros((), dtype_of(var)))
@@ -510,22 +514,8 @@ class DenseState(StateBase):
             return self
         return DenseState({**self.cells, var: self._map(var).updated(tensor)})
 
-    def copied(self, rho: Mapping[Index, Index]) -> "DenseState":
-        if not rho:
-            return self
-        return DenseState({v: m.copied(rho) for v, m in self.cells.items()})
-
-    def same_function(self, other: "DenseState") -> bool:
-        for var in sorted(self.variables() | other.variables(),
-                          key=Variable.sort_key):
-            if not self._map(var).same_function(other._map(var)):
-                return False
-        return True
-
-    def canonical_text(self) -> str:
-        return "; ".join(f"{var.text()}={m.axes!r}:{m.cells.tolist()!r}"
-                         for var, m in sorted(self.cells.items(),
-                                              key=lambda kv: kv[0].sort_key()))
+    copied = StateBase.copied
+    same_function = StateBase.same_function
 
     def resident(self, writes: frozenset[Variable],
                  chain: AChain) -> Optional["ResidentState"]:
@@ -536,21 +526,14 @@ class DenseState(StateBase):
         sequence, and every grid's axes a proper prefix of that sequence
         without `name`: then no grid stores a value above a member, each
         member reads its parent's value, and no write can meet the axes in
-        another order.  A grid of a variable in `writes` that the loop's
-        shift could shrink (a trailing axis it drops because the grid is
-        constant along it, wider than the chain needs) would regrow to
-        other extents, so it keeps the loop on grids too.
+        another order.
         """
         groups = _columns(chain)
         if chain.origin is None or len(groups) != 1:
             return None
-        names, needs = groups[0].names, groups[0].needs
+        names = groups[0].names
         for m in self.cells.values():
             if len(m.axes) >= len(names) or m.axes != names[:len(m.axes)]:
-                return None
-        for var in writes:
-            m = self.cells.get(var)
-            if m is not None and not _regrows_alike(m, needs):
                 return None
         loop = _Loop(self, chain)
         return ResidentState(loop, {var: loop.start(var) for var
@@ -559,16 +542,6 @@ class DenseState(StateBase):
 
 def _column(g: _Group, name: str) -> np.ndarray:
     return g.matrix[:, g.names.index(name)]
-
-
-def _regrows_alike(m: DenseMap, needs: Sequence[int]) -> bool:
-    """No axis of `m` that is wider than `needs` is among the trailing axes
-    along which `m` is constant (those a relocation drops)."""
-    wide = [axis for axis, (extent, need)
-            in enumerate(zip(m.cells.shape, needs)) if extent > need]
-    if not wide:
-        return True
-    return max(wide) < len(m.trimmed().axes)
 
 
 def _lanes(expr, chain: AChain, gather) -> Optional[Lanes]:
@@ -793,14 +766,16 @@ class ResidentState(StateBase):
 
     def written_back(self, buffer: dict) -> DenseState:
         """The grids at loop exit, and the final round's scores in
-        `buffer`.  A variable no round wrote keeps its entry grid, or stays
-        absent."""
+        `buffer`.  A written variable's grid takes each parent's last slot,
+        the one value the extend_index's exit copy reads; a variable no
+        round wrote keeps its entry grid, or stays absent."""
         loop = self.loop
         buffer.update(zip(loop.chain, loop.slots.tolist()))
+        parent, _, count = loop.chain.origin
         cells = dict(loop.entry.cells)
         for var in sorted(loop.written, key=Variable.sort_key):
             cells[var] = loop.entry._map(var).updated(
-                Lanes(loop.chain, self.regs[var]))
+                Lanes(parent, self.regs[var][count - 1::count]))
         return DenseState(cells)
 
 

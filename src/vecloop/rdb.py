@@ -61,6 +61,23 @@ def hash_normal(i: Index, seed: int) -> float:
     return box_muller(_unit(h), _unit(_mix(h ^ SECOND)))
 
 
+def json_number(value, where: str, integer: bool = False):
+    """A number read from JSON: a float, or the int itself when `integer`.
+    Anything else (a bool, a string, a fraction where an integer is due, an
+    int no float holds) raises ValueError naming `where`."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)):
+        raise ValueError(f"{where}: expected "
+                         f"{'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: {value} lies outside the floats") from None
+
+
 @dataclass(frozen=True)
 class Rdb:
     """Explicit entries over a total default."""
@@ -89,15 +106,41 @@ class Rdb:
         return {"default": default, "entries": entries}
 
     @staticmethod
-    def from_json(doc: dict) -> "Rdb":
+    def from_json(doc) -> "Rdb":
+        """The database `to_json` describes.  A malformed document raises
+        ValueError naming the first bad field."""
+        if not isinstance(doc, dict):
+            raise ValueError("rdb: expected a JSON object")
         default = doc.get("default", {"kind": "const", "value": 0.0})
-        explicit = {
-            Index(tuple((str(n), int(k)) for n, k in entry["index"])): float(entry["value"])
-            for entry in doc.get("entries", [])
-        }
-        if default["kind"] == "const":
-            return Rdb(explicit, "const", float(default["value"]), 0)
-        return Rdb(explicit, "normal", 0.0, int(default["seed"]))
+        entries = doc.get("entries", [])
+        if not isinstance(default, dict):
+            raise ValueError("rdb default: expected a JSON object")
+        if not isinstance(entries, list):
+            raise ValueError("rdb entries: expected a list")
+        explicit = {}
+        for k, entry in enumerate(entries):
+            where = f"rdb entries[{k}]"
+            pairs = entry.get("index") if isinstance(entry, dict) else None
+            if not isinstance(pairs, list) or not all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) for pair in pairs):
+                raise ValueError(f"{where}.index: expected a list of "
+                                 f"[string, integer] pairs")
+            index = Index(tuple((name, json_number(value, f"{where}.index",
+                                                   integer=True))
+                                for name, value in pairs))
+            explicit[index] = json_number(entry.get("value"), f"{where}.value")
+        kind = default.get("kind")
+        if kind == "const":
+            return Rdb(explicit, "const",
+                       json_number(default.get("value"), "rdb default.value"),
+                       0)
+        if kind == "normal":
+            return Rdb(explicit, "normal", 0.0,
+                       json_number(default.get("seed"), "rdb default.seed",
+                                   integer=True))
+        raise ValueError(f'rdb default.kind: expected "const" or "normal", '
+                         f'got {kind!r}')
 
     @staticmethod
     def load(path: str) -> "Rdb":

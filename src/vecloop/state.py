@@ -2,8 +2,10 @@
 
 A state gives every typed variable a partial map read through extend;
 unmentioned variables implicitly hold the constant 0 / 0.0 map.  Two
-interchangeable backends implement the same interface: the sparse one
-(reference) stores PMaps, the dense one stores broadcast grids.
+interchangeable backends share one container, `StateBase`: the sparse one
+(reference) stores PMaps, the dense one `dense.DenseMap` grids.  A state's
+text is that of the function it represents, so it does not depend on the
+backend nor on how a backend lays out its maps.
 """
 
 from __future__ import annotations
@@ -69,7 +71,37 @@ class Relocation(dict):
 
 
 class StateBase:
-    """Methods both backends share, written against their common interface."""
+    """The state container of both backends: `cells` maps each touched
+    variable to its map, and `_map(var)` gives a variable's map or its
+    default.  Each backend keeps its own `read` and `updated`, and binds
+    the shared methods by name (`copied = StateBase.copied`), so that each
+    class holds its own."""
+
+    def __init__(self, cells: Mapping[Variable, object] | None = None):
+        self.cells: dict[Variable, object] = dict(cells or {})
+
+    def variables(self) -> set[Variable]:
+        return set(self.cells)
+
+    def copied(self, rho: Mapping[Index, Index]):
+        if not rho:
+            return self
+        return type(self)({v: m.copied(rho) for v, m in self.cells.items()})
+
+    def same_function(self, other) -> bool:
+        for var in sorted(self.variables() | other.variables(),
+                          key=Variable.sort_key):
+            if not self._map(var).same_function(other._map(var)):
+                return False
+        return True
+
+    def canonical_text(self) -> str:
+        """Each variable's canonical entries, in `Variable.sort_key` order:
+        equal texts mean equal reads everywhere.  The text keeps the sign of
+        a zero its parent does not induce, so it is stricter than
+        `same_function`."""
+        return "; ".join(f"{var.text()}={self._map(var).canonical().text()}"
+                         for var in sorted(self.cells, key=Variable.sort_key))
 
     def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
         """The values of `expr` on the chain, or None when the interpreter
@@ -134,15 +166,11 @@ class SparseState(StateBase):
 
     backend = SPARSE
 
-    def __init__(self, cells: Mapping[Variable, PMap] | None = None):
-        self.cells: dict[Variable, PMap] = dict(cells or {})
-
-    def variables(self) -> set[Variable]:
-        return set(self.cells)
-
     def cell(self, var: Variable) -> PMap:
         cell = self.cells.get(var)
         return cell if cell is not None else _DEFAULT_CELLS[var.type]
+
+    _map = cell
 
     def read(self, var: Variable, i: Index):
         return self.cell(var).extend_eval(i)
@@ -157,25 +185,8 @@ class SparseState(StateBase):
         new[var] = cell
         return SparseState(new)
 
-    def copied(self, rho: Mapping[Index, Index]) -> "SparseState":
-        if not rho:
-            return self
-        return SparseState(
-            {v: cell.copied(rho) for v, cell in self.cells.items()}
-        )
-
-    def same_function(self, other: "SparseState") -> bool:
-        for var in sorted(self.variables() | other.variables(),
-                          key=Variable.sort_key):
-            if not self.cell(var).same_function(other.cell(var)):
-                return False
-        return True
-
-    def canonical_text(self) -> str:
-        parts = []
-        for var in sorted(self.variables(), key=Variable.sort_key):
-            parts.append(f"{var.text()}={self.cell(var).canonical().text()}")
-        return "; ".join(parts)
+    copied = StateBase.copied
+    same_function = StateBase.same_function
 
     def __repr__(self) -> str:
         return f"SparseState({self.canonical_text()})"

@@ -5,9 +5,12 @@ import os
 import pytest
 
 from _support import cli_process
+from vecloop.bench import arm_program, hmm_program, tcm_program
 from vecloop.cli import main
+from vecloop.harness import GenConfig, gen_program, gen_rdb
 from vecloop.indices import Index
 from vecloop.rdb import Rdb
+from vecloop.syntax import print_cmd
 
 HMM = """
 x := 0.0; y := 0.0;
@@ -102,6 +105,34 @@ def test_run_dense_backend_matches_sparse(workdir, capsys, tmp_path):
         json.loads(dense)["roundsPerLoop"]
 
 
+BACKEND_PROGRAMS = {
+    "arm": lambda: arm_program(12, 2),
+    "hmm": lambda: hmm_program(12, 2),
+    "tcm": lambda: tcm_program(3, 6),
+    "generated": lambda: gen_program(GenConfig(seed=6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKEND_PROGRAMS))
+def test_final_state_digest_is_the_same_on_both_backends(name, tmp_path,
+                                                         capsys):
+    source, translated = tmp_path / "p.vl", tmp_path / "t.vl"
+    source.write_text(print_cmd(BACKEND_PROGRAMS[name]()))
+    assert main(["translate", "--to", "target", str(source),
+                 "--out", str(translated)]) == 0
+    db = tmp_path / "db.json"
+    gen_rdb(6).dump(str(db))
+    docs = []
+    for backend in ("sparse", "dense"):
+        code, out = run_cli(["run", "--tier", "target", "--program",
+                             str(translated), "--rdb", str(db),
+                             "--backend", backend], capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+    sparse, dense = docs
+    assert sparse["roundsPerLoop"] and sparse == dense
+
+
 def test_state_file_override(workdir, capsys, tmp_path):
     tmp, _, db = workdir
     program = tmp / "read.vl"
@@ -112,6 +143,31 @@ def test_state_file_override(workdir, capsys, tmp_path):
                          "--rdb", db, "--state", str(state)], capsys)
     assert code == 0
     assert json.loads(out)["score"] == 3.5
+
+
+@pytest.mark.parametrize("option,doc,names", [
+    ("--rdb", "[]", "rdb: expected a JSON object"),
+    ("--rdb", '{"default": []}', "rdb default:"),
+    ("--rdb", '{"entries": [{"index": 5, "value": 1}]}',
+     "rdb entries[0].index:"),
+    ("--rdb", '{"default": {"kind": "weird"}}', "rdb default.kind:"),
+    ("--state", "[1]", "expected a JSON object"),
+    ("--state", '{"x": [1]}', ": x: expected a number"),
+    ("--state", '{"n:int": 1.5}', ": n:int: expected an integer"),
+])
+def test_malformed_rdb_and_state_files_exit_2(workdir, tmp_path, capsys,
+                                              option, doc, names):
+    _, program, _ = workdir
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    commands = [["run", "--tier", "source"]]
+    if option == "--rdb":  # check takes no --state
+        commands.append(["check", "--oracle", "soundness"])
+    for command in commands:
+        assert main(command + ["--program", program, option, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
 
 
 def test_check_subcommand(workdir, capsys):

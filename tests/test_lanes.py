@@ -5,8 +5,8 @@ below (one slice assignment per index, in index order) is how `updated`
 wrote before writes were grouped.  Gathers, scatters and copies over whole
 chains must agree with them, and the lane evaluator must give what
 `eval_expr` gives thread by thread, bit for bit, or decline.  A loop run
-in lane arrays (`ResidentState`) must give what the same loop gives on
-grids, byte for byte, and what the sparse backend gives.
+in lane arrays (`ResidentState`) must give the scores, traces and state
+text the same loop gives on grids, and what the sparse backend gives.
 """
 
 import math
@@ -23,8 +23,7 @@ from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState,
                           dense_encode)
 from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr
-from vecloop.harness import (GenConfig, gen_program, gen_rdb,
-                             gen_target_case, probe_indices)
+from vecloop.harness import GenConfig, gen_program, gen_rdb, gen_target_case
 from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
                              is_antichain, prefix_leq)
 from vecloop.ops import same_value
@@ -102,6 +101,13 @@ def test_gather_is_read_at_every_index(m, indices):
     got = dense.gather(_grouped(indices), len(indices))
     lanes = got.tolist() if isinstance(got, np.ndarray) else [got] * len(indices)
     assert [bits(v) for v in lanes] == [bits(dense.read(i)) for i in indices]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pmaps)
+def test_an_encoded_map_prints_as_the_pmap(m):
+    # text, not PMap equality: it keeps a zero's sign and a NaN equals a NaN
+    assert dense_encode(m, DIMS).canonical().text() == m.canonical().text()
 
 
 @settings(max_examples=300, deadline=None)
@@ -655,8 +661,9 @@ def run_on(backend, program, chain=ROOT_CHAIN, db=CONST0, mode=FIXPOINT,
 
 
 def run_dense(*args, **kwargs):
-    """The dense run, which must be the dense run on grids alone, byte for
-    byte, final grids included."""
+    """The dense run, which must be the dense run on grids alone: the same
+    scores and traces, byte for byte, and the same state text, though the
+    final grids may differ in shape."""
     dense = run_on(DENSE, *args, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DenseState, "resident", lambda self, *offer: None)
@@ -675,9 +682,9 @@ def run_both(*args, **kwargs):
     return run_on(SPARSE, *args, **kwargs), dense
 
 
-def assert_agree(sparse, dense, seed=0):
-    """Equal errors, or equal scores and traces bit for bit and equal
-    reads at the sparse state's indices and random extensions of them."""
+def assert_agree(sparse, dense):
+    """Equal errors, or equal scores and traces bit for bit and equal state
+    texts, so equal reads everywhere."""
     if isinstance(sparse, tuple) or isinstance(dense, tuple):
         assert sparse == dense
         return
@@ -685,11 +692,7 @@ def assert_agree(sparse, dense, seed=0):
     assert [bits(v) for v in sparse.score.entries.values()] == \
         [bits(dense.score.entries[i]) for i in sparse.score.entries]
     assert sparse.trace == dense.trace
-    assert sparse.state.variables() == dense.state.variables()
-    for i in probe_indices([sparse.state], seed):
-        for var in sparse.state.variables():
-            a, b = sparse.state.read(var, i), dense.state.read(var, i)
-            assert same_value(a, b), (var, i.text(), a, b)
+    assert sparse.state.canonical_text() == dense.state.canonical_text()
 
 
 LOOPS = {
@@ -812,18 +815,18 @@ def test_entry_grids_storing_values_above_the_members_run_on_grids(resident):
     assert resident == [False]
 
 
-def test_a_grid_a_shift_would_shrink_keeps_the_loop_on_grids(resident):
-    # v is 0.0 on both threads and below them, so a copy drops its axis
-    # "out", 3 wide; the loop runs on the part out = 0, which needs 2, and
-    # on grids the write that follows regrows the axis 2 wide
+def test_a_grid_a_shift_would_shrink_runs_resident_and_prints_as_on_sparse(
+        resident):
+    # v is 0.0 on both threads and below them, so a copy on grids drops its
+    # axis "out", 3 wide, and the write that follows regrows it 2 wide for
+    # the part out = 0; the lanes keep the entry grid's 3, which reads alike
     program = parse('v := 0.0; o:int := lookup_index("out"); '
                     'ifz lt(o:int, 1) { extend_index("s", 3) { '
                     'loop_fixpt_noacc(3) { shift("s"); v := add(v, 1.0) } } } '
                     'else { skip }', "target")
     sparse, dense = run_both(program, TWO)
     assert_agree(sparse, dense)
-    assert resident == [False]
-    assert dense.state.grid(Variable("v", REAL)).shape == (2,)
+    assert resident == [True]
 
 
 def test_every_loop_of_arm_hmm_and_tcm_innermost_runs_resident(resident):
