@@ -19,15 +19,16 @@ prints alike on both backends whatever its grids' shapes.
 A statement runs once per chain, not once per thread.  The chain's members,
 grouped by their string sequence, become integer columns (`_Group`, built
 once per chain, from the parent's columns for a chain `AChain.extend`
-made).  An `ifz` splits a chain into parts; each part keeps its base
-chain, the chain the splits started from, and its rows in it
-(`_part_of`), and takes those rows of the base's columns.  A map reads a
-whole group with one fancy index (`DenseMap.gather`) and writes one with
-one assignment, an expression is evaluated once per operator node over
-all lanes (`DenseState.lanes`), and a fetch on a wide enough chain hashes
-every lane's index in one pass (`DenseState.fetched`).
-Lane forms give the results the scalar ones give, bit for bit; anything
-exceptional sends the statement back to one evaluation per thread.
+made); a part that `AChain.compress` cut takes its rows (`AChain.part`)
+of its base chain's columns.  A map reads a whole group with one fancy
+index (`DenseMap.gather`) and writes one with one assignment.  Both dense
+states share one set of lane rules (`_Lanewise`), written against each
+one's `gather`: an expression is evaluated once per operator node over all
+lanes (`lanes`), and a fetch on a wide enough chain hashes every lane's
+index in one pass (`fetched`).  Lane forms give the results the scalar
+ones give, bit for bit; an operator's NaN, whose bits IEEE 754 leaves to
+the implementation, and anything exceptional send the statement back to
+one evaluation per thread.
 
 A loop that `target_interp.resident_loops` admits (what `vectorise` makes
 of an innermost for-loop) runs its rounds on a `ResidentState` where the
@@ -109,14 +110,19 @@ def _grouped(indices: Sequence[Index]) -> tuple[_Group, ...]:
 
 
 _COLUMNS = "dense.columns"
-_PART = "dense.part"
+_ROWS = "dense.rows"
 
 
 def _part_of(chain: AChain) -> tuple[AChain, Optional[np.ndarray]]:
-    """The chain `split` made this chain a part of, through any number of
-    splits, and the chain's rows in it; (chain, None) for a chain that no
-    split made."""
-    return chain.memo.get(_PART) or (chain, None)
+    """The chain `AChain.compress` cut this chain from, through any number
+    of cuts, and the chain's rows in it as an array, built once per chain;
+    (chain, None) for a chain that no cut made."""
+    if chain.part is None:
+        return chain, None
+    rows = chain.memo.get(_ROWS)
+    if rows is None:
+        rows = chain.memo[_ROWS] = np.array(chain.part[1], np.intp)
+    return chain.part[0], rows
 
 
 def _columns(chain: AChain) -> tuple[_Group, ...]:
@@ -410,14 +416,17 @@ def dense_encode(m: PMap, dims: Optional[Mapping[str, int]] = None,
                  dtype=None) -> DenseMap:
     """The DenseMap reading like m.
 
-    Axes follow `dims` (string -> axis number) when given, else the first
-    appearance of each string along m's indices, shorter indices first.
-    The grid's dtype is inferred from the values unless given.
+    Axes follow `dims` (string -> axis number) when given, else an order in
+    which every index's strings come in axis order, the first appearance
+    of each string along m's indices, shorter indices first, breaking ties
+    (`_axis_order`).  The grid's dtype is inferred from the values unless
+    given.
     """
     extents: dict[str, int] = {}
     if dims is not None:
         extents = dict.fromkeys(sorted(dims, key=dims.get), 1)
-    for i in sorted(m.domain(), key=lambda j: (len(j), j.sort_key())):
+    domain = sorted(m.domain(), key=lambda j: (len(j), j.sort_key()))
+    for i in domain:
         for name, value in i:
             if name not in extents:
                 if dims is not None:
@@ -426,9 +435,32 @@ def dense_encode(m: PMap, dims: Optional[Mapping[str, int]] = None,
             if value < 0:
                 raise NegativeComponent(f"negative integer {value} in {i.text()}")
             extents[name] = max(extents[name], value + 2)
-    axes, shape = tuple(extents), tuple(extents.values())
+    axes = tuple(extents) if dims is not None else _axis_order(extents, domain)
+    shape = tuple(extents[name] for name in axes)
     values = [m.extend_eval(i) for i in _cell_indices(axes, shape)]
     return DenseMap(axes, _typed(values, dtype).reshape(shape))
+
+
+def _axis_order(first: Sequence[str],
+                indices: Sequence[Index]) -> tuple[str, ...]:
+    """The strings of `first`, in their order there, so that each index's
+    strings come in axis order, each string placed as early as the indices
+    allow; AxisOrderConflict where no order serves every index."""
+    before: dict[str, set[str]] = {name: set() for name in first}
+    for i in indices:
+        names = i.names()
+        for a, b in zip(names, names[1:]):
+            before[b].add(a)
+    axes: list[str] = []
+    while len(axes) < len(first):
+        free = [name for name in first
+                if name not in axes and before[name].issubset(axes)]
+        if not free:
+            raise AxisOrderConflict(
+                f"the strings {tuple(first)} nest in more than one order "
+                f"in the map's indices")
+        axes.append(free[0])
+    return tuple(axes)
 
 
 def _typed(values: list, dtype) -> np.ndarray:
@@ -442,7 +474,52 @@ def _typed(values: list, dtype) -> np.ndarray:
                           f"backend's int type") from None
 
 
-class DenseState(StateBase):
+class _Lanewise(StateBase):
+    """The lane rules of both dense states, written against each one's
+    `gather(var, chain)`: a variable's values on a non-empty chain, an
+    array in chain order or one Python value for all lanes."""
+
+    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
+        """The values of `expr` on the chain, each operator node evaluated
+        once for all lanes (`_lanes`)."""
+        if not chain:
+            return None
+        return _lanes(expr, chain, lambda var: self.gather(var, chain))
+
+    def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
+        """`db`'s value at the index `index` spells on each thread of the
+        chain, from one pass over all lanes (`_looked_up`), or None where
+        `_index_columns` declines.  Index lanes equal to those `_fetches()`
+        kept take the kept values: the database is a function of the index."""
+        found = _index_columns(self, index, chain)
+        if found is None:
+            return None
+        names, columns = found
+        fetches = self._fetches()
+        last = fetches.get(id(index))
+        if last is not None and all(a.tobytes() == b.tobytes()
+                                    for a, b in zip(last[0], columns)):
+            return Lanes(chain, last[1])
+        values = _looked_up(db, names, columns, len(chain))
+        fetches[id(index)] = (columns, values)
+        return Lanes(chain, values)
+
+    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
+        """The chain's column of `name`; None on an empty chain and where a
+        member lacks the string, so that the interpreter fails as one
+        lookup per thread does."""
+        groups = _columns(chain)
+        if not chain or any(name not in g.names for g in groups):
+            return None
+        if groups[0].rows is None:
+            return Lanes(chain, _column(groups[0], name))
+        found = np.empty(len(chain), np.int64)
+        for g in groups:
+            found[g.rows] = _column(g, name)
+        return Lanes(chain, found)
+
+
+class DenseState(_Lanewise):
     """State backend: one DenseMap per touched variable."""
 
     backend = DENSE
@@ -457,52 +534,11 @@ class DenseState(StateBase):
     def read(self, var: Variable, i: Index):
         return self._map(var).read(i)
 
-    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
-        """The values of `expr` on the chain, each operator node evaluated
-        once for all lanes (`_lanes`)."""
-        if not chain:
-            return None
-        groups, count = _columns(chain), len(chain)
-        return _lanes(expr, chain,
-                      lambda var: self._map(var).gather(groups, count))
+    def gather(self, var: Variable, chain: AChain):
+        return self._map(var).gather(_columns(chain), len(chain))
 
-    def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
-        """`db`'s value at the index `index` spells on each thread of the
-        chain, from one pass over all lanes (`_looked_up`), or None where
-        `_index_columns` declines."""
-        found = _index_columns(self, index, chain)
-        if found is None:
-            return None
-        return Lanes(chain, _looked_up(db, *found, len(chain)))
-
-    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
-        """The chain's column of `name`; None on an empty chain and where a
-        member lacks the string, so that the interpreter fails as one
-        lookup per thread does.  Both dense states share this rule."""
-        groups = _columns(chain)
-        if not chain or any(name not in g.names for g in groups):
-            return None
-        if groups[0].rows is None:
-            return Lanes(chain, _column(groups[0], name))
-        found = np.empty(len(chain), np.int64)
-        for g in groups:
-            found[g.rows] = _column(g, name)
-        return Lanes(chain, found)
-
-    def split(self, cond: Lanes) -> tuple[AChain, AChain]:
-        """The chain's members whose `cond` lane is 0, and the rest.  Each
-        part, an empty one too, records its base chain (`_part_of`) and its
-        rows in it, from which `_columns` builds its columns on first use.
-        `cond` may hold an array or a list.  Both dense states share this
-        rule."""
-        zero = np.asarray(cond.data) == 0
-        parts = cond.chain.compress(zero.tolist())
-        base, rows = _part_of(cond.chain)
-        if rows is None:
-            rows = np.arange(len(cond.chain))
-        for part, keep in zip(parts, (zero, ~zero)):
-            part.memo[_PART] = (base, rows[keep])
-        return parts
+    def _fetches(self) -> dict:
+        return {}
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
         _nan_free(lanes)
@@ -549,7 +585,10 @@ def _lanes(expr, chain: AChain, gather) -> Optional[Lanes]:
     evaluated once for all lanes; `gather(var)` gives a variable's lanes
     (or one Python value for all).  None when that meets anything
     exceptional (a domain error, an int outside int64), so that the
-    interpreter evaluates once per thread and fails as that does."""
+    interpreter evaluates once per thread and fails as that does; and
+    where an operator's result holds a NaN, whose bits IEEE 754 leaves to
+    the implementation (numpy's and CPython's differ).  A bare variable
+    keeps its lanes: a copy keeps its bits."""
     count = len(chain)
     if isinstance(expr, Var):
         value = gather(expr.var)
@@ -568,6 +607,8 @@ def _lanes(expr, chain: AChain, gather) -> Optional[Lanes]:
             value = eval_lanes(expr, read, _apply)
             if not isinstance(value, np.ndarray):
                 value = np.full(count, value, _DTYPES[expr_kind(expr)])
+            elif value.dtype == np.float64 and np.isnan(value).any():
+                return None
             return Lanes(chain, value)
     except (VecloopError, ArithmeticError):
         # a domain error, or an int the lanes cannot hold (OverflowError)
@@ -655,13 +696,8 @@ class _Loop:
             self._row = {j: k for k, j in enumerate(self.chain)}
         return self._row[i]
 
-    def rows(self, chain: AChain) -> Optional[np.ndarray]:
-        """The chain's rows in the loop's chain; None for the whole of it.
-        Every other chain a round meets is a part `split` made of it."""
-        return _part_of(chain)[1]
 
-
-class ResidentState(StateBase):
+class ResidentState(_Lanewise):
     """The state inside a lane-resident loop (`DenseState.resident`).
 
     Each variable the loop body writes is one array over the loop's chain,
@@ -688,42 +724,25 @@ class ResidentState(StateBase):
             return self.loop.entry.read(var, i)
         return lanes[self.loop.row(i)].item()
 
-    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
-        if not chain:
-            return None
-        rows = self.loop.rows(chain)
+    def gather(self, var: Variable, chain: AChain):
+        """The variable's array, or its entry lanes, at the chain's rows in
+        the loop's chain, which every part a round meets was cut from."""
+        lanes = self.regs.get(var)
+        if lanes is None:
+            lanes = self.loop.entry_lanes(var)
+        rows = _part_of(chain)[1]
+        if rows is None or not isinstance(lanes, np.ndarray):
+            return lanes
+        return lanes[rows]
 
-        def gather(var: Variable):
-            lanes = self.regs.get(var)
-            if lanes is None:
-                lanes = self.loop.entry_lanes(var)
-            if rows is None or not isinstance(lanes, np.ndarray):
-                return lanes
-            return lanes[rows]
-
-        return _lanes(expr, chain, gather)
-
-    def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
-        found = _index_columns(self, index, chain)
-        if found is None:
-            return None
-        names, columns = found
-        last = self.loop.fetches.get(id(index))
-        if last is not None and all(a.tobytes() == b.tobytes()
-                                    for a, b in zip(last[0], columns)):
-            return Lanes(chain, last[1])
-        values = _looked_up(db, names, columns, len(chain))
-        self.loop.fetches[id(index)] = (columns, values)
-        return Lanes(chain, values)
-
-    looked_up = DenseState.looked_up
-    split = DenseState.split
+    def _fetches(self) -> dict:
+        return self.loop.fetches
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
         """Into the loop's score slots; `written_back` moves them into the
         buffer."""
         _nan_free(lanes)
-        rows = self.loop.rows(lanes.chain)
+        rows = _part_of(lanes.chain)[1]
         if rows is None:
             self.loop.slots += lanes.data
         else:
@@ -733,7 +752,7 @@ class ResidentState(StateBase):
         if not tensor:
             return self
         data = _typed(tensor.data, dtype_of(var))
-        rows = self.loop.rows(tensor.chain)
+        rows = _part_of(tensor.chain)[1]
         if rows is not None:
             whole = self.regs[var].copy()
             whole[rows] = data

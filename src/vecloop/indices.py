@@ -3,7 +3,8 @@
 An index is a finite sequence of (string, integer) pairs with pairwise
 distinct strings.  Indices name random variables and, during vectorised
 execution, act as thread ids.  Antichains under the prefix order are the
-sets of simultaneously active threads.
+sets of simultaneously active threads; a chain cut from another at an
+`ifz` (`AChain.compress`) records its rows in the chain cut first.
 """
 
 from __future__ import annotations
@@ -172,11 +173,14 @@ class AChain:
 
     `origin` is (parent, name, count) for a chain that `extend` built, and
     None for any other, so that a backend can derive the chain's data from
-    its parent's.
+    its parent's.  `part` is (base, rows) for a chain that `compress` cut:
+    `base` is the chain the cuts started from, however deeply they nest,
+    and `rows` the members' positions in base's order; None for any other.
     """
 
     members: frozenset[Index]
     origin = None
+    part = None
 
     def __init__(self, members: Iterable[Index] = (), *, _checked: bool = False):
         frozen = frozenset(members)
@@ -239,22 +243,28 @@ class AChain:
 
     def compress(self, flags: Iterable[bool]) -> tuple["AChain", "AChain"]:
         """Split into (members whose flag is true, the rest), with one flag
-        per member in chain order; both parts keep that order."""
-        yes: list[Index] = []
-        no: list[Index] = []
-        for i, flag in zip(self._order, flags):
-            (yes if flag else no).append(i)
-        return _in_order(tuple(yes)), _in_order(tuple(no))
+        per member in chain order; both parts, an empty one too, keep that
+        order and record their `part`."""
+        base, rows = self.part or (self, range(len(self.members)))
+        yes, no = ([], []), ([], [])
+        for i, row, flag in zip(self._order, rows, flags):
+            members, positions = yes if flag else no
+            members.append(i)
+            positions.append(row)
+        return _part(base, *map(tuple, yes)), _part(base, *map(tuple, no))
 
     def __repr__(self) -> str:
         inner = ", ".join(i.text() for i in self)
         return f"AChain{{{inner}}}"
 
 
-def _in_order(order: tuple[Index, ...]) -> AChain:
-    """The antichain of members already sorted in chain order."""
+def _part(base: AChain, order: tuple[Index, ...],
+          rows: tuple[int, ...]) -> AChain:
+    """The antichain of members already sorted in chain order, which sit at
+    `rows` of `base`."""
     chain = AChain(order, _checked=True)
     chain.__dict__["_order"] = order
+    object.__setattr__(chain, "part", (base, rows))
     return chain
 
 

@@ -5,7 +5,8 @@ unmentioned variables implicitly hold the constant 0 / 0.0 map.  Two
 interchangeable backends share one container, `StateBase`: the sparse one
 (reference) stores PMaps, the dense one `dense.DenseMap` grids.  A state's
 text is that of the function it represents, so it does not depend on the
-backend nor on how a backend lays out its maps.
+backend nor on how a backend lays out its maps.  No backend splits a
+chain: an `ifz` cuts it with `AChain.compress`, which records the rows.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ class StateBase:
         is to evaluate it once per thread, as it always does on the sparse
         backend."""
         return None
-
-    def split(self, cond: Lanes) -> tuple[AChain, AChain]:
-        """The chain's members whose `cond` lane is 0, and the rest, each
-        part in chain order."""
-        return cond.chain.compress(v == 0 for v in cond.python())
 
     def fetched(self, index, chain: AChain, db) -> Optional[Lanes]:
         """The database values at the index `index` spells on each thread

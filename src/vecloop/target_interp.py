@@ -184,7 +184,8 @@ class _TargetRun:
                 state = self.run(item, state, chain)
             return state
         if isinstance(c, Ifz):
-            zero, nonzero = state.split(self.values(c.cond, state, chain))
+            cond = self.values(c.cond, state, chain)
+            zero, nonzero = chain.compress(v == 0 for v in cond.python())
             state = self.run(c.then, state, zero)
             return self.run(c.orelse, state, nonzero)
         if isinstance(c, For):

@@ -6,11 +6,11 @@ import pytest
 from _spec import decode, to_csv
 from _support import rand_chain, rand_tensor
 from vecloop.dense import dense_encode
-from vecloop.errors import NegativeComponent, UnknownString
+from vecloop.errors import AxisOrderConflict, NegativeComponent, UnknownString
 from vecloop.indices import EMPTY, Index
 from vecloop.pmap import PMap
 from vecloop.state import SparseState, make_state
-from vecloop.syntax import INT, Variable
+from vecloop.syntax import INT, REAL, Variable
 
 
 def grid_fixture():
@@ -62,6 +62,26 @@ def test_encode_errors():
     dense = dense_encode(PMap({EMPTY: 1.0}), {"alpha": 0})
     with pytest.raises(UnknownString):
         decode(dense, Index((("gamma", 0),)))
+
+
+def test_encoded_axes_serve_every_index():
+    # first appearance, shorter indices first, gives the strings b, a; as
+    # axes in that order they could not hold [("a",0);("b",0)]
+    x = Variable("x", REAL)
+    ab = Index((("a", 0), ("b", 0)))
+    m = PMap({EMPTY: 0.25, Index((("b", 0),)): 0.0, ab: 0.0})
+    dense = dense_encode(m)
+    assert dense.axes == ("a", "b") and dense.read(ab) == 0.0
+    state = make_state("dense", {x: m})
+    assert state.read(x, ab) == 0.0
+    assert state.canonical_text() == \
+        make_state("sparse", {x: m}).canonical_text()
+    # no order of the axes serves both of these indices
+    both = PMap({EMPTY: 0.0, ab: 1.0, Index((("b", 1), ("a", 1))): 2.0})
+    with pytest.raises(AxisOrderConflict):
+        dense_encode(both)
+    with pytest.raises(AxisOrderConflict):
+        make_state("dense", {x: both})
 
 
 def test_scalar_broadcast():

@@ -192,6 +192,41 @@ def test_prefix_cache_through_every_constructor(i, ops, data):
         check_prefix_cache(i)
 
 
+@st.composite
+def cut_bases(draw):
+    """A chain that `extend` built, up to three strings deep, or one built
+    by hand from any indices, keeping those no other one extends."""
+    if draw(st.booleans()):
+        chain = ROOT_CHAIN
+        for name in draw(st.lists(st.sampled_from("abc"), max_size=3,
+                                  unique=True)):
+            chain = chain.extend(name, draw(st.integers(0, 3)))
+        return chain
+    items = set(draw(st.lists(indexes, max_size=10)))
+    return AChain(i for i in items
+                  if not any(i != j and prefix_leq(i, j) for j in items))
+
+
+@given(cut_bases(), st.integers(1, 3), st.data())
+def test_nested_cuts_keep_their_rows_in_the_first_base(base, depth, data):
+    assert base.part is None
+    chain = base
+    for _ in range(depth):
+        flags = data.draw(st.lists(st.booleans(), min_size=len(chain),
+                                   max_size=len(chain)))
+        parts = chain.compress(flags)
+        assert [list(part) for part in parts] == [
+            [i for i, f in zip(chain, flags) if f == keep]
+            for keep in (True, False)]
+        for part in parts:
+            # an empty part too records its base and its (no) rows
+            first, rows = part.part
+            assert first is base
+            assert type(rows) is tuple
+            assert [list(base)[r] for r in rows] == list(part)
+        chain = data.draw(st.sampled_from(parts))
+
+
 @given(indexes, indexes, indexes)
 def test_prefix_order_is_a_partial_order(i, j, k):
     assert prefix_leq(i, i)
