@@ -30,23 +30,32 @@ ones give, bit for bit; an operator's NaN, whose bits IEEE 754 leaves to
 the implementation, and anything exceptional send the statement back to
 one evaluation per thread.
 
-A loop that `target_interp.resident_loops` admits (what `vectorise` makes
-of an innermost for-loop) runs its rounds on a `ResidentState` where the
-entry state allows it (`DenseState.resident`): the chain has one string
+A loop that `target_interp.loop_facts` admits (what `vectorise` makes of
+an innermost for-loop) runs its rounds in lane registers where the entry
+state allows it (`DenseState.resident`): the chain has one string
 sequence and every grid's axes are a proper prefix of it, without the
-loop's own string.  Each variable the body writes is then one array over
-the chain; the shift is a slice copy plus the parents' values, read once;
-a write under `ifz` is a masked write at the part's rows; a fixed-point
-check, round 1 included, compares arrays, since no entry grid stores a
-value above a member; scores go into slots that start each round at 0.0;
-and at exit each written variable's grid takes each parent's last slot,
-once.  The scores are those of running each round on grids, bit for bit,
-and the state the extend_index's exit copy leaves reads and prints the
-same, though its grids may be wider.
+loop's own string.  Each variable the body writes is then one register
+over the chain, a row of one matrix per type (`_Loop`).  The body is
+compiled once per loop node (`_Body`, kept in `LoopFixpt.compiled`) into
+one closure per command, with each variable bound to its register or its
+entry lanes and each operator node to its lane form; a round runs the
+shift, a slice copy of each matrix plus the parents' values, read once,
+then the closures: a write is in place, under `ifz` at the part's rows;
+scores go into slots that start each round at 0.0; and a fixed-point
+check, round 1 included, compares the matrices, since no entry grid
+stores a value above a member.  Each round still cuts the chain at every
+`ifz` and still asks the lane rule (`_lanes`) of every expression; a
+command whose lanes decline runs by the interpreter's rule, once per
+thread, on the registers as a `ResidentState` (`_Loop.declined`).  At
+exit each written variable's grid takes each parent's last slot, once.
+The scores are those of running each round on grids, bit for bit, and
+the state the extend_index's exit copy leaves reads and prints the same,
+though its grids may be wider.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice, repeat
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -54,14 +63,15 @@ import numpy as np
 
 from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
                      ScoreNaN, UnknownString, VecloopError)
-from .evalexpr import eval_lanes, expr_kind
+from .evalexpr import eval_lanes, expr_kind, lane_code
 from .indices import AChain, Index
 from .ops import normal_logpdf
 from .pmap import PMap
 from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
                   box_muller, fnv1a)
 from .state import DENSE, Lanes, StateBase
-from .syntax import INT, REAL, IndexExpr, Var, Variable
+from .syntax import (INT, REAL, Assign, Fetch, For, Ifz, IndexExpr,
+                     LookupIndex, Score, Seq, Skip, Var, Variable)
 
 _DTYPES = {INT: np.int64, REAL: np.float64}
 _INT64 = range(-(1 << 63), 1 << 63)
@@ -481,42 +491,52 @@ class _Lanewise(StateBase):
 
     def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
         """The values of `expr` on the chain, each operator node evaluated
-        once for all lanes (`_lanes`)."""
+        once for all lanes, or None where `_lanes` declines."""
+        value = self._evaluated(expr, chain)
+        return None if value is None else Lanes(chain, value)
+
+    def _evaluated(self, expr, chain: AChain) -> Optional[np.ndarray]:
         if not chain:
             return None
-        return _lanes(expr, chain, lambda var: self.gather(var, chain))
+        reads: dict[Variable, object] = {}
+
+        def read(var: Variable):
+            if var not in reads:
+                reads[var] = self.gather(var, chain)
+            return reads[var]
+
+        return _lanes(expr, len(chain), eval_lanes, expr, read, _apply)
 
     def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
         """`db`'s value at the index `index` spells on each thread of the
-        chain, from one pass over all lanes (`_looked_up`), or None where
-        `_index_columns` declines.  Index lanes equal to those `_fetches()`
-        kept take the kept values: the database is a function of the index."""
-        found = _index_columns(self, index, chain)
-        if found is None:
+        chain, from one pass over all lanes (`_fetched`), or None where
+        `_index_columns` declines."""
+        columns = _index_columns(index, len(chain), (
+            self._evaluated(z, chain) for _, z in index.pairs))
+        if columns is None:
             return None
-        names, columns = found
-        fetches = self._fetches()
-        last = fetches.get(id(index))
-        if last is not None and all(a.tobytes() == b.tobytes()
-                                    for a, b in zip(last[0], columns)):
-            return Lanes(chain, last[1])
-        values = _looked_up(db, names, columns, len(chain))
-        fetches[id(index)] = (columns, values)
-        return Lanes(chain, values)
+        return Lanes(chain, _fetched(self._fetches(), index, columns, db,
+                                     len(chain)))
 
     def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
         """The chain's column of `name`; None on an empty chain and where a
         member lacks the string, so that the interpreter fails as one
         lookup per thread does."""
-        groups = _columns(chain)
-        if not chain or any(name not in g.names for g in groups):
-            return None
-        if groups[0].rows is None:
-            return Lanes(chain, _column(groups[0], name))
-        found = np.empty(len(chain), np.int64)
-        for g in groups:
-            found[g.rows] = _column(g, name)
-        return Lanes(chain, found)
+        found = _column_of(name, chain)
+        return None if found is None else Lanes(chain, found)
+
+
+def _column_of(name: str, chain: AChain) -> Optional[np.ndarray]:
+    """`looked_up`'s column, as an array."""
+    groups = _columns(chain)
+    if not chain or any(name not in g.names for g in groups):
+        return None
+    if groups[0].rows is None:
+        return _column(groups[0], name)
+    found = np.empty(len(chain), np.int64)
+    for g in groups:
+        found[g.rows] = _column(g, name)
+    return found
 
 
 class DenseState(_Lanewise):
@@ -541,7 +561,7 @@ class DenseState(_Lanewise):
         return {}
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
-        _nan_free(lanes)
+        _nan_free(lanes.chain, lanes.data)
         for i, value in lanes.items():
             buffer[i] += value
 
@@ -553,10 +573,11 @@ class DenseState(_Lanewise):
     copied = StateBase.copied
     same_function = StateBase.same_function
 
-    def resident(self, writes: frozenset[Variable],
-                 chain: AChain) -> Optional["ResidentState"]:
-        """This state as the start of a loop whose rounds run on lane
-        arrays, or None when the loop must run on grids.
+    def resident(self, loop, writes: frozenset[Variable],
+                 chain: AChain) -> Optional["_Loop"]:
+        """The start of the fixed-point loop `loop`, whose body writes
+        `writes`, on lane arrays, through its body compiled once (`_Body`,
+        kept in `loop.compiled`); None when the loop must run on grids.
 
         The chain must be parent.extend(name, count) with one string
         sequence, and every grid's axes a proper prefix of that sequence
@@ -571,117 +592,310 @@ class DenseState(_Lanewise):
         for m in self.cells.values():
             if len(m.axes) >= len(names) or m.axes != names[:len(m.axes)]:
                 return None
-        loop = _Loop(self, chain)
-        return ResidentState(loop, {var: loop.start(var) for var
-                                    in sorted(writes, key=Variable.sort_key)})
+        body = loop.compiled
+        if body is None:
+            body = _Body(loop.body, writes)
+            object.__setattr__(loop, "compiled", body)
+        return _Loop(self, chain, body)
 
 
 def _column(g: _Group, name: str) -> np.ndarray:
     return g.matrix[:, g.names.index(name)]
 
 
-def _lanes(expr, chain: AChain, gather) -> Optional[Lanes]:
-    """The values of `expr` on a non-empty chain, each operator node
-    evaluated once for all lanes; `gather(var)` gives a variable's lanes
-    (or one Python value for all).  None when that meets anything
+def _lanes(expr, count: int, evaluate, *frame) -> Optional[np.ndarray]:
+    """The lane rule: `evaluate(*frame)`, the values of `expr` on `count`
+    lanes with each operator node evaluated once for all of them (or one
+    Python value for all), as an array.  None when that meets anything
     exceptional (a domain error, an int outside int64), so that the
     interpreter evaluates once per thread and fails as that does; and
     where an operator's result holds a NaN, whose bits IEEE 754 leaves to
     the implementation (numpy's and CPython's differ).  A bare variable
     keeps its lanes: a copy keeps its bits."""
-    count = len(chain)
     if isinstance(expr, Var):
-        value = gather(expr.var)
-        if not isinstance(value, np.ndarray):
-            value = np.full(count, value, dtype_of(expr.var))
-        return Lanes(chain, value)
-    reads: dict[Variable, object] = {}
-
-    def read(var: Variable):
-        if var not in reads:
-            reads[var] = gather(var)
-        return reads[var]
-
+        value = evaluate(*frame)
+        if isinstance(value, np.ndarray):
+            return value
+        return np.full(count, value, dtype_of(expr.var))
     try:
         with np.errstate(all="ignore"):
-            value = eval_lanes(expr, read, _apply)
+            value = evaluate(*frame)
             if not isinstance(value, np.ndarray):
-                value = np.full(count, value, _DTYPES[expr_kind(expr)])
-            elif value.dtype == np.float64 and np.isnan(value).any():
+                return np.full(count, value, _DTYPES[expr_kind(expr)])
+            if value.dtype == np.float64 and np.isnan(value).any():
                 return None
-            return Lanes(chain, value)
+            return value
     except (VecloopError, ArithmeticError):
         # a domain error, or an int the lanes cannot hold (OverflowError)
         # or a divisor of 0 (ZeroDivisionError) on some lane
         return None
 
 
-def _index_columns(state, index: IndexExpr, chain: AChain):
-    """(strings, int64 lanes of each pair's integer) of a fetch index on
-    the chain; None on a chain narrower than FETCH_MIN_LANES, on an index
-    repeating a string, and where `lanes` declines a pair's integer, so
-    that the interpreter fetches once per thread and fails as that does."""
-    names = tuple([name for name, _ in index.pairs])
-    if len(chain) < FETCH_MIN_LANES or len(set(names)) < len(names):
+def _index_columns(index: IndexExpr, count: int,
+                   lanes: Iterator) -> Optional[list[np.ndarray]]:
+    """The int64 lanes of each pair's integer of a fetch index on `count`
+    lanes, `lanes` giving each pair's lanes in turn (None where they
+    decline); None on fewer lanes than FETCH_MIN_LANES, on an index
+    repeating a string, and where a pair's lanes decline or are not ints,
+    so that the interpreter fetches once per thread and fails as that
+    does."""
+    names = [name for name, _ in index.pairs]
+    if count < FETCH_MIN_LANES or len(set(names)) < len(names):
         return None
     columns = []
-    for _, z in index.pairs:
-        column = state.lanes(z, chain)
-        if column is None or column.data.dtype != np.int64:
+    for column in lanes:
+        if column is None or column.dtype != np.int64:
             return None
-        columns.append(column.data)
-    return names, columns
+        columns.append(column)
+    return columns
 
 
-def _nan_free(lanes: Lanes) -> None:
+def _fetched(fetches: dict, index: IndexExpr, columns: list[np.ndarray],
+             db: Rdb, count: int) -> list:
+    """`db`'s value at each of `count` lanes' index, whose pairs' integers
+    are the lanes of `columns` (`_looked_up`).  Index lanes equal to those
+    kept in `fetches` for `index` take the kept values: the database is a
+    function of the index."""
+    last = fetches.get(id(index))
+    if last is not None and len(last[1]) == count and all(
+            a.tobytes() == b.tobytes() for a, b in zip(last[0], columns)):
+        return last[1]
+    names = tuple([name for name, _ in index.pairs])
+    values = _looked_up(db, names, columns, count)
+    # a register's lanes change in place when a later command writes it
+    fetches[id(index)] = ([column.copy() for column in columns], values)
+    return values
+
+
+def _nan_free(chain: AChain, data) -> None:
     """Raise ScoreNaN at the first NaN lane in chain order, as the
     per-thread rule would; a list was checked lane by lane already."""
-    data = lanes.data
     if isinstance(data, np.ndarray) and np.isnan(data).any():
         first = int(np.flatnonzero(np.isnan(data))[0])
         raise ScoreNaN(f"score evaluated to NaN at "
-                       f"{next(islice(lanes.chain, first, None)).text()}")
+                       f"{next(islice(chain, first, None)).text()}")
 
 
 def _same_lanes(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal lanes under ==, a NaN equal to a NaN, as in
     DenseMap.same_function.  Equal bytes are the common case, and the
     cheapest test of it."""
-    return a is b or a.tobytes() == b.tobytes() or np.array_equal(a, b) or (
-        a.dtype == np.float64 and np.array_equal(a, b, equal_nan=True))
+    return a.tobytes() == b.tobytes() or np.array_equal(
+        a, b, equal_nan=a.dtype == np.float64)
+
+
+class _Body:
+    """A lane-resident loop's body, compiled once per loop node (kept in
+    `LoopFixpt.compiled`) into a flat list of steps, one closure per
+    command after the shift, which `_Loop.round` runs itself.
+
+    Each step runs its command as `step(loop, chain, rows)` on the
+    register files of a `_Loop`: `chain` is the loop's chain or a part an
+    `ifz` cut from it, and `rows` the part's rows in the loop's chain, or
+    None for all of it.  Every decision that is the same in every round is
+    made here: each variable the body writes is bound to its register, a
+    row of the file of its type (`files`, each in `Variable.sort_key`
+    order), every other variable to its entry lanes, and each operator
+    node to its lane form (`evalexpr.lane_code`, `_bound`).  What depends
+    on the values is decided each round: the `ifz` cut, and whether an
+    expression's lanes decline (`_lanes`), which sends the command to the
+    interpreter's rule, once per thread (`_Loop.declined`).  A command
+    holding an operator node that does not resolve always goes there, and
+    fails there as it would on grids.
+    """
+
+    def __init__(self, body, writes: frozenset[Variable]):
+        self.writes = tuple(sorted(writes, key=Variable.sort_key))
+        self.files = tuple(tuple(var for var in self.writes
+                                 if var.type == kind) for kind in _DTYPES)
+        self.slot = {var: (f, r) for f, file in enumerate(self.files)
+                     for r, var in enumerate(file)}
+        items = body.items if isinstance(body, Seq) else (body,)
+        self.steps = self._steps(items[1:])
+
+    def _steps(self, items) -> list:
+        steps = []
+        for c in items:
+            if isinstance(c, Seq):
+                steps += self._steps(c.items)
+            elif not isinstance(c, Skip):
+                try:
+                    steps.append(self._step(c))
+                except KeyError:
+                    steps.append(lambda loop, chain, rows, c=c:
+                                 loop.declined(c, chain))
+        return steps
+
+    def _code(self, expr):
+        return lane_code(expr, self._var, _bound)
+
+    def _var(self, var: Variable):
+        if var not in self.slot:
+            def entry(loop, rows):
+                lanes = loop.entry_lanes(var)
+                if rows is None or not isinstance(lanes, np.ndarray):
+                    return lanes
+                return lanes[rows]
+            return entry
+        f, r = self.slot[var]
+
+        def register(loop, rows):
+            return loop.files[f][r] if rows is None else loop.files[f][r, rows]
+        return register
+
+    def _step(self, c):
+        if isinstance(c, Score):
+            expr, code = c.expr, self._code(c.expr)
+
+            def score(loop, chain, rows):
+                value = _lanes(expr, len(chain), code, loop, rows)
+                if value is None:
+                    return loop.declined(c, chain)
+                loop.add_scores(chain, value, rows)
+            return score
+        if isinstance(c, Assign):
+            expr, code, slot = c.expr, self._code(c.expr), self.slot[c.var]
+
+            def assign(loop, chain, rows):
+                value = _lanes(expr, len(chain), code, loop, rows)
+                if value is None:
+                    return loop.declined(c, chain)
+                loop.write(loop.files, slot, value, rows)
+            return assign
+        if isinstance(c, Fetch):
+            index, slot = c.index, self.slot[c.var]
+            pairs = [(z, self._code(z)) for _, z in index.pairs]
+
+            def fetch(loop, chain, rows):
+                count = len(chain)
+                columns = _index_columns(index, count, (
+                    _lanes(z, count, code, loop, rows) for z, code in pairs))
+                if columns is None:
+                    return loop.declined(c, chain)
+                loop.write(loop.files, slot, _fetched(
+                    loop.fetches, index, columns, loop.runner.db, count), rows)
+            return fetch
+        if isinstance(c, LookupIndex):
+            name, slot = c.name, self.slot[c.var]
+
+            def lookup(loop, chain, rows):
+                found = _column_of(name, chain)
+                if found is None:
+                    return loop.declined(c, chain)
+                loop.write(loop.files, slot, found, rows)
+            return lookup
+        if isinstance(c, Ifz):
+            cond, code = c.cond, self._code(c.cond)
+            branches = (self._steps([c.then]), self._steps([c.orelse]))
+
+            def ifz(loop, chain, rows):
+                value = _lanes(cond, len(chain), code, loop, rows)
+                if value is None:
+                    return loop.declined(c, chain)
+                parts = chain.compress(v == 0 for v in value.tolist())
+                for part, steps in zip(parts, branches):
+                    if part and steps:
+                        part_rows = _part_of(part)[1]
+                        for step in steps:
+                            step(loop, part, part_rows)
+            return ifz
+        if isinstance(c, For):
+            slot, count, body = self.slot[c.var], c.count, self._steps([c.body])
+
+            def loop_for(loop, chain, rows):
+                for k in range(count):
+                    loop.write(loop.files, slot,
+                               np.full(len(chain), k, np.int64), rows)
+                    for step in body:
+                        step(loop, chain, rows)
+            return loop_for
+        raise TypeError(f"not a lane-resident command: {c!r}")
 
 
 class _Loop:
-    """What the rounds of one lane-resident loop share.
+    """One run of a lane-resident loop, on the register files of its
+    compiled body (`_Body`).
 
     The state the loop entered with and its chain, parent.extend(name,
     count), in whose order the parent's r-th member has its children at
-    rows r * count + k; each written variable's value at the parent's
-    members; the score slots of the chain's members, which start each round
-    at 0.0, as the extend_index whose whole body the loop is has just set
-    them; each fetch's last index columns and values; and which variables a
-    round wrote.
+    rows r * count + k; `files`, one matrix per type whose rows are the
+    written variables' registers over the chain, and `parents`, the same
+    for their values at the parent's members; the score slots of the
+    chain's members, which start each round at 0.0, as the extend_index
+    whose whole body the loop is has just set them; each fetch's last
+    index columns and values; and which registers a round wrote.  A round
+    writes only the files its shift made, so each earlier round's files
+    stay as they were.
     """
 
-    def __init__(self, entry: DenseState, chain: AChain):
+    def __init__(self, entry: DenseState, chain: AChain, body: _Body):
         parent, _, self.count = chain.origin
         self.entry = entry
         self.chain = chain
+        self.body = body
+        self.runner = None
         self.slots = np.zeros(len(chain))
-        self.parents: dict[Variable, object] = {}
-        self.written: set[Variable] = set()
+        self.written = [[False] * len(file) for file in body.files]
         self.fetches: dict[int, tuple] = {}
-        self._parent = (_columns(parent), len(parent))
+        columns = (_columns(parent), len(parent))
+        self.parents = []
+        for file, dtype in zip(body.files, _DTYPES.values()):
+            values = np.empty((len(file), len(parent)), dtype)
+            for r, var in enumerate(file):
+                values[r] = entry._map(var).gather(*columns)
+            self.parents.append(values)
+        self.files = [np.repeat(p, self.count, axis=1) for p in self.parents]
         self._entry: dict[Variable, object] = {}
         self._row: Optional[dict[Index, int]] = None
 
-    def start(self, var: Variable) -> np.ndarray:
-        """A written variable's lanes at entry, its parents' values."""
-        parent = self.entry._map(var).gather(*self._parent)
-        self.parents[var] = parent
-        if isinstance(parent, np.ndarray):
-            return np.repeat(parent, self.count)
-        return np.full(len(self.chain), parent, dtype_of(var))
+    def round(self, runner, check: bool) -> bool:
+        """One round: the shift, a slice copy along each parent's children
+        plus the parents' values in slot 0, then the body's steps.  With
+        `check`, whether the round left every register as it found it: the
+        registers differ from the entry state only above the chain's
+        members, where each is constant, so comparing the arrays decides
+        it, round 1 included."""
+        self.runner = runner
+        before, count = self.files, self.count
+        self.files = []
+        for file, parent in zip(before, self.parents):
+            shifted = np.empty_like(file)
+            shifted[:, 1:] = file[:, :-1]
+            shifted[:, ::count] = parent
+            self.files.append(shifted)
+        chain = self.chain
+        for step in self.body.steps:
+            step(self, chain, None)
+        return check and all(map(_same_lanes, before, self.files))
+
+    def declined(self, c, chain: AChain) -> None:
+        """Run the command `c` on the chain by the interpreter's rule, on
+        the registers as a `ResidentState`: the one place a compiled step
+        gives up, where its lanes decline or a fetch is too narrow to
+        batch."""
+        self.files = self.runner.run(c, ResidentState(self, self.files),
+                                     chain).files
+
+    def write(self, files: list, slot: tuple[int, int], data, rows) -> None:
+        """The register at `slot` of `files` takes `data` at `rows` (None
+        for every row), in place."""
+        f, r = slot
+        if type(data) is not np.ndarray:
+            data = _typed(data, files[f].dtype)
+        if rows is None:
+            files[f][r] = data
+        else:
+            files[f][r, rows] = data
+        self.written[f][r] = True
+
+    def add_scores(self, chain: AChain, data, rows) -> None:
+        """Into the score slots; `written_back` moves them into the
+        run's buffer."""
+        _nan_free(chain, data)
+        if rows is None:
+            self.slots += data
+        else:
+            self.slots[rows] += data
 
     def entry_lanes(self, var: Variable):
         """An unwritten variable's lanes, or its one value on all of them."""
@@ -696,38 +910,59 @@ class _Loop:
             self._row = {j: k for k, j in enumerate(self.chain)}
         return self._row[i]
 
+    def restart(self) -> None:
+        """Reset the score slots to 0.0: a round's scores replace the
+        previous round's."""
+        self.slots.fill(0.0)
+
+    def written_back(self, buffer: dict) -> DenseState:
+        """The grids at loop exit, and the final round's scores in
+        `buffer`.  A written variable's grid takes each parent's last slot,
+        the one value the extend_index's exit copy reads; a variable no
+        round wrote keeps its entry grid, or stays absent."""
+        buffer.update(zip(self.chain, self.slots.tolist()))
+        parent, _, count = self.chain.origin
+        cells = dict(self.entry.cells)
+        for var in self.body.writes:
+            f, r = self.body.slot[var]
+            if self.written[f][r]:
+                cells[var] = self.entry._map(var).updated(
+                    Lanes(parent, self.files[f][r, count - 1::count]))
+        return DenseState(cells)
+
 
 class ResidentState(_Lanewise):
-    """The state inside a lane-resident loop (`DenseState.resident`).
+    """A lane-resident loop's registers as a state, on which a command its
+    compiled body declines runs by the interpreter's rules
+    (`_Loop.declined`).
 
-    Each variable the loop body writes is one array over the loop's chain,
-    in chain order; every other variable is read from the entry state,
-    which the loop does not change.  States are values, as on the grids:
-    a write makes a new state, copying a variable's array only for a write
-    to part of the chain.  The shift is a slice copy along each parent's
-    children plus the parents' values in slot 0; a fixed-point check
-    compares arrays; scores go into one array of slots; and a fetch whose
-    index lanes equal its previous round's takes that round's values, the
-    database being a function of the index.  `written_back` leaves the
-    loop: one `DenseMap.updated` per variable a round wrote.
+    Each variable the loop body writes is one register over the loop's
+    chain, in chain order; every other variable is read from the entry
+    state, which the loop does not change.  States are values, as on the
+    grids: a write makes a new state, copying the register file it writes.
     """
 
     backend = DENSE
 
-    def __init__(self, loop: _Loop, regs: dict[Variable, np.ndarray]):
+    def __init__(self, loop: _Loop, files: list):
         self.loop = loop
-        self.regs = regs
+        self.files = files
+
+    def _register(self, var: Variable):
+        slot = self.loop.body.slot.get(var)
+        return None if slot is None else self.files[slot[0]][slot[1]]
 
     def read(self, var: Variable, i: Index):
-        lanes = self.regs.get(var)
+        lanes = self._register(var)
         if lanes is None:
             return self.loop.entry.read(var, i)
         return lanes[self.loop.row(i)].item()
 
     def gather(self, var: Variable, chain: AChain):
-        """The variable's array, or its entry lanes, at the chain's rows in
-        the loop's chain, which every part a round meets was cut from."""
-        lanes = self.regs.get(var)
+        """The variable's register, or its entry lanes, at the chain's rows
+        in the loop's chain, which every part a round meets was cut
+        from."""
+        lanes = self._register(var)
         if lanes is None:
             lanes = self.loop.entry_lanes(var)
         rows = _part_of(chain)[1]
@@ -739,63 +974,17 @@ class ResidentState(_Lanewise):
         return self.loop.fetches
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
-        """Into the loop's score slots; `written_back` moves them into the
-        buffer."""
-        _nan_free(lanes)
-        rows = _part_of(lanes.chain)[1]
-        if rows is None:
-            self.loop.slots += lanes.data
-        else:
-            self.loop.slots[rows] += lanes.data
+        self.loop.add_scores(lanes.chain, lanes.data,
+                             _part_of(lanes.chain)[1])
 
     def updated(self, var: Variable, tensor: Lanes) -> "ResidentState":
         if not tensor:
             return self
-        data = _typed(tensor.data, dtype_of(var))
-        rows = _part_of(tensor.chain)[1]
-        if rows is not None:
-            whole = self.regs[var].copy()
-            whole[rows] = data
-            data = whole
-        self.loop.written.add(var)
-        return ResidentState(self.loop, {**self.regs, var: data})
-
-    def copied(self, rho: Mapping[Index, Index]) -> "ResidentState":
-        """The loop's own shift, the first command of every round."""
-        loop, count = self.loop, self.loop.count
-        regs = {}
-        for var, lanes in self.regs.items():
-            shifted = np.empty_like(lanes)
-            shifted[1:] = lanes[:-1]
-            shifted[::count] = loop.parents[var]
-            regs[var] = shifted
-        return ResidentState(loop, regs)
-
-    def same_function(self, other: "ResidentState") -> bool:
-        """Both states read alike everywhere.  They differ from the entry
-        state only above the chain's members, where each is constant, so
-        comparing the arrays decides it, round 1 included."""
-        return all(_same_lanes(lanes, other.regs[var])
-                   for var, lanes in self.regs.items())
-
-    def restart(self) -> None:
-        """Reset the score slots to 0.0: a round's scores replace the
-        previous round's."""
-        self.loop.slots.fill(0.0)
-
-    def written_back(self, buffer: dict) -> DenseState:
-        """The grids at loop exit, and the final round's scores in
-        `buffer`.  A written variable's grid takes each parent's last slot,
-        the one value the extend_index's exit copy reads; a variable no
-        round wrote keeps its entry grid, or stays absent."""
-        loop = self.loop
-        buffer.update(zip(loop.chain, loop.slots.tolist()))
-        parent, _, count = loop.chain.origin
-        cells = dict(loop.entry.cells)
-        for var in sorted(loop.written, key=Variable.sort_key):
-            cells[var] = loop.entry._map(var).updated(
-                Lanes(parent, self.regs[var][count - 1::count]))
-        return DenseState(cells)
+        slot = self.loop.body.slot[var]
+        files = list(self.files)
+        files[slot[0]] = files[slot[0]].copy()
+        self.loop.write(files, slot, tensor.data, _part_of(tensor.chain)[1])
+        return ResidentState(self.loop, files)
 
 
 # Lane forms of the operators.  Each raises OverflowError or
@@ -879,14 +1068,29 @@ _LANE_OPS = {
 
 def _apply(op: str, kind: str, fn, args: list):
     """One operator node on all lanes; see `evalexpr.eval_lanes`."""
-    scalars = [a for a in args if not isinstance(a, np.ndarray)]
-    if len(scalars) == len(args):
+    return _applied(fn, _LANE_OPS.get((op, kind)), kind, args)
+
+
+def _bound(op: str, kind: str, fn):
+    """`_apply` for one operator node, its lane form looked up once; see
+    `evalexpr.lane_code`."""
+    return partial(_applied, fn, _LANE_OPS.get((op, kind)), kind)
+
+
+def _applied(fn, lane, kind: str, args: list):
+    """`fn`, an operator's scalar form, or `lane`, its lane form (None to
+    map the scalar form), on its arguments' lanes."""
+    arrays = big = False
+    for a in args:
+        if isinstance(a, np.ndarray):
+            arrays = True
+        elif type(a) is int and a not in _INT64:
+            big = True
+    if not arrays:
         # every lane holds the same arguments: the scalar form, once
         return fn(*args)
-    for a in scalars:
-        if type(a) is int and a not in _INT64:
-            raise OverflowError("int literal outside int64")
-    lane = _LANE_OPS.get((op, kind))
+    if big:
+        raise OverflowError("int literal outside int64")
     if lane is not None:
         return lane(*args)
     return _each(fn, args, kind)

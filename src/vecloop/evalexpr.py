@@ -5,7 +5,9 @@ operator dispatch by argument kinds, index construction) is common.  Each
 operator node is resolved against the operator table once, on first use,
 and keeps its result kind and implementation.  `eval_expr` evaluates for one
 thread; `eval_lanes` evaluates each node once for all the lanes of a chain,
-applying operators through a backend's lane forms of them.
+applying operators through a backend's lane forms of them; `lane_code`
+stages that evaluation into closures, built once, for a body whose
+rounds evaluate the same expressions again and again.
 """
 
 from __future__ import annotations
@@ -75,4 +77,33 @@ def eval_lanes(e: Expr, read_lanes: Callable[[Variable], object],
                      [eval_lanes(a, read_lanes, apply) for a in e.args])
     if isinstance(e, (IntLit, RealLit)):
         return e.value
+    raise TypeError(f"not a lane expression: {e!r}")
+
+
+def lane_code(e: Expr, var_code: Callable[[Variable], Callable],
+              bind: Callable[[str, str, Callable], Callable]) -> Callable:
+    """`eval_lanes` staged: a closure `code(frame, rows)` giving the values
+    of `e` on every lane, with no dispatch on node kinds left to do.
+
+    `var_code(var)` gives a variable's closure, and `bind(op, kind, fn)` a
+    resolved operator node's `apply(args)` on its arguments' lanes;
+    `frame` and `rows` are the caller's, passed down to each variable's
+    closure.  Literals stay Python scalars.  A node that does not resolve
+    raises KeyError here, before any closure runs.  (Closure generation:
+    Feeley and Lapalme, "Using Closures for Code Generation", 1987.)
+    """
+    if isinstance(e, Var):
+        return var_code(e.var)
+    if isinstance(e, PrimOp):
+        kind, fn = e.impl or resolved(e)
+        apply = bind(e.op, kind, fn)
+        args = [lane_code(a, var_code, bind) for a in e.args]
+        if len(args) == 2:
+            left, right = args
+            return lambda frame, rows: apply([left(frame, rows),
+                                              right(frame, rows)])
+        return lambda frame, rows: apply([a(frame, rows) for a in args])
+    if isinstance(e, (IntLit, RealLit)):
+        value = e.value
+        return lambda frame, rows: value
     raise TypeError(f"not a lane expression: {e!r}")

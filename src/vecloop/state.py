@@ -130,10 +130,10 @@ class StateBase:
         for i, value in lanes.items():
             buffer[i] += value
 
-    def resident(self, writes, chain: AChain):
-        """A state on which a loop over `chain` that writes `writes` runs
-        its rounds in lane arrays, or None to run them on this state, as
-        the sparse backend always does."""
+    def resident(self, loop, writes, chain: AChain):
+        """The lane arrays on which the fixed-point loop `loop` over
+        `chain`, whose body writes `writes`, runs its rounds, or None to run
+        them on this state, as the sparse backend always does."""
         return None
 
     def eq_on(self, other, probes: Iterable[Index],

@@ -141,6 +141,14 @@ class For:
 class LoopFixpt:
     count: int
     body: "Cmd"
+    # the body as a backend compiled it for lane arrays, filled in on first
+    # use (dense.DenseState.resident)
+    compiled: Optional[object] = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __reduce__(self):
+        # the compiled body holds closures, which do not pickle
+        return (LoopFixpt, (self.count, self.body))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ on leaving, adds each index's slot sums to it.  Loops come in two modes:
 unchanged (as a represented function), "unrolled" always runs the declared
 number of rounds.  Both keep only the final round's scores: each round
 starts from the buffer entries the loop began with.  A loop that
-`resident_loops` admits runs its rounds on the state's lane arrays where
-the backend offers them (`StateBase.resident`), by the same rules.  The
+`loop_facts` admits runs its rounds on the state's lane arrays where the
+backend offers them (`StateBase.resident`), through a body the backend
+compiled once per loop node, by the same rules; a statement the compiled
+body cannot run on all lanes at once runs here, once per thread.  A
+fetch that runs once per thread looks each index up once per run.  The
 relaxed interpreter (`relaxed.py`) records each command's own accesses,
 runs it by the same rules, and adds its fused loop.
 """
@@ -32,7 +35,7 @@ from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
                     make_state)
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
-                     Variable, subcommands, walk, validate_tier)
+                     Variable, subcommands, validate_tier)
 
 FIXPOINT = "fixpoint"
 UNROLLED = "unrolled"
@@ -79,18 +82,12 @@ def exit_rho(chain: AChain, name: str, count: int) -> Relocation:
     return rho
 
 
-def loop_sites(program: Cmd) -> dict[int, int]:
-    """Loop node identity -> preorder site number."""
-    sites: dict[int, int] = {}
-    for node in walk(program):
-        if isinstance(node, (LoopFixpt, ExtendedLoopShift)):
-            sites[id(node)] = len(sites)
-    return sites
-
-
-def resident_loops(program: Cmd) -> dict[int, frozenset[Variable]]:
-    """The fixed-point loops a backend may run in lane arrays, by node
-    identity, each with the variables its body writes.
+def loop_facts(program: Cmd) -> tuple[dict[int, int],
+                                       dict[int, frozenset[Variable]]]:
+    """The program's loops, from one pass over it: each loop node's
+    preorder site number, and the fixed-point loops a backend may run in
+    lane arrays, each with the variables its body writes; both by node
+    identity.
 
     Such a loop is the whole body of an extend_index(name, n); its body
     starts with shift(name) and holds no other shift, extend_index or
@@ -98,23 +95,28 @@ def resident_loops(program: Cmd) -> dict[int, frozenset[Variable]]:
     round runs on the one chain the extend_index made, and only the
     extend_index's exit sees the state the loop leaves.
     """
-    found: dict[int, frozenset[Variable]] = {}
-    _writes(program, found)
-    return found
+    sites: dict[int, int] = {}
+    resident: dict[int, frozenset[Variable]] = {}
+    _writes(program, sites, resident)
+    return sites, resident
 
 
-def _writes(c: Cmd, found: dict) -> Optional[frozenset[Variable]]:
+def _writes(c: Cmd, sites: dict,
+            resident: dict) -> Optional[frozenset[Variable]]:
     """The variables `c` writes, or None when it holds a shift, an
-    extend_index or a loop; adds the loops `resident_loops` admits to
-    `found` on the way, in one pass over the program."""
+    extend_index or a loop; numbers the loops in preorder into `sites` and
+    adds those `loop_facts` admits to `resident` on the way."""
+    if isinstance(c, (LoopFixpt, ExtendedLoopShift)):
+        sites[id(c)] = len(sites)
     if isinstance(c, ExtendIndex) and isinstance(c.body, LoopFixpt):
+        sites[id(c.body)] = len(sites)
         body = c.body.body
         items = body.items if isinstance(body, Seq) else (body,)
-        inner = [_writes(item, found) for item in items]
+        inner = [_writes(item, sites, resident) for item in items]
         if items[0] == Shift(c.name) and None not in inner[1:]:
-            found[id(c.body)] = frozenset().union(*inner[1:])
+            resident[id(c.body)] = frozenset().union(*inner[1:])
         return None
-    subs = [_writes(sub, found) for sub in subcommands(c)]
+    subs = [_writes(sub, sites, resident) for sub in subcommands(c)]
     if None in subs or isinstance(c, (Shift, ExtendIndex, LoopFixpt,
                                       ExtendedLoopShift)):
         return None
@@ -133,8 +135,10 @@ class _TargetRun:
     def __init__(self, program: Cmd, db: Rdb, mode: str, chain: AChain):
         self.db = db
         self.mode = mode
-        self.sites = loop_sites(program)
-        self.resident = resident_loops(program)
+        self.sites, self.resident = loop_facts(program)
+        # db.lookup's value at each index a thread fetched, the database
+        # being a function of the index
+        self.fetches: dict[Index, float] = {}
         self.inner_chains: dict[tuple, AChain] = {}
         self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
         self.trace: list[LoopRound] = []
@@ -149,6 +153,12 @@ class _TargetRun:
         if lanes is None:
             lanes = Lanes(chain, [self.eval_at(expr, state, i) for i in chain])
         return lanes
+
+    def lookup(self, index: Index) -> float:
+        value = self.fetches.get(index)
+        if value is None:
+            value = self.fetches[index] = self.db.lookup(index)
+        return value
 
     def run(self, c: Cmd, state, chain: AChain):
         """Run `c` on the chain and return the new state."""
@@ -176,7 +186,7 @@ class _TargetRun:
             written = state.fetched(c.index, chain, self.db)
             if written is None:
                 written = Lanes(chain, [
-                    self.db.lookup(self.eval_at(c.index, state, i))
+                    self.lookup(self.eval_at(c.index, state, i))
                     for i in chain])
             return state.updated(c.var, written)
         if isinstance(c, Seq):
@@ -218,19 +228,26 @@ class _TargetRun:
         raise TypeError(f"not a target command: {c!r}")
 
     def run_loop(self, c: LoopFixpt, state, chain: AChain):
-        """The loop's rounds, in lane arrays where the state offers them
-        (`StateBase.resident`)."""
+        """The loop's rounds: on the state, or, where the state offers lane
+        arrays (`StateBase.resident`), through the body the backend
+        compiled for them, which runs no command through `run`."""
         def one_round(k: int, state):
             after = self.run(c.body, state, chain)
             return after, self.mode == FIXPOINT and state.same_function(after)
 
         writes = self.resident.get(id(c))
-        lanes = None if writes is None else state.resident(writes, chain)
+        lanes = None if writes is None else state.resident(c, writes, chain)
         if lanes is None:
             restore = {i: self.score[i] for i in chain}
             return self.run_rounds(c, partial(self.score.update, restore),
                                    one_round, state)
-        lanes = self.run_rounds(c, lanes.restart, one_round, lanes)
+        # a runner that records each command's accesses (`relaxed`) would
+        # miss those of a compiled body; no relaxed program holds a loop
+        assert type(self).run is _TargetRun.run, "compiled loop under records"
+        check = self.mode == FIXPOINT
+        lanes = self.run_rounds(
+            c, lanes.restart, lambda k, lanes: (lanes, lanes.round(self, check)),
+            lanes)
         return lanes.written_back(self.score)
 
     def run_rounds(self, c: Cmd, reset, one_round, state):

@@ -7,7 +7,9 @@ something the interpreters compute another way:
   index's own prefixes;
 - the flag algebra (`flag_update` ... `flag_restrict`) defines what
   `relaxed.flag_pull_back` computes in one pass;
-- `decode` and `to_csv` read and dump a `DenseMap` cell by cell.
+- `decode` and `to_csv` read and dump a `DenseMap` cell by cell;
+- `loop_sites` numbers a program's loops by a walk of the whole program,
+  as `target_interp.loop_facts` does within its one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from vecloop.errors import NegativeComponent, UnknownString
 from vecloop.indices import AChain, Index, prefix_leq
 from vecloop.pmap import PMap
 from vecloop.relaxed import Flag
-from vecloop.syntax import Variable
+from vecloop.syntax import (Cmd, ExtendedLoopShift, LoopFixpt, Variable,
+                            walk)
 
 
 # -- indices ---------------------------------------------------------------
@@ -47,6 +50,17 @@ def in_up(i: Index, below: Iterable[Index]) -> bool:
 def in_down(i: Index, above: Iterable[Index]) -> bool:
     """Membership of i in the downward closure of `above`."""
     return any(prefix_leq(i, j) for j in above)
+
+
+# -- loop sites ------------------------------------------------------------
+
+def loop_sites(program: Cmd) -> dict[int, int]:
+    """Loop node identity -> preorder site number."""
+    sites: dict[int, int] = {}
+    for node in walk(program):
+        if isinstance(node, (LoopFixpt, ExtendedLoopShift)):
+            sites[id(node)] = len(sites)
+    return sites
 
 
 # -- flags -----------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Operator nodes are resolved once and keep their semantics."""
+"""Operator nodes are resolved once and keep their semantics; a
+lane-resident loop's body is compiled once and keeps its node's
+identity."""
 
 import pickle
 from dataclasses import fields, is_dataclass
@@ -8,7 +10,8 @@ import pytest
 from vecloop import bench, ops
 from vecloop.evalexpr import eval_expr, expr_kind
 from vecloop.rdb import Rdb
-from vecloop.syntax import INT, IntLit, PrimOp, RealLit, Var, Variable
+from vecloop.syntax import (INT, IntLit, LoopFixpt, PrimOp, RealLit, Var,
+                            Variable, walk)
 from vecloop.target_interp import run_tgt
 from vecloop.translate import vectorise
 
@@ -67,3 +70,42 @@ def test_resolution_is_not_part_of_node_identity():
     assert repr(used) == repr(fresh)
     clone = pickle.loads(pickle.dumps(used))
     assert clone == used and eval_expr(clone, lambda var: 5) == 1
+
+
+def test_a_loop_body_is_compiled_once_per_loop_node(monkeypatch):
+    from vecloop import dense
+
+    built = []
+    real_body = dense._Body
+
+    def counting(body, writes):
+        built.append(body)
+        return real_body(body, writes)
+
+    monkeypatch.setattr(dense, "_Body", counting)
+    program = vectorise(bench.arm_program(48, 16))
+    loop, = [node for node in walk(program) if isinstance(node, LoopFixpt)]
+    db = Rdb({}, "normal", 0.0, 1)
+    assert loop.compiled is None
+    first = run_tgt(program, db, backend="dense")
+    assert built == [loop.body] and loop.compiled is not None
+    compiled = loop.compiled
+    for _ in range(3):
+        again = run_tgt(program, db, backend="dense")
+        assert again.score == first.score and again.trace == first.trace
+    assert len(built) == 1 and loop.compiled is compiled
+    # the sparse backend offers no lane arrays and compiles nothing
+    run_tgt(vectorise(bench.arm_program(48, 16)), db)
+    assert len(built) == 1
+
+
+def test_compilation_is_not_part_of_node_identity():
+    program = vectorise(bench.arm_program(6, 2))
+    run_tgt(program, Rdb({}, "normal", 0.0, 1), backend="dense")
+    used = program.body
+    fresh = vectorise(bench.arm_program(6, 2)).body
+    assert used.compiled is not None and fresh.compiled is None
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == used and clone.compiled is None

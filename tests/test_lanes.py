@@ -21,6 +21,7 @@ from _support import cli_process, python_process
 from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState,
                           ResidentState, _columns, _grouped, _looked_up,
                           dense_encode)
+from vecloop.dense import _Loop as ResidentLoop
 from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr
 from vecloop.harness import GenConfig, gen_program, gen_rdb, gen_target_case
@@ -279,6 +280,29 @@ def test_lanes_are_eval_expr_bit_for_bit(state_chain, expr):
     assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
+@settings(max_examples=500, deadline=None)
+@given(lane_states(), st.one_of(int_exprs(3), real_exprs(3)))
+def test_staged_lanes_are_the_interpreted_lanes(state_chain, expr):
+    # a compiled loop body evaluates through `lane_code`'s closures what
+    # `lanes` evaluates through `eval_lanes`, under the one lane rule
+    # (`_lanes`): the same lanes, bit for bit, or both decline
+    from vecloop.dense import _bound, _lanes
+    from vecloop.evalexpr import lane_code
+
+    state, chain = state_chain
+    code = lane_code(expr, lambda var: lambda frame, rows:
+                     frame.gather(var, chain), _bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        staged = _lanes(expr, len(chain), code, state, None)
+        lanes = state.lanes(expr, chain)
+    assert (staged is None) == (lanes is None)
+    if lanes is not None:
+        assert staged.dtype == lanes.data.dtype
+        assert [bits(v) for v in staged.tolist()] == \
+            [bits(v) for v in lanes.python()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(lane_states(), st.one_of(int_exprs(2), real_exprs(2)))
 def test_lanes_decline_only_what_per_thread_fails_or_overflows(state_chain, expr):
@@ -375,6 +399,22 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
     for rule in ("lanes", "fetched", "looked_up"):
         assert defined.count(rule) == 1, rule
     assert not hasattr(dense, "_PART") and not hasattr(dense._Loop, "rows")
+    # the compiled loop body (`_Body`) defines none of these rules again,
+    # nor a second decline rule: one handler takes the exceptions a lane
+    # expression declines on, in `_lanes`, which every step calls
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "_Body")
+    assert not {"lanes", "fetched", "looked_up", "_lanes", "_fetched"} & {
+        node.name for node in ast.walk(body)
+        if isinstance(node, ast.FunctionDef)}
+    handlers = [ast.unparse(node.type) for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler) and node.type]
+    assert [h for h in handlers if "ArithmeticError" in h] == \
+        ["(VecloopError, ArithmeticError)"]
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_lanes")
+    assert any(isinstance(node, ast.ExceptHandler) for node in ast.walk(rule))
+    assert "errstate" not in ast.unparse(body) and "isnan" not in ast.unparse(body)
     # the benchmark's tracer wraps these in the class's own namespace
     assert {"read", "updated", "copied", "same_function"} <= \
         set(vars(DenseState))
@@ -603,12 +643,17 @@ PARTIAL = ("{init}; for t:int in range(3) {{ ifz lt(t:int, 1) {{ {one} }} "
     ("y := 0.0", "y := 1.0", "normal_logpdf(0.0, 0.0, y)",
      "normal_logpdf(0.0, 0.0, 0.0)"),
 ])
-def test_partial_operator_reproducers_fail_as_on_sparse(init, one, expr, message):
+def test_partial_operator_reproducers_fail_as_on_sparse(
+        init, one, expr, message, resident, declined):
     program = vectorise(parse(PARTIAL.format(init=init, one=one, expr=expr)))
     sparse, dense = both_backends(program)
     assert sparse == dense == ("PrimitiveDomainError",
                                f"{message} outside the operator's domain"
                                " at target run")
+    # inside the compiled loop, speculative round 1 reads the stale 0 on
+    # thread 1: the score's lanes decline, and its per-thread rule fails
+    assert resident == [True]
+    assert [type(c).__name__ for c in declined] == ["Score"]
 
 
 def test_score_nan_and_missing_string_fail_as_on_sparse():
@@ -767,6 +812,11 @@ LOOPS = {
     "fetch-carried": "k:int := 0; for t:int in range(9) { "
                      "k:int := add(k:int, t:int); "
                      "y := fetch([(\"y\", mod(k:int, 7))]); score(y) }",
+    # a fetch with no pairs reads the same index on parts of every width;
+    # its lanes kept from a narrower part must not serve a wider one
+    "fetch-no-pairs": "k:int := 0; for t:int in range(20) { "
+                      "k:int := add(k:int, 1); ifz lt(t:int, k:int) "
+                      "{ y := fetch([]) } else { skip }; score(y) }",
     "nan-score": "big := 1e300 * 1e300; for t:int in range(3) { "
                  "ifz lt(t:int, 1) { score(1.0) } else { score(sub(big, big)) } }",
     "arm": "p1 := 0.0; p2 := 0.0; for i:int in range(9) { "
@@ -816,6 +866,99 @@ def test_a_variable_written_only_on_empty_branches_stays_absent(resident):
     assert resident == [True]
     names = {var.name for var in dense.state.variables()}
     assert "y" in names and not names & {"z", "w"}
+
+
+@pytest.fixture
+def declined(monkeypatch):
+    """The commands a compiled loop body sent to the interpreter's rule."""
+    sent = []
+    decline = ResidentLoop.declined
+
+    def recorded(self, c, chain):
+        sent.append(c)
+        return decline(self, c, chain)
+
+    monkeypatch.setattr(ResidentLoop, "declined", recorded)
+    return sent
+
+
+def test_a_compiled_body_runs_no_command_through_the_interpreter(
+        monkeypatch, declined):
+    from vecloop.bench import arm_program
+    from vecloop.target_interp import _TargetRun
+
+    ran = []
+    run = _TargetRun.run
+    monkeypatch.setattr(_TargetRun, "run", lambda self, c, *args:
+                        ran.append(type(c).__name__) or run(self, c, *args))
+    for k in (4, 16):
+        ran.clear()
+        out = run_tgt(vectorise(arm_program(48, k)), NORMAL, backend=DENSE)
+        assert out.trace[0].rounds == k + 1
+        # the extend_index and its loop; no statement of the loop's body,
+        # whatever the number of rounds
+        assert ran == ["ExtendIndex", "LoopFixpt"]
+    assert declined == []
+
+
+def test_the_relaxed_runner_never_enters_a_compiled_body():
+    # the relaxed runner records each command's accesses as `run` meets it;
+    # a compiled body runs its commands without `run`
+    from vecloop.relaxed import _RelaxedRun
+
+    program = vectorise(parse(LOOPS["arm"]))
+    runner = _RelaxedRun(program, NORMAL, ROOT_CHAIN)
+    with pytest.raises(AssertionError, match="compiled loop"):
+        runner.run(program, make_state(DENSE), ROOT_CHAIN)
+
+
+@pytest.mark.parametrize("name", ["nan-carried", "nan-sign", "per-thread-read"])
+def test_compiled_loops_decline_per_thread(name, resident, declined):
+    # an operator's NaN and a product that may leave int64 send their
+    # statement to the interpreter's rule, once per thread, every round
+    sparse, dense = run_both(vectorise(parse(LOOPS[name])), db=NORMAL)
+    assert_agree(sparse, dense)
+    assert resident == [True] and declined
+    assert {type(c).__name__ for c in declined} == {"Assign"}
+
+
+def test_a_for_loop_inside_a_resident_loop_runs_as_on_sparse(resident):
+    # `vectorise` leaves no for-loop in a loop body, but the target tier
+    # allows one, also under an ifz
+    program = parse(
+        'y := 0.5; extend_index("s", 5) { loop_fixpt_noacc(5) { shift("s"); '
+        't:int := lookup_index("s"); '
+        'for k:int in range(3) { y := add(y, to_real(mul(k:int, t:int))) }; '
+        'ifz lt(t:int, 2) { for k:int in range(2) { y := mul(y, 0.5) } } '
+        'else { skip }; score(y) } }', "target")
+    for chain in (ROOT_CHAIN, TWO):
+        resident.clear()
+        for mode in (FIXPOINT, UNROLLED):
+            assert_agree(*run_both(program, chain, NORMAL, mode))
+        assert resident == [True, True]
+
+
+def test_an_operator_that_does_not_resolve_fails_where_it_runs(
+        resident, declined):
+    # compiling the body meets the ill-typed node first; the command holding
+    # it fails only where the interpreter's rule reaches it, as on grids
+    from vecloop.syntax import (Assign, For, Ifz, Score, Skip, seq)
+
+    t, x = Variable("t", INT), Variable("x", REAL)
+    bad = Assign(x, PrimOp("add", (IntLit(1), RealLit(2.0))))
+    for taken, want in ((0, None), (9, "KeyError")):
+        cond = PrimOp("lt", (Var(t), IntLit(taken)))
+        program = vectorise(For(t, 3, seq(
+            Ifz(cond, bad, Skip()), Score(PrimOp("to_real", (Var(t),))))))
+        resident.clear()
+        declined.clear()
+        sparse, dense = run_both(program)
+        assert resident == [True]
+        if want is None:
+            assert_agree(sparse, dense)
+            assert declined == []
+        else:
+            assert sparse[0] == dense[0] == want and declined == [bad]
 
 
 def test_a_resident_loop_reads_per_thread_where_the_lanes_decline(

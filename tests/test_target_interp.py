@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import vecloop
-from _spec import in_down, in_up
+from _spec import in_down, in_up, loop_sites
 from _support import cli_process, logpdf, probes_for, rand_chain
 from vecloop.bench import arm_program, hmm_program, tcm_program
 from vecloop.errors import MissingString, StringAlreadyPresent
@@ -22,8 +22,8 @@ from vecloop.rdb import Rdb
 from vecloop.relaxed import run_relaxed
 from vecloop.state import DENSE, SPARSE, SparseState, make_state
 from vecloop.syntax import INT, Variable, print_cmd, variables_of
-from vecloop.target_interp import (FIXPOINT, UNROLLED, exit_rho, run_tgt,
-                                   shift_rho)
+from vecloop.target_interp import (FIXPOINT, UNROLLED, exit_rho, loop_facts,
+                                   run_tgt, shift_rho)
 from vecloop.translate import vectorise, vectorise_relaxed
 
 X = Variable("x", "real")
@@ -461,3 +461,35 @@ def test_runs_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_site_numbers_are_the_preorder_walk():
+    programs = [arm_program(20, 3), hmm_program(20, 2), tcm_program(3, 10)]
+    programs += [gen_program(GenConfig(seed=seed)) for seed in range(300)]
+    sites_seen = 0
+    for seed, source in enumerate(programs):
+        targets = [vectorise(source), vectorise_relaxed(source)]
+        if seed >= 3:
+            targets.append(gen_target_case(seed - 3, GenConfig(seed=seed - 3))[0])
+        for target in targets:
+            sites, _ = loop_facts(target)
+            assert sites == loop_sites(target)
+            sites_seen += len(sites)
+    assert sites_seen > 1000
+
+
+def test_a_per_thread_fetch_looks_each_index_up_once_per_run(monkeypatch):
+    # arm N=48 K=16 runs 17 rounds of one fetch on 48 threads, at 48
+    # indices; the database is a function of the index
+    calls = []
+    lookup = Rdb.lookup
+    monkeypatch.setattr(Rdb, "lookup",
+                        lambda self, i: calls.append(i) or lookup(self, i))
+    program = vectorise(arm_program(48, 16))
+    db = Rdb({}, "normal", 0.0, 1)
+    out = run_tgt(program, db)
+    assert out.rounds_by_site() == {0: 17}
+    assert len(calls) == len(set(calls)) == 48
+    monkeypatch.undo()
+    # the dense backend fetches all 48 lanes at once, from no memo
+    assert repr(out.score) == repr(run_tgt(program, db, backend=DENSE).score)
