@@ -178,14 +178,34 @@ def cmd_fuzz(args) -> int:
     return 1 if failures else 0
 
 
+def _bench_params(text: str, names: tuple[str, ...]) -> list[int]:
+    """The integers "N=20,K=3" gives `names`, in their order.  A parameter
+    that is unknown, given twice, missing or not an integer raises
+    ValueError naming it."""
+    params: dict[str, int] = {}
+    for chunk in text.split(","):
+        if not chunk:
+            continue
+        key, _, value = (part.strip() for part in chunk.partition("="))
+        if key not in names:
+            raise ValueError(f"--params: unknown parameter {key!r}, "
+                             f"expected {', '.join(names)}")
+        if key in params:
+            raise ValueError(f"--params: {key} given twice")
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(f"--params: {key}={value!r} is not an "
+                             f"integer") from None
+    for name in names:
+        if name not in params:
+            raise ValueError(f"--params: {name} is missing")
+    return [params[name] for name in names]
+
+
 def cmd_bench(args) -> int:
     fn, names = SUITES[args.suite]
-    params = {}
-    for chunk in (args.params or "").split(","):
-        if chunk:
-            key, value = chunk.split("=", 1)
-            params[key.strip()] = int(value)
-    ordered = [params[name] for name in names]
+    ordered = _bench_params(args.params, names)
     result = fn(*ordered)
     header = ",".join(names) + ",rounds,agree,wallclock_ms"
     row = ",".join(str(v) for v in ordered) + \

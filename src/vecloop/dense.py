@@ -21,14 +21,13 @@ grouped by their string sequence, become integer columns (`_Group`, built
 once per chain, from the parent's columns for a chain `AChain.extend`
 made); a part that `AChain.compress` cut takes its rows (`AChain.part`)
 of its base chain's columns.  A map reads a whole group with one fancy
-index (`DenseMap.gather`) and writes one with one assignment.  Both dense
-states share one set of lane rules (`_Lanewise`), written against each
-one's `gather`: an expression is evaluated once per operator node over all
-lanes (`lanes`), and a fetch on a wide enough chain hashes every lane's
-index in one pass (`fetched`).  Lane forms give the results the scalar
-ones give, bit for bit; an operator's NaN, whose bits IEEE 754 leaves to
-the implementation, and anything exceptional send the statement back to
-one evaluation per thread.
+index (`DenseMap.gather`) and writes one with one assignment.  An
+expression is evaluated once per operator node over all lanes (`lanes`),
+and a fetch on a wide enough chain hashes every lane's index in one pass
+(`fetched`).  Lane forms give the results the scalar ones give, bit for
+bit; where the lane rule (`_lanes`) declines, on an operator's NaN, whose
+bits IEEE 754 leaves to the implementation, and on anything exceptional,
+the expression is evaluated once per thread by the interpreter's rule.
 
 A loop that `target_interp.loop_facts` admits (what `vectorise` makes of
 an innermost for-loop) runs its rounds in lane registers where the entry
@@ -44,10 +43,11 @@ then the closures: a write is in place, under `ifz` at the part's rows;
 scores go into slots that start each round at 0.0; and a fixed-point
 check, round 1 included, compares the matrices, since no entry grid
 stores a value above a member.  Each round still cuts the chain at every
-`ifz` and still asks the lane rule (`_lanes`) of every expression; a
-command whose lanes decline runs by the interpreter's rule, once per
-thread, on the registers as a `ResidentState` (`_Loop.declined`).  At
-exit each written variable's grid takes each parent's last slot, once.
+`ifz` and still asks the lane rule (`_lanes`) of every expression; an
+expression whose lanes decline is evaluated by the interpreter's
+per-thread rule, reading the registers (`_Loop.read`), and its values are
+written in place as lanes are.  At exit each written variable's grid
+takes each parent's last slot, once.
 The scores are those of running each round on grids, bit for bit, and
 the state the extend_index's exit copy leaves reads and prints the same,
 though its grids may be wider.
@@ -484,10 +484,25 @@ def _typed(values: list, dtype) -> np.ndarray:
                           f"backend's int type") from None
 
 
-class _Lanewise(StateBase):
-    """The lane rules of both dense states, written against each one's
-    `gather(var, chain)`: a variable's values on a non-empty chain, an
-    array in chain order or one Python value for all lanes."""
+class DenseState(StateBase):
+    """State backend: one DenseMap per touched variable."""
+
+    backend = DENSE
+
+    def _map(self, var: Variable) -> DenseMap:
+        m = self.cells.get(var)
+        return m if m is not None else DenseMap((), np.zeros((), dtype_of(var)))
+
+    def grid(self, var: Variable) -> np.ndarray:
+        return self._map(var).cells
+
+    def read(self, var: Variable, i: Index):
+        return self._map(var).read(i)
+
+    def gather(self, var: Variable, chain: AChain):
+        """A variable's values on a non-empty chain: an array in chain
+        order, or one Python value for all lanes."""
+        return self._map(var).gather(_columns(chain), len(chain))
 
     def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
         """The values of `expr` on the chain, each operator node evaluated
@@ -515,8 +530,7 @@ class _Lanewise(StateBase):
             self._evaluated(z, chain) for _, z in index.pairs))
         if columns is None:
             return None
-        return Lanes(chain, _fetched(self._fetches(), index, columns, db,
-                                     len(chain)))
+        return Lanes(chain, _fetched({}, index, columns, db, len(chain)))
 
     def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
         """The chain's column of `name`; None on an empty chain and where a
@@ -524,41 +538,6 @@ class _Lanewise(StateBase):
         lookup per thread does."""
         found = _column_of(name, chain)
         return None if found is None else Lanes(chain, found)
-
-
-def _column_of(name: str, chain: AChain) -> Optional[np.ndarray]:
-    """`looked_up`'s column, as an array."""
-    groups = _columns(chain)
-    if not chain or any(name not in g.names for g in groups):
-        return None
-    if groups[0].rows is None:
-        return _column(groups[0], name)
-    found = np.empty(len(chain), np.int64)
-    for g in groups:
-        found[g.rows] = _column(g, name)
-    return found
-
-
-class DenseState(_Lanewise):
-    """State backend: one DenseMap per touched variable."""
-
-    backend = DENSE
-
-    def _map(self, var: Variable) -> DenseMap:
-        m = self.cells.get(var)
-        return m if m is not None else DenseMap((), np.zeros((), dtype_of(var)))
-
-    def grid(self, var: Variable) -> np.ndarray:
-        return self._map(var).cells
-
-    def read(self, var: Variable, i: Index):
-        return self._map(var).read(i)
-
-    def gather(self, var: Variable, chain: AChain):
-        return self._map(var).gather(_columns(chain), len(chain))
-
-    def _fetches(self) -> dict:
-        return {}
 
     def add_scores(self, buffer: dict, lanes: Lanes) -> None:
         _nan_free(lanes.chain, lanes.data)
@@ -599,6 +578,19 @@ class DenseState(_Lanewise):
         return _Loop(self, chain, body)
 
 
+def _column_of(name: str, chain: AChain) -> Optional[np.ndarray]:
+    """`looked_up`'s column, as an array."""
+    groups = _columns(chain)
+    if not chain or any(name not in g.names for g in groups):
+        return None
+    if groups[0].rows is None:
+        return _column(groups[0], name)
+    found = np.empty(len(chain), np.int64)
+    for g in groups:
+        found[g.rows] = _column(g, name)
+    return found
+
+
 def _column(g: _Group, name: str) -> np.ndarray:
     return g.matrix[:, g.names.index(name)]
 
@@ -610,8 +602,11 @@ def _lanes(expr, count: int, evaluate, *frame) -> Optional[np.ndarray]:
     exceptional (a domain error, an int outside int64), so that the
     interpreter evaluates once per thread and fails as that does; and
     where an operator's result holds a NaN, whose bits IEEE 754 leaves to
-    the implementation (numpy's and CPython's differ).  A bare variable
-    keeps its lanes: a copy keeps its bits."""
+    the implementation (numpy's and CPython's differ).  No `evaluate`
+    (None) always declines.  A bare variable keeps its lanes: a copy keeps
+    its bits."""
+    if evaluate is None:
+        return None
     if isinstance(expr, Var):
         value = evaluate(*frame)
         if isinstance(value, np.ndarray):
@@ -650,20 +645,20 @@ def _index_columns(index: IndexExpr, count: int,
     return columns
 
 
-def _fetched(fetches: dict, index: IndexExpr, columns: list[np.ndarray],
+def _fetched(memo: dict, index: IndexExpr, columns: list[np.ndarray],
              db: Rdb, count: int) -> list:
     """`db`'s value at each of `count` lanes' index, whose pairs' integers
     are the lanes of `columns` (`_looked_up`).  Index lanes equal to those
-    kept in `fetches` for `index` take the kept values: the database is a
+    kept in `memo` for `index` take the kept values: the database is a
     function of the index."""
-    last = fetches.get(id(index))
+    last = memo.get(id(index))
     if last is not None and len(last[1]) == count and all(
             a.tobytes() == b.tobytes() for a, b in zip(last[0], columns)):
         return last[1]
     names = tuple([name for name, _ in index.pairs])
     values = _looked_up(db, names, columns, count)
     # a register's lanes change in place when a later command writes it
-    fetches[id(index)] = ([column.copy() for column in columns], values)
+    memo[id(index)] = ([column.copy() for column in columns], values)
     return values
 
 
@@ -698,10 +693,13 @@ class _Body:
     order), every other variable to its entry lanes, and each operator
     node to its lane form (`evalexpr.lane_code`, `_bound`).  What depends
     on the values is decided each round: the `ifz` cut, and whether an
-    expression's lanes decline (`_lanes`), which sends the command to the
-    interpreter's rule, once per thread (`_Loop.declined`).  A command
-    holding an operator node that does not resolve always goes there, and
-    fails there as it would on grids.
+    expression's lanes decline (`_lanes`).  Where they do, the step takes
+    the values from the interpreter's per-thread rule (`_TargetRun.values`,
+    `scores`, `fetches`, `indices`), reading the registers through
+    `_Loop.read`, and writes them in place as it writes lanes.  An
+    expression holding an operator node that does not resolve has no lane
+    code, so it always declines and fails per thread where it runs, as it
+    would on grids.
     """
 
     def __init__(self, body, writes: frozenset[Variable]):
@@ -719,15 +717,15 @@ class _Body:
             if isinstance(c, Seq):
                 steps += self._steps(c.items)
             elif not isinstance(c, Skip):
-                try:
-                    steps.append(self._step(c))
-                except KeyError:
-                    steps.append(lambda loop, chain, rows, c=c:
-                                 loop.declined(c, chain))
+                steps.append(self._step(c))
         return steps
 
     def _code(self, expr):
-        return lane_code(expr, self._var, _bound)
+        """The lane code of `expr`, or None where a node does not resolve."""
+        try:
+            return lane_code(expr, self._var, _bound)
+        except KeyError:
+            return None
 
     def _var(self, var: Variable):
         if var not in self.slot:
@@ -750,7 +748,7 @@ class _Body:
             def score(loop, chain, rows):
                 value = _lanes(expr, len(chain), code, loop, rows)
                 if value is None:
-                    return loop.declined(c, chain)
+                    value = loop.runner.scores(expr, loop, chain)
                 loop.add_scores(chain, value, rows)
             return score
         if isinstance(c, Assign):
@@ -759,8 +757,8 @@ class _Body:
             def assign(loop, chain, rows):
                 value = _lanes(expr, len(chain), code, loop, rows)
                 if value is None:
-                    return loop.declined(c, chain)
-                loop.write(loop.files, slot, value, rows)
+                    value = loop.runner.values(expr, loop, chain)
+                loop.write(slot, value, rows)
             return assign
         if isinstance(c, Fetch):
             index, slot = c.index, self.slot[c.var]
@@ -771,9 +769,11 @@ class _Body:
                 columns = _index_columns(index, count, (
                     _lanes(z, count, code, loop, rows) for z, code in pairs))
                 if columns is None:
-                    return loop.declined(c, chain)
-                loop.write(loop.files, slot, _fetched(
-                    loop.fetches, index, columns, loop.runner.db, count), rows)
+                    value = loop.runner.fetches(index, loop, chain)
+                else:
+                    value = _fetched(loop.fetch_memo, index, columns,
+                                     loop.runner.db, count)
+                loop.write(slot, value, rows)
             return fetch
         if isinstance(c, LookupIndex):
             name, slot = c.name, self.slot[c.var]
@@ -781,8 +781,8 @@ class _Body:
             def lookup(loop, chain, rows):
                 found = _column_of(name, chain)
                 if found is None:
-                    return loop.declined(c, chain)
-                loop.write(loop.files, slot, found, rows)
+                    found = loop.runner.indices(name, loop, chain)
+                loop.write(slot, found, rows)
             return lookup
         if isinstance(c, Ifz):
             cond, code = c.cond, self._code(c.cond)
@@ -790,9 +790,9 @@ class _Body:
 
             def ifz(loop, chain, rows):
                 value = _lanes(cond, len(chain), code, loop, rows)
-                if value is None:
-                    return loop.declined(c, chain)
-                parts = chain.compress(v == 0 for v in value.tolist())
+                flags = (loop.runner.values(cond, loop, chain)
+                         if value is None else value.tolist())
+                parts = chain.compress(v == 0 for v in flags)
                 for part, steps in zip(parts, branches):
                     if part and steps:
                         part_rows = _part_of(part)[1]
@@ -804,8 +804,7 @@ class _Body:
 
             def loop_for(loop, chain, rows):
                 for k in range(count):
-                    loop.write(loop.files, slot,
-                               np.full(len(chain), k, np.int64), rows)
+                    loop.write(slot, np.full(len(chain), k, np.int64), rows)
                     for step in body:
                         step(loop, chain, rows)
             return loop_for
@@ -836,7 +835,7 @@ class _Loop:
         self.runner = None
         self.slots = np.zeros(len(chain))
         self.written = [[False] * len(file) for file in body.files]
-        self.fetches: dict[int, tuple] = {}
+        self.fetch_memo: dict[int, tuple] = {}
         columns = (_columns(parent), len(parent))
         self.parents = []
         for file, dtype in zip(body.files, _DTYPES.values()):
@@ -868,24 +867,25 @@ class _Loop:
             step(self, chain, None)
         return check and all(map(_same_lanes, before, self.files))
 
-    def declined(self, c, chain: AChain) -> None:
-        """Run the command `c` on the chain by the interpreter's rule, on
-        the registers as a `ResidentState`: the one place a compiled step
-        gives up, where its lanes decline or a fetch is too narrow to
-        batch."""
-        self.files = self.runner.run(c, ResidentState(self, self.files),
-                                     chain).files
+    def read(self, var: Variable, i: Index):
+        """A variable's value at the member i of the loop's chain, for the
+        interpreter's per-thread rules: its register's, or its entry
+        state's, which the loop does not change."""
+        slot = self.body.slot.get(var)
+        if slot is None:
+            return self.entry.read(var, i)
+        return self.files[slot[0]][slot[1], self.row(i)].item()
 
-    def write(self, files: list, slot: tuple[int, int], data, rows) -> None:
-        """The register at `slot` of `files` takes `data` at `rows` (None
-        for every row), in place."""
+    def write(self, slot: tuple[int, int], data, rows) -> None:
+        """The register at `slot` takes `data` at `rows` (None for every
+        row), in place."""
         f, r = slot
         if type(data) is not np.ndarray:
-            data = _typed(data, files[f].dtype)
+            data = _typed(data, self.files[f].dtype)
         if rows is None:
-            files[f][r] = data
+            self.files[f][r] = data
         else:
-            files[f][r, rows] = data
+            self.files[f][r, rows] = data
         self.written[f][r] = True
 
     def add_scores(self, chain: AChain, data, rows) -> None:
@@ -931,65 +931,9 @@ class _Loop:
         return DenseState(cells)
 
 
-class ResidentState(_Lanewise):
-    """A lane-resident loop's registers as a state, on which a command its
-    compiled body declines runs by the interpreter's rules
-    (`_Loop.declined`).
-
-    Each variable the loop body writes is one register over the loop's
-    chain, in chain order; every other variable is read from the entry
-    state, which the loop does not change.  States are values, as on the
-    grids: a write makes a new state, copying the register file it writes.
-    """
-
-    backend = DENSE
-
-    def __init__(self, loop: _Loop, files: list):
-        self.loop = loop
-        self.files = files
-
-    def _register(self, var: Variable):
-        slot = self.loop.body.slot.get(var)
-        return None if slot is None else self.files[slot[0]][slot[1]]
-
-    def read(self, var: Variable, i: Index):
-        lanes = self._register(var)
-        if lanes is None:
-            return self.loop.entry.read(var, i)
-        return lanes[self.loop.row(i)].item()
-
-    def gather(self, var: Variable, chain: AChain):
-        """The variable's register, or its entry lanes, at the chain's rows
-        in the loop's chain, which every part a round meets was cut
-        from."""
-        lanes = self._register(var)
-        if lanes is None:
-            lanes = self.loop.entry_lanes(var)
-        rows = _part_of(chain)[1]
-        if rows is None or not isinstance(lanes, np.ndarray):
-            return lanes
-        return lanes[rows]
-
-    def _fetches(self) -> dict:
-        return self.loop.fetches
-
-    def add_scores(self, buffer: dict, lanes: Lanes) -> None:
-        self.loop.add_scores(lanes.chain, lanes.data,
-                             _part_of(lanes.chain)[1])
-
-    def updated(self, var: Variable, tensor: Lanes) -> "ResidentState":
-        if not tensor:
-            return self
-        slot = self.loop.body.slot[var]
-        files = list(self.files)
-        files[slot[0]] = files[slot[0]].copy()
-        self.loop.write(files, slot, tensor.data, _part_of(tensor.chain)[1])
-        return ResidentState(self.loop, files)
-
-
 # Lane forms of the operators.  Each raises OverflowError or
 # ZeroDivisionError where its scalar form would fail or give an int outside
-# int64, so that the statement runs once per thread instead.
+# int64, so that the expression is evaluated once per thread instead.
 
 
 def _int_add(a, b):

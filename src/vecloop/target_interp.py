@@ -12,9 +12,11 @@ number of rounds.  Both keep only the final round's scores: each round
 starts from the buffer entries the loop began with.  A loop that
 `loop_facts` admits runs its rounds on the state's lane arrays where the
 backend offers them (`StateBase.resident`), through a body the backend
-compiled once per loop node, by the same rules; a statement the compiled
-body cannot run on all lanes at once runs here, once per thread.  A
-fetch that runs once per thread looks each index up once per run.  The
+compiled once per loop node, by the same rules.  The per-thread rules
+(values, scores, fetches and `lookup_index`) exist once, here: `run` and
+a compiled body call them where the lanes decline, with the state or the
+loop's registers as the reader.  A fetch that runs once per thread looks
+each index up once per run.  The
 relaxed interpreter (`relaxed.py`) records each command's own accesses,
 runs it by the same rules, and adds its fused loop.
 """
@@ -138,27 +140,61 @@ class _TargetRun:
         self.sites, self.resident = loop_facts(program)
         # db.lookup's value at each index a thread fetched, the database
         # being a function of the index
-        self.fetches: dict[Index, float] = {}
+        self.lookup_memo: dict[Index, float] = {}
         self.inner_chains: dict[tuple, AChain] = {}
         self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
         self.trace: list[LoopRound] = []
 
-    def eval_at(self, expr, state, i: Index):
-        return eval_expr(expr, lambda var: state.read(var, i))
+    # The per-thread rules: each evaluates on every thread of the chain in
+    # chain order, reading through `reader.read(var, i)` (a state, or a
+    # lane-resident loop's registers), and fails as the first failing
+    # thread does.  `run` calls them where the state's lanes decline, and
+    # so does a compiled loop body.
 
-    def values(self, expr, state, chain: AChain) -> Lanes:
+    def values(self, expr, reader, chain: AChain) -> list:
+        return [eval_expr(expr, lambda var: reader.read(var, i))
+                for i in chain]
+
+    def scores(self, expr, reader, chain: AChain) -> list:
+        """`values`, each checked for NaN before the next thread runs."""
+        values = []
+        for i in chain:
+            value = eval_expr(expr, lambda var: reader.read(var, i))
+            if math.isnan(value):
+                raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
+            values.append(value)
+        return values
+
+    def fetches(self, index, reader, chain: AChain) -> list:
+        """The database's value at the index `index` spells on each thread,
+        looked up once per run (`lookup`)."""
+        return [self.lookup(eval_expr(index, lambda var: reader.read(var, i)))
+                for i in chain]
+
+    def indices(self, name: str, reader, chain: AChain) -> list[int]:
+        """Each thread's integer under `name`, which its index holds: the
+        reader is not read."""
+        values = []
+        for i in chain:
+            value = i.lookup(name)
+            if value is None:
+                raise MissingString(f'lookup_index("{name}") under {i.text()}')
+            values.append(value)
+        return values
+
+    def lookup(self, index: Index) -> float:
+        value = self.lookup_memo.get(index)
+        if value is None:
+            value = self.lookup_memo[index] = self.db.lookup(index)
+        return value
+
+    def lanes(self, expr, state, chain: AChain) -> Lanes:
         """The values of `expr` on the chain: the state's lanes when it
         evaluates a whole chain at once, else one evaluation per thread."""
         lanes = state.lanes(expr, chain)
         if lanes is None:
-            lanes = Lanes(chain, [self.eval_at(expr, state, i) for i in chain])
+            lanes = Lanes(chain, self.values(expr, state, chain))
         return lanes
-
-    def lookup(self, index: Index) -> float:
-        value = self.fetches.get(index)
-        if value is None:
-            value = self.fetches[index] = self.db.lookup(index)
-        return value
 
     def run(self, c: Cmd, state, chain: AChain):
         """Run `c` on the chain and return the new state."""
@@ -167,34 +203,24 @@ class _TargetRun:
         if isinstance(c, Score):
             lanes = state.lanes(c.expr, chain)
             if lanes is None:
-                # per thread, each value is checked before the next thread
-                # runs; lanes that evaluated without error can fail only by
-                # a NaN, which add_scores checks
-                values = []
-                for i in chain:
-                    value = self.eval_at(c.expr, state, i)
-                    if math.isnan(value):
-                        raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
-                    values.append(value)
-                lanes = Lanes(chain, values)
+                # lanes that evaluated without error can fail only by a
+                # NaN, which add_scores checks
+                lanes = Lanes(chain, self.scores(c.expr, state, chain))
             state.add_scores(self.score, lanes)
             return state
         if isinstance(c, Assign):
-            written = self.values(c.expr, state, chain)
-            return state.updated(c.var, written)
+            return state.updated(c.var, self.lanes(c.expr, state, chain))
         if isinstance(c, Fetch):
             written = state.fetched(c.index, chain, self.db)
             if written is None:
-                written = Lanes(chain, [
-                    self.lookup(self.eval_at(c.index, state, i))
-                    for i in chain])
+                written = Lanes(chain, self.fetches(c.index, state, chain))
             return state.updated(c.var, written)
         if isinstance(c, Seq):
             for item in c.items:
                 state = self.run(item, state, chain)
             return state
         if isinstance(c, Ifz):
-            cond = self.values(c.cond, state, chain)
+            cond = self.lanes(c.cond, state, chain)
             zero, nonzero = chain.compress(v == 0 for v in cond.python())
             state = self.run(c.then, state, zero)
             return self.run(c.orelse, state, nonzero)
@@ -206,15 +232,7 @@ class _TargetRun:
         if isinstance(c, LookupIndex):
             found = state.looked_up(c.name, chain)
             if found is None:
-                values: list[int] = []
-                for i in chain:
-                    value = i.lookup(c.name)
-                    if value is None:
-                        raise MissingString(
-                            f'lookup_index("{c.name}") under {i.text()}'
-                        )
-                    values.append(value)
-                found = Lanes(chain, values)
+                found = Lanes(chain, self.indices(c.name, state, chain))
             return state.updated(c.var, found)
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))

@@ -243,6 +243,18 @@ def test_bench_subcommand(capsys):
     assert row.startswith("6,2,3,true,")
 
 
+@pytest.mark.parametrize("params, named", [
+    ("N=20,K=3,Q=9", "'Q'"), ("N=20,K=3,N=5", "N given twice"),
+    ("K=3", "N is missing"), ("N=20,K=three", "K='three'"), ("N,K=3", "N=''"),
+])
+def test_bench_params_name_the_bad_parameter(params, named, capsys):
+    assert main(["bench", "--suite", "arm", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --params: ")
+    assert named in captured.err and captured.err.count("\n") == 1
+
+
 def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--tier", "source", "--program",
                  str(tmp_path / "missing.vl")]) == 2

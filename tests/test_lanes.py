@@ -5,7 +5,7 @@ below (one slice assignment per index, in index order) is how `updated`
 wrote before writes were grouped.  Gathers, scatters and copies over whole
 chains must agree with them, and the lane evaluator must give what
 `eval_expr` gives thread by thread, bit for bit, or decline.  A loop run
-in lane arrays (`ResidentState`) must give the scores, traces and state
+in lane registers (`dense._Loop`) must give the scores, traces and state
 text the same loop gives on grids, and what the sparse backend gives.
 """
 
@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _support import cli_process, python_process
-from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState,
-                          ResidentState, _columns, _grouped, _looked_up,
-                          dense_encode)
+from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState, _columns,
+                          _grouped, _looked_up, dense_encode)
 from vecloop.dense import _Loop as ResidentLoop
 from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr
@@ -390,9 +389,12 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
     from vecloop import dense
     from vecloop.state import StateBase
 
-    for cls in (StateBase, DenseState, ResidentState):
+    for cls in (StateBase, DenseState):
         assert "split" not in vars(cls)
-    assert not {"lanes", "fetched", "looked_up"} & set(vars(ResidentState))
+    # one dense state: a lane-resident loop's registers are no state
+    assert [name for name, obj in vars(dense).items()
+            if isinstance(obj, type) and issubclass(obj, StateBase)
+            and obj.__module__ == dense.__name__] == ["DenseState"]
     tree = ast.parse(inspect.getsource(dense))
     defined = [node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)]
@@ -415,6 +417,15 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
                 if isinstance(node, ast.FunctionDef) and node.name == "_lanes")
     assert any(isinstance(node, ast.ExceptHandler) for node in ast.walk(rule))
     assert "errstate" not in ast.unparse(body) and "isnan" not in ast.unparse(body)
+    # one per-thread lookup_index rule, which the grids and the compiled
+    # bodies share
+    from pathlib import Path
+
+    raised = [node for source in Path(dense.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(source.read_text()))
+              if isinstance(node, ast.Raise)
+              and "MissingString(" in ast.unparse(node)]
+    assert len(raised) == 1
     # the benchmark's tracer wraps these in the class's own namespace
     assert {"read", "updated", "copied", "same_function"} <= \
         set(vars(DenseState))
@@ -653,7 +664,7 @@ def test_partial_operator_reproducers_fail_as_on_sparse(
     # inside the compiled loop, speculative round 1 reads the stale 0 on
     # thread 1: the score's lanes decline, and its per-thread rule fails
     assert resident == [True]
-    assert [type(c).__name__ for c in declined] == ["Score"]
+    assert [rule for rule, _ in declined] == ["scores"]
 
 
 def test_score_nan_and_missing_string_fail_as_on_sparse():
@@ -808,6 +819,15 @@ LOOPS = {
                        "for t:int in range(5) { "
                        "m:int := mul(add(n:int, t:int), 2); "
                        "y := add(y, to_real(sub(m:int, n:int))); score(y) }",
+    # the condition's lanes decline as above: the chain is cut from the
+    # per-thread values, and the else-branch's fetch, on a part of 3 of 5
+    # lanes (fewer than FETCH_MIN_LANES; `lt` gives 0 where a < b, so the
+    # else-branch runs on t = 2, 3, 4), is written at the part's rows
+    "declined-ifz": "n:int := 2305843009213693952; y := 0.0; "
+                    "for t:int in range(5) { "
+                    "ifz lt(mul(add(n:int, t:int), 2), 4611686018427387908) "
+                    "{ y := add(y, 1.0) } "
+                    "else { y := fetch([(\"y\", t:int)]) }; score(y) }",
     # the fetch index changes from round to round, until k settles
     "fetch-carried": "k:int := 0; for t:int in range(9) { "
                      "k:int := add(k:int, t:int); "
@@ -870,15 +890,23 @@ def test_a_variable_written_only_on_empty_branches_stays_absent(resident):
 
 @pytest.fixture
 def declined(monkeypatch):
-    """The commands a compiled loop body sent to the interpreter's rule."""
+    """The per-thread rules a compiled loop body called where its lanes
+    declined, each as (rule, the expression, fetch index or lookup_index
+    name it evaluated); the grids' calls are not recorded."""
+    from vecloop.target_interp import _TargetRun
+
     sent = []
-    decline = ResidentLoop.declined
 
-    def recorded(self, c, chain):
-        sent.append(c)
-        return decline(self, c, chain)
+    def recorder(rule, original):
+        def recorded(self, expr, reader, chain):
+            if isinstance(reader, ResidentLoop):
+                sent.append((rule, expr))
+            return original(self, expr, reader, chain)
+        return recorded
 
-    monkeypatch.setattr(ResidentLoop, "declined", recorded)
+    for rule in ("values", "scores", "fetches", "indices"):
+        monkeypatch.setattr(_TargetRun, rule,
+                            recorder(rule, getattr(_TargetRun, rule)))
     return sent
 
 
@@ -915,11 +943,12 @@ def test_the_relaxed_runner_never_enters_a_compiled_body():
 @pytest.mark.parametrize("name", ["nan-carried", "nan-sign", "per-thread-read"])
 def test_compiled_loops_decline_per_thread(name, resident, declined):
     # an operator's NaN and a product that may leave int64 send their
-    # statement to the interpreter's rule, once per thread, every round
+    # assignment's expression to the interpreter's rule, once per thread,
+    # every round
     sparse, dense = run_both(vectorise(parse(LOOPS[name])), db=NORMAL)
     assert_agree(sparse, dense)
     assert resident == [True] and declined
-    assert {type(c).__name__ for c in declined} == {"Assign"}
+    assert {rule for rule, _ in declined} == {"values"}
 
 
 def test_a_for_loop_inside_a_resident_loop_runs_as_on_sparse(resident):
@@ -940,8 +969,9 @@ def test_a_for_loop_inside_a_resident_loop_runs_as_on_sparse(resident):
 
 def test_an_operator_that_does_not_resolve_fails_where_it_runs(
         resident, declined):
-    # compiling the body meets the ill-typed node first; the command holding
-    # it fails only where the interpreter's rule reaches it, as on grids
+    # compiling the body meets the ill-typed node first; the expression
+    # holding it fails only where the per-thread rule reaches it, as on
+    # grids
     from vecloop.syntax import (Assign, For, Ifz, Score, Skip, seq)
 
     t, x = Variable("t", INT), Variable("x", REAL)
@@ -958,14 +988,15 @@ def test_an_operator_that_does_not_resolve_fails_where_it_runs(
             assert_agree(sparse, dense)
             assert declined == []
         else:
-            assert sparse[0] == dense[0] == want and declined == [bad]
+            assert sparse[0] == dense[0] == want
+            assert declined == [("values", bad.expr)]
 
 
 def test_a_resident_loop_reads_per_thread_where_the_lanes_decline(
         resident, monkeypatch):
     reads = []
-    read = ResidentState.read
-    monkeypatch.setattr(ResidentState, "read", lambda self, var, i:
+    read = ResidentLoop.read
+    monkeypatch.setattr(ResidentLoop, "read", lambda self, var, i:
                         reads.append(var.name) or read(self, var, i))
     sparse, dense = run_both(vectorise(parse(LOOPS["per-thread-read"])))
     assert_agree(sparse, dense)
