@@ -59,6 +59,9 @@ def _load_state(path: str | None) -> SrcState:
     values = {}
     for label, value in doc.items():
         var = _parse_var(label)
+        if var in values:
+            raise ValueError(f"--state {path}: {label}: names "
+                             f"{var.text()} a second time")
         values[var] = json_number(value, f"--state {path}: {label}",
                                   integer=var.type == INT)
     return SrcState(values)

@@ -16,18 +16,14 @@ private to this module: a map prints as the canonical entries of the
 function it represents (`DenseMap.canonical`), as a PMap does, so a state
 prints alike on both backends whatever its grids' shapes.
 
-A statement runs once per chain, not once per thread.  The chain's members,
-grouped by their string sequence, become integer columns (`_Group`, built
-once per chain, from the parent's columns for a chain `AChain.extend`
-made); a part that `AChain.compress` cut takes its rows (`AChain.part`)
-of its base chain's columns.  A map reads a whole group with one fancy
-index (`DenseMap.gather`) and writes one with one assignment.  An
-expression is evaluated once per operator node over all lanes (`lanes`),
-and a fetch on a wide enough chain hashes every lane's index in one pass
-(`fetched`).  Lane forms give the results the scalar ones give, bit for
-bit; where the lane rule (`_lanes`) declines, on an operator's NaN, whose
-bits IEEE 754 leaves to the implementation, and on anything exceptional,
-the expression is evaluated once per thread by the interpreter's rule.
+On grids, a statement runs by the interpreter's per-thread rules, as on
+the sparse backend: each thread reads its cells (`DenseMap.read`), and the
+chain's values are written at once.  The chain's members, grouped by their
+string sequence, become integer columns (`_Group`, built once per chain,
+from the parent's columns for a chain `AChain.extend` made); a part that
+`AChain.compress` cut takes its rows (`AChain.part`) of its base chain's
+columns.  A map reads a whole group with one fancy index
+(`DenseMap.gather`) and writes one with one assignment.
 
 A loop that `target_interp.loop_facts` admits (what `vectorise` makes of
 an innermost for-loop) runs its rounds in lane registers where the entry
@@ -43,11 +39,15 @@ then the closures: a write is in place, under `ifz` at the part's rows;
 scores go into slots that start each round at 0.0; and a fixed-point
 check, round 1 included, compares the matrices, since no entry grid
 stores a value above a member.  Each round still cuts the chain at every
-`ifz` and still asks the lane rule (`_lanes`) of every expression; an
-expression whose lanes decline is evaluated by the interpreter's
-per-thread rule, reading the registers (`_Loop.read`), and its values are
-written in place as lanes are.  At exit each written variable's grid
-takes each parent's last slot, once.
+`ifz` and still asks the lane rule (`_lanes`) of every expression: each
+operator node runs once on all lanes, through a lane form giving the
+scalar form's results bit for bit, and a fetch on FETCH_MIN_LANES lanes or
+more hashes every lane's index in one pass (`_fetched`).  Where the lane
+rule declines, on an operator's NaN, whose bits IEEE 754 leaves to the
+implementation, and on anything exceptional, the per-thread rule of the
+interpreter evaluates the expression, reading the registers
+(`_Loop.read`), and its values are written in place as lanes are.  At
+exit each written variable's grid takes each parent's last slot, once.
 The scores are those of running each round on grids, bit for bit, and
 the state the extend_index's exit copy leaves reads and prints the same,
 though its grids may be wider.
@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
                      ScoreNaN, UnknownString, VecloopError)
-from .evalexpr import eval_lanes, expr_kind, lane_code
+from .evalexpr import expr_kind, lane_code
 from .indices import AChain, Index
 from .ops import normal_logpdf
 from .pmap import PMap
@@ -499,51 +499,6 @@ class DenseState(StateBase):
     def read(self, var: Variable, i: Index):
         return self._map(var).read(i)
 
-    def gather(self, var: Variable, chain: AChain):
-        """A variable's values on a non-empty chain: an array in chain
-        order, or one Python value for all lanes."""
-        return self._map(var).gather(_columns(chain), len(chain))
-
-    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
-        """The values of `expr` on the chain, each operator node evaluated
-        once for all lanes, or None where `_lanes` declines."""
-        value = self._evaluated(expr, chain)
-        return None if value is None else Lanes(chain, value)
-
-    def _evaluated(self, expr, chain: AChain) -> Optional[np.ndarray]:
-        if not chain:
-            return None
-        reads: dict[Variable, object] = {}
-
-        def read(var: Variable):
-            if var not in reads:
-                reads[var] = self.gather(var, chain)
-            return reads[var]
-
-        return _lanes(expr, len(chain), eval_lanes, expr, read, _apply)
-
-    def fetched(self, index: IndexExpr, chain: AChain, db: Rdb) -> Optional[Lanes]:
-        """`db`'s value at the index `index` spells on each thread of the
-        chain, from one pass over all lanes (`_fetched`), or None where
-        `_index_columns` declines."""
-        columns = _index_columns(index, len(chain), (
-            self._evaluated(z, chain) for _, z in index.pairs))
-        if columns is None:
-            return None
-        return Lanes(chain, _fetched({}, index, columns, db, len(chain)))
-
-    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
-        """The chain's column of `name`; None on an empty chain and where a
-        member lacks the string, so that the interpreter fails as one
-        lookup per thread does."""
-        found = _column_of(name, chain)
-        return None if found is None else Lanes(chain, found)
-
-    def add_scores(self, buffer: dict, lanes: Lanes) -> None:
-        _nan_free(lanes.chain, lanes.data)
-        for i, value in lanes.items():
-            buffer[i] += value
-
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "DenseState":
         if not tensor:
             return self
@@ -579,7 +534,8 @@ class DenseState(StateBase):
 
 
 def _column_of(name: str, chain: AChain) -> Optional[np.ndarray]:
-    """`looked_up`'s column, as an array."""
+    """Each member's integer under `name`, as an array; None on an empty
+    chain and where a member lacks the string, as the per-thread rule fails."""
     groups = _columns(chain)
     if not chain or any(name not in g.names for g in groups):
         return None
@@ -595,26 +551,26 @@ def _column(g: _Group, name: str) -> np.ndarray:
     return g.matrix[:, g.names.index(name)]
 
 
-def _lanes(expr, count: int, evaluate, *frame) -> Optional[np.ndarray]:
-    """The lane rule: `evaluate(*frame)`, the values of `expr` on `count`
-    lanes with each operator node evaluated once for all of them (or one
-    Python value for all), as an array.  None when that meets anything
-    exceptional (a domain error, an int outside int64), so that the
-    interpreter evaluates once per thread and fails as that does; and
-    where an operator's result holds a NaN, whose bits IEEE 754 leaves to
-    the implementation (numpy's and CPython's differ).  No `evaluate`
-    (None) always declines.  A bare variable keeps its lanes: a copy keeps
-    its bits."""
-    if evaluate is None:
+def _lanes(expr, count: int, code, loop, rows) -> Optional[np.ndarray]:
+    """The lane rule of a compiled body: `code(loop, rows)`, the values of
+    `expr` (its lane code) on `count` lanes with each operator node
+    evaluated once for all of them (or one Python value for all), as an
+    array.  None when that meets anything exceptional (a domain error, an
+    int outside int64), so that the step evaluates once per thread and
+    fails as that does; and where an operator's result holds a NaN, whose
+    bits IEEE 754 leaves to the implementation (numpy's and CPython's
+    differ).  No `code` (None) always declines.  A bare variable keeps its
+    lanes: a copy keeps its bits."""
+    if code is None:
         return None
     if isinstance(expr, Var):
-        value = evaluate(*frame)
+        value = code(loop, rows)
         if isinstance(value, np.ndarray):
             return value
         return np.full(count, value, dtype_of(expr.var))
     try:
         with np.errstate(all="ignore"):
-            value = evaluate(*frame)
+            value = code(loop, rows)
             if not isinstance(value, np.ndarray):
                 return np.full(count, value, _DTYPES[expr_kind(expr)])
             if value.dtype == np.float64 and np.isnan(value).any():
@@ -626,39 +582,40 @@ def _lanes(expr, count: int, evaluate, *frame) -> Optional[np.ndarray]:
         return None
 
 
-def _index_columns(index: IndexExpr, count: int,
-                   lanes: Iterator) -> Optional[list[np.ndarray]]:
+def _index_columns(index: IndexExpr, codes: list, count: int, loop,
+                   rows) -> Optional[list[np.ndarray]]:
     """The int64 lanes of each pair's integer of a fetch index on `count`
-    lanes, `lanes` giving each pair's lanes in turn (None where they
-    decline); None on fewer lanes than FETCH_MIN_LANES, on an index
-    repeating a string, and where a pair's lanes decline or are not ints,
-    so that the interpreter fetches once per thread and fails as that
-    does."""
+    lanes, each pair's from its lane code in `codes` (`_lanes`); None on
+    fewer lanes than FETCH_MIN_LANES, on an index repeating a string, and
+    where a pair's lanes decline or are not ints, so that the step fetches
+    once per thread and fails as that does."""
     names = [name for name, _ in index.pairs]
     if count < FETCH_MIN_LANES or len(set(names)) < len(names):
         return None
     columns = []
-    for column in lanes:
+    for (_, z), code in zip(index.pairs, codes):
+        column = _lanes(z, count, code, loop, rows)
         if column is None or column.dtype != np.int64:
             return None
         columns.append(column)
     return columns
 
 
-def _fetched(memo: dict, index: IndexExpr, columns: list[np.ndarray],
-             db: Rdb, count: int) -> list:
-    """`db`'s value at each of `count` lanes' index, whose pairs' integers
-    are the lanes of `columns` (`_looked_up`).  Index lanes equal to those
-    kept in `memo` for `index` take the kept values: the database is a
-    function of the index."""
-    last = memo.get(id(index))
+def _fetched(loop, index: IndexExpr, columns: list[np.ndarray],
+             count: int) -> list:
+    """The database's value at each of `count` lanes' index, whose pairs'
+    integers are the lanes of `columns` (`_looked_up`).  Index lanes equal
+    to those the loop kept for `index` (`fetch_memo`) take the kept values:
+    the database is a function of the index."""
+    last = loop.fetch_memo.get(id(index))
     if last is not None and len(last[1]) == count and all(
             a.tobytes() == b.tobytes() for a, b in zip(last[0], columns)):
         return last[1]
     names = tuple([name for name, _ in index.pairs])
-    values = _looked_up(db, names, columns, count)
+    values = _looked_up(loop.runner.db, names, columns, count)
     # a register's lanes change in place when a later command writes it
-    memo[id(index)] = ([column.copy() for column in columns], values)
+    loop.fetch_memo[id(index)] = ([column.copy() for column in columns],
+                                  values)
     return values
 
 
@@ -762,17 +719,15 @@ class _Body:
             return assign
         if isinstance(c, Fetch):
             index, slot = c.index, self.slot[c.var]
-            pairs = [(z, self._code(z)) for _, z in index.pairs]
+            codes = [self._code(z) for _, z in index.pairs]
 
             def fetch(loop, chain, rows):
                 count = len(chain)
-                columns = _index_columns(index, count, (
-                    _lanes(z, count, code, loop, rows) for z, code in pairs))
+                columns = _index_columns(index, codes, count, loop, rows)
                 if columns is None:
                     value = loop.runner.fetches(index, loop, chain)
                 else:
-                    value = _fetched(loop.fetch_memo, index, columns,
-                                     loop.runner.db, count)
+                    value = _fetched(loop, index, columns, count)
                 loop.write(slot, value, rows)
             return fetch
         if isinstance(c, LookupIndex):
@@ -1010,14 +965,9 @@ _LANE_OPS = {
 }
 
 
-def _apply(op: str, kind: str, fn, args: list):
-    """One operator node on all lanes; see `evalexpr.eval_lanes`."""
-    return _applied(fn, _LANE_OPS.get((op, kind)), kind, args)
-
-
 def _bound(op: str, kind: str, fn):
-    """`_apply` for one operator node, its lane form looked up once; see
-    `evalexpr.lane_code`."""
+    """One operator node's `apply(args)` on its arguments' lanes, its lane
+    form looked up once; see `evalexpr.lane_code`."""
     return partial(_applied, fn, _LANE_OPS.get((op, kind)), kind)
 
 

@@ -4,9 +4,9 @@ The caller supplies how variables are read; everything else (literals,
 operator dispatch by argument kinds, index construction) is common.  Each
 operator node is resolved against the operator table once, on first use,
 and keeps its result kind and implementation.  `eval_expr` evaluates for one
-thread; `eval_lanes` evaluates each node once for all the lanes of a chain,
-applying operators through a backend's lane forms of them; `lane_code`
-stages that evaluation into closures, built once, for a body whose
+thread; `lane_code` stages an expression, once, into closures that
+evaluate each node once for all the lanes of a chain, applying operators
+through a backend's lane forms of them, for a compiled loop body whose
 rounds evaluate the same expressions again and again.
 """
 
@@ -60,30 +60,11 @@ def eval_expr(e: Expr, read_var: Callable[[Variable], object]):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def eval_lanes(e: Expr, read_lanes: Callable[[Variable], object],
-               apply: Callable[[str, str, Callable, list], object]):
-    """The values of `e` on every lane of a chain at once.
-
-    `read_lanes(var)` gives a variable's lanes, and `apply(op, kind, fn,
-    args)` applies a resolved operator node to its arguments' lanes, once
-    per node.  Literals stay Python scalars.  A node is resolved before its
-    arguments are evaluated, as in `eval_expr`.
-    """
-    if isinstance(e, Var):
-        return read_lanes(e.var)
-    if isinstance(e, PrimOp):
-        kind, fn = e.impl or resolved(e)
-        return apply(e.op, kind, fn,
-                     [eval_lanes(a, read_lanes, apply) for a in e.args])
-    if isinstance(e, (IntLit, RealLit)):
-        return e.value
-    raise TypeError(f"not a lane expression: {e!r}")
-
-
 def lane_code(e: Expr, var_code: Callable[[Variable], Callable],
               bind: Callable[[str, str, Callable], Callable]) -> Callable:
-    """`eval_lanes` staged: a closure `code(frame, rows)` giving the values
-    of `e` on every lane, with no dispatch on node kinds left to do.
+    """A closure `code(frame, rows)` giving the values of `e` on every lane,
+    each node evaluated once for all of them, with no dispatch on node
+    kinds left to do.
 
     `var_code(var)` gives a variable's closure, and `bind(op, kind, fn)` a
     resolved operator node's `apply(args)` on its arguments' lanes;

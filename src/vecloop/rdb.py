@@ -126,9 +126,13 @@ class Rdb:
                     and isinstance(pair[0], str) for pair in pairs):
                 raise ValueError(f"{where}.index: expected a list of "
                                  f"[string, integer] pairs")
+            if len({name for name, _ in pairs}) < len(pairs):
+                raise ValueError(f"{where}.index: repeats a string")
             index = Index(tuple((name, json_number(value, f"{where}.index",
                                                    integer=True))
                                 for name, value in pairs))
+            if index in explicit:
+                raise ValueError(f"{where}: repeats the index {index.text()}")
             explicit[index] = json_number(entry.get("value"), f"{where}.value")
         kind = default.get("kind")
         if kind == "const":

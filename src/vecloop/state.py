@@ -5,8 +5,10 @@ unmentioned variables implicitly hold the constant 0 / 0.0 map.  Two
 interchangeable backends share one container, `StateBase`: the sparse one
 (reference) stores PMaps, the dense one `dense.DenseMap` grids.  A state's
 text is that of the function it represents, so it does not depend on the
-backend nor on how a backend lays out its maps.  No backend splits a
-chain: an `ifz` cuts it with `AChain.compress`, which records the rows.
+backend nor on how a backend lays out its maps.  Both backends run the
+same per-thread rules (`target_interp._TargetRun`); only a loop run in
+lane registers (`StateBase.resident`) evaluates a chain at once.  No
+backend splits a chain: an `ifz` cuts it with `AChain.compress`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ _DEFAULT_CELLS = {INT: PMap({EMPTY: 0}), REAL: PMap({EMPTY: 0.0})}
 class Lanes(Mapping):
     """A tensor on a chain, held as one value per member in chain order.
 
-    `data` is a list, or a backend's array when the backend evaluated the
-    chain at once; `items` gives Python values either way.
+    `data` is a list, or an array where a lane-resident loop writes its
+    registers back; `items` gives Python values either way.
     """
 
     __slots__ = ("chain", "data")
@@ -103,32 +105,6 @@ class StateBase:
         `same_function`."""
         return "; ".join(f"{var.text()}={self._map(var).canonical().text()}"
                          for var in sorted(self.cells, key=Variable.sort_key))
-
-    def lanes(self, expr, chain: AChain) -> Optional[Lanes]:
-        """The values of `expr` on the chain, or None when the interpreter
-        is to evaluate it once per thread, as it always does on the sparse
-        backend."""
-        return None
-
-    def fetched(self, index, chain: AChain, db) -> Optional[Lanes]:
-        """The database values at the index `index` spells on each thread
-        of the chain, or None when the interpreter is to fetch once per
-        thread, as it always does on the sparse backend."""
-        return None
-
-    def looked_up(self, name: str, chain: AChain) -> Optional[Lanes]:
-        """Each thread's integer under `name`, or None when the
-        interpreter is to look it up once per thread, as it always does on
-        the sparse backend."""
-        return None
-
-    def add_scores(self, buffer: dict, lanes: Lanes) -> None:
-        """Add each lane into the run's score buffer {Index: float}.  Lanes
-        that `lanes` evaluated at once are checked for NaN first, failing
-        at the first NaN thread in chain order as the per-thread rule
-        does."""
-        for i, value in lanes.items():
-            buffer[i] += value
 
     def resident(self, loop, writes, chain: AChain):
         """The lane arrays on which the fixed-point loop `loop` over

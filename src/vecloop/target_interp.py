@@ -13,12 +13,12 @@ starts from the buffer entries the loop began with.  A loop that
 `loop_facts` admits runs its rounds on the state's lane arrays where the
 backend offers them (`StateBase.resident`), through a body the backend
 compiled once per loop node, by the same rules.  The per-thread rules
-(values, scores, fetches and `lookup_index`) exist once, here: `run` and
-a compiled body call them where the lanes decline, with the state or the
-loop's registers as the reader.  A fetch that runs once per thread looks
-each index up once per run.  The
-relaxed interpreter (`relaxed.py`) records each command's own accesses,
-runs it by the same rules, and adds its fused loop.
+(values, scores, fetches and `lookup_index`) exist once, here: `run`
+calls them on either backend's state, and a compiled body where its lanes
+decline, with the loop's registers as the reader.  A fetch that runs once
+per thread looks each index up once per run.  The relaxed interpreter
+(`relaxed.py`) records each command's own accesses, runs it by the same
+rules, and adds its fused loop.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class _TargetRun:
     # The per-thread rules: each evaluates on every thread of the chain in
     # chain order, reading through `reader.read(var, i)` (a state, or a
     # lane-resident loop's registers), and fails as the first failing
-    # thread does.  `run` calls them where the state's lanes decline, and
-    # so does a compiled loop body.
+    # thread does.  `run` calls them on any state, and a compiled loop body
+    # where its lanes decline.
 
     def values(self, expr, reader, chain: AChain) -> list:
         return [eval_expr(expr, lambda var: reader.read(var, i))
@@ -188,40 +188,27 @@ class _TargetRun:
             value = self.lookup_memo[index] = self.db.lookup(index)
         return value
 
-    def lanes(self, expr, state, chain: AChain) -> Lanes:
-        """The values of `expr` on the chain: the state's lanes when it
-        evaluates a whole chain at once, else one evaluation per thread."""
-        lanes = state.lanes(expr, chain)
-        if lanes is None:
-            lanes = Lanes(chain, self.values(expr, state, chain))
-        return lanes
-
     def run(self, c: Cmd, state, chain: AChain):
         """Run `c` on the chain and return the new state."""
         if isinstance(c, Skip):
             return state
         if isinstance(c, Score):
-            lanes = state.lanes(c.expr, chain)
-            if lanes is None:
-                # lanes that evaluated without error can fail only by a
-                # NaN, which add_scores checks
-                lanes = Lanes(chain, self.scores(c.expr, state, chain))
-            state.add_scores(self.score, lanes)
+            for i, value in zip(chain, self.scores(c.expr, state, chain)):
+                self.score[i] += value
             return state
         if isinstance(c, Assign):
-            return state.updated(c.var, self.lanes(c.expr, state, chain))
+            return state.updated(
+                c.var, Lanes(chain, self.values(c.expr, state, chain)))
         if isinstance(c, Fetch):
-            written = state.fetched(c.index, chain, self.db)
-            if written is None:
-                written = Lanes(chain, self.fetches(c.index, state, chain))
-            return state.updated(c.var, written)
+            return state.updated(
+                c.var, Lanes(chain, self.fetches(c.index, state, chain)))
         if isinstance(c, Seq):
             for item in c.items:
                 state = self.run(item, state, chain)
             return state
         if isinstance(c, Ifz):
-            cond = self.lanes(c.cond, state, chain)
-            zero, nonzero = chain.compress(v == 0 for v in cond.python())
+            cond = self.values(c.cond, state, chain)
+            zero, nonzero = chain.compress(v == 0 for v in cond)
             state = self.run(c.then, state, zero)
             return self.run(c.orelse, state, nonzero)
         if isinstance(c, For):
@@ -230,10 +217,8 @@ class _TargetRun:
                 state = self.run(c.body, state, chain)
             return state
         if isinstance(c, LookupIndex):
-            found = state.looked_up(c.name, chain)
-            if found is None:
-                found = Lanes(chain, self.indices(c.name, state, chain))
-            return state.updated(c.var, found)
+            return state.updated(
+                c.var, Lanes(chain, self.indices(c.name, state, chain)))
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))
         if isinstance(c, ExtendIndex):

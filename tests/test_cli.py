@@ -151,9 +151,14 @@ def test_state_file_override(workdir, capsys, tmp_path):
     ("--rdb", '{"entries": [{"index": 5, "value": 1}]}',
      "rdb entries[0].index:"),
     ("--rdb", '{"default": {"kind": "weird"}}', "rdb default.kind:"),
+    ("--rdb", '{"entries": [{"index": [["a", 0], ["a", 1]], "value": 1}]}',
+     "rdb entries[0].index: repeats a string"),
+    ("--rdb", '{"entries": [{"index": [["a", 0]], "value": 1}, '
+     '{"index": [["a", 0]], "value": 2}]}', "rdb entries[1]: repeats the index"),
     ("--state", "[1]", "expected a JSON object"),
     ("--state", '{"x": [1]}', ": x: expected a number"),
     ("--state", '{"n:int": 1.5}', ": n:int: expected an integer"),
+    ("--state", '{"x": 1.0, "x:real": 2.0}', ": x:real: names x a second time"),
 ])
 def test_malformed_rdb_and_state_files_exit_2(workdir, tmp_path, capsys,
                                               option, doc, names):

@@ -3,10 +3,11 @@
 `DenseMap.read` defines a read at one index, and the per-index write loop
 below (one slice assignment per index, in index order) is how `updated`
 wrote before writes were grouped.  Gathers, scatters and copies over whole
-chains must agree with them, and the lane evaluator must give what
-`eval_expr` gives thread by thread, bit for bit, or decline.  A loop run
-in lane registers (`dense._Loop`) must give the scores, traces and state
-text the same loop gives on grids, and what the sparse backend gives.
+chains must agree with them, and a compiled loop body's lane evaluation
+must give what `eval_expr` gives thread by thread, bit for bit, or
+decline.  A loop run in lane registers (`dense._Loop`) must give the
+scores, traces and state text the same loop gives on grids, and what the
+sparse backend gives.
 """
 
 import math
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _support import cli_process, python_process
-from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState, _columns,
-                          _grouped, _looked_up, dense_encode)
+from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState, _Body,
+                          _bound, _columns, _fetched, _grouped, _index_columns,
+                          _lanes, _looked_up, dense_encode)
 from vecloop.dense import _Loop as ResidentLoop
 from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
-from vecloop.evalexpr import eval_expr
+from vecloop.evalexpr import eval_expr, lane_code
 from vecloop.harness import GenConfig, gen_program, gen_rdb, gen_target_case
 from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
                              is_antichain, prefix_leq)
@@ -33,8 +35,8 @@ from vecloop.rdb import Rdb
 from vecloop.relaxed import run_relaxed
 from vecloop.state import DENSE, SPARSE, Lanes, make_state
 from vecloop.syntax import (INT, REAL, IndexExpr, IntLit, PrimOp, RealLit,
-                            Var, Variable)
-from vecloop.target_interp import FIXPOINT, UNROLLED, run_tgt
+                            Shift, Skip, Var, Variable)
+from vecloop.target_interp import FIXPOINT, UNROLLED, _TargetRun, run_tgt
 from vecloop.translate import vectorise, vectorise_relaxed
 
 NAMES = "abc"
@@ -194,7 +196,7 @@ def row_of(groups, k: int):
 
 
 # --------------------------------------------------------------------------
-# The lane evaluator, bit for bit against eval_expr
+# A compiled body's lane evaluation, bit for bit against eval_expr
 # --------------------------------------------------------------------------
 
 I_VARS = [Variable("m", INT), Variable("n", INT)]
@@ -252,6 +254,34 @@ def lane_states(draw):
     return state, chain
 
 
+def entry_loop(state, chain, db=None) -> ResidentLoop:
+    """A lane-resident loop over chain = parent.extend(...), entered from
+    `state`, whose compiled body writes nothing: every variable reads its
+    entry lanes (`_Loop.entry_lanes`)."""
+    loop = ResidentLoop(state, chain, _Body(Shift("s"), frozenset()))
+    loop.runner = _TargetRun(Skip(), db, FIXPOINT, chain)
+    return loop
+
+
+def compiled_lanes(expr, state, chain):
+    """The lanes a compiled body's step takes for `expr` on the chain: an
+    array, or None where the lane rule (`_lanes`) declines."""
+    loop = entry_loop(state, chain)
+    code = lane_code(expr, loop.body._var, _bound)
+    return _lanes(expr, len(chain), code, loop, None)
+
+
+def compiled_fetch(index, state, chain, db):
+    """The values a compiled body's fetch step looks up in one pass on the
+    chain (`_index_columns`, `_fetched`), or None where it fetches once per
+    thread."""
+    loop = entry_loop(state, chain, db)
+    codes = [lane_code(z, loop.body._var, _bound) for _, z in index.pairs]
+    columns = _index_columns(index, codes, len(chain), loop, None)
+    return None if columns is None else _fetched(loop, index, columns,
+                                                 len(chain))
+
+
 def per_thread(expr, state, chain):
     """eval_expr at each thread: its values, or the first failure."""
     out = []
@@ -269,37 +299,14 @@ def test_lanes_are_eval_expr_bit_for_bit(state_chain, expr):
     state, chain = state_chain
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lanes = state.lanes(expr, chain)
+        lanes = compiled_lanes(expr, state, chain)
     want = per_thread(expr, state, chain)
     if lanes is None:
         return
     assert not isinstance(want, Exception), want
-    got = lanes.python()
+    got = lanes.tolist()
     assert [type(v) for v in got] == [type(v) for v in want]
     assert [bits(v) for v in got] == [bits(v) for v in want]
-
-
-@settings(max_examples=500, deadline=None)
-@given(lane_states(), st.one_of(int_exprs(3), real_exprs(3)))
-def test_staged_lanes_are_the_interpreted_lanes(state_chain, expr):
-    # a compiled loop body evaluates through `lane_code`'s closures what
-    # `lanes` evaluates through `eval_lanes`, under the one lane rule
-    # (`_lanes`): the same lanes, bit for bit, or both decline
-    from vecloop.dense import _bound, _lanes
-    from vecloop.evalexpr import lane_code
-
-    state, chain = state_chain
-    code = lane_code(expr, lambda var: lambda frame, rows:
-                     frame.gather(var, chain), _bound)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        staged = _lanes(expr, len(chain), code, state, None)
-        lanes = state.lanes(expr, chain)
-    assert (staged is None) == (lanes is None)
-    if lanes is not None:
-        assert staged.dtype == lanes.data.dtype
-        assert [bits(v) for v in staged.tolist()] == \
-            [bits(v) for v in lanes.python()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,7 +323,7 @@ def test_lanes_decline_only_what_per_thread_fails_or_overflows(state_chain, expr
     if isinstance(expr, PrimOp) and any(v != v for v in want):
         return
     if _int_nodes_stay_small(expr, state, chain):
-        assert state.lanes(expr, chain) is not None
+        assert compiled_lanes(expr, state, chain) is not None
 
 
 def _int_nodes_stay_small(expr, state, chain) -> bool:
@@ -354,12 +361,12 @@ def test_an_operators_nan_has_the_per_thread_bits(op):
     chain = ROOT_CHAIN.extend("s", 3)
     state = make_state(DENSE).updated(x, Lanes(chain, [1.0, 2.0, math.nan]))
     expr = PrimOp(op, (Var(x), PrimOp("neg", (Var(x),))))
-    lanes = state.lanes(expr, chain)
+    lanes = compiled_lanes(expr, state, chain)
     want = [bits(v) for v in per_thread(expr, state, chain)]
-    assert lanes is None or [bits(v) for v in lanes.python()] == want
+    assert lanes is None or [bits(v) for v in lanes.tolist()] == want
     # a bare variable is a copy, which keeps its bits
-    assert [bits(v) for v in state.lanes(Var(x), chain).python()] == \
-        [bits(state.read(x, i)) for i in chain]
+    assert [bits(v) for v in compiled_lanes(Var(x), state, chain).tolist()] \
+        == [bits(state.read(x, i)) for i in chain]
 
 
 def test_literal_arguments_stay_scalars_and_empty_chains_do_nothing():
@@ -367,48 +374,49 @@ def test_literal_arguments_stay_scalars_and_empty_chains_do_nothing():
     chain = ROOT_CHAIN.extend("s", 3)
     state = make_state(DENSE).updated(x, Lanes(chain, [1.0, 2.0, 3.0]))
     expr = PrimOp("normal_logpdf", (Var(x), RealLit(0.0), RealLit(1.0)))
-    lanes = state.lanes(expr, chain)
-    assert isinstance(lanes.data, np.ndarray)
-    assert lanes.python() == [eval_expr(expr, lambda v: state.read(v, i))
+    lanes = compiled_lanes(expr, state, chain)
+    assert isinstance(lanes, np.ndarray)
+    assert lanes.tolist() == [eval_expr(expr, lambda v: state.read(v, i))
                               for i in chain]
-    assert state.lanes(expr, EMPTY_CHAIN) is None
+    # on an empty chain the per-thread rule gives no value, whose write
+    # leaves the state alone
+    runner = _TargetRun(Skip(), None, FIXPOINT, EMPTY_CHAIN)
+    assert state.updated(x, Lanes(EMPTY_CHAIN, runner.values(
+        expr, state, EMPTY_CHAIN))) is state
     # an index whose lanes all agree fetches once per lane on a narrow chain
     # and is hashed as one Python int on a wide one
     index = IndexExpr((("z", PrimOp("const", (IntLit(2),))),))
     db = Rdb({}, "normal", 0.0, 7)
-    assert state.fetched(index, chain, db) is None
+    assert compiled_fetch(index, state, chain, db) is None
     wide = ROOT_CHAIN.extend("s", FETCH_MIN_LANES)
-    assert state.fetched(index, wide, db).python() == \
+    assert compiled_fetch(index, state, wide, db) == \
         [db.lookup(Index((("z", 2),)))] * FETCH_MIN_LANES
 
 
 def test_each_lane_rule_and_the_ifz_cut_are_written_once():
     import ast
     import inspect
+    from pathlib import Path
 
-    from vecloop import dense
+    from vecloop import dense, evalexpr
     from vecloop.state import StateBase
 
+    # grids run the interpreter's per-thread rules: no state evaluates
+    # lanes, fetches or looks up a chain at once, and no state cuts a chain
     for cls in (StateBase, DenseState):
-        assert "split" not in vars(cls)
+        assert not {"split", "lanes", "fetched", "looked_up", "add_scores",
+                    "gather", "_evaluated"} & set(vars(cls))
+    assert "lanes" not in vars(_TargetRun)
+    assert not hasattr(evalexpr, "eval_lanes") and not hasattr(dense, "_apply")
     # one dense state: a lane-resident loop's registers are no state
     assert [name for name, obj in vars(dense).items()
             if isinstance(obj, type) and issubclass(obj, StateBase)
             and obj.__module__ == dense.__name__] == ["DenseState"]
-    tree = ast.parse(inspect.getsource(dense))
-    defined = [node.name for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef)]
-    for rule in ("lanes", "fetched", "looked_up"):
-        assert defined.count(rule) == 1, rule
     assert not hasattr(dense, "_PART") and not hasattr(dense._Loop, "rows")
-    # the compiled loop body (`_Body`) defines none of these rules again,
-    # nor a second decline rule: one handler takes the exceptions a lane
-    # expression declines on, in `_lanes`, which every step calls
-    body = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.ClassDef) and node.name == "_Body")
-    assert not {"lanes", "fetched", "looked_up", "_lanes", "_fetched"} & {
-        node.name for node in ast.walk(body)
-        if isinstance(node, ast.FunctionDef)}
+    # lanes are evaluated only in compiled loop bodies (`_Body`), under one
+    # lane rule: one handler takes the exceptions a lane expression
+    # declines on, in `_lanes`, which every step calls
+    tree = ast.parse(inspect.getsource(dense))
     handlers = [ast.unparse(node.type) for node in ast.walk(tree)
                 if isinstance(node, ast.ExceptHandler) and node.type]
     assert [h for h in handlers if "ArithmeticError" in h] == \
@@ -416,11 +424,10 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
     rule = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_lanes")
     assert any(isinstance(node, ast.ExceptHandler) for node in ast.walk(rule))
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "_Body")
     assert "errstate" not in ast.unparse(body) and "isnan" not in ast.unparse(body)
-    # one per-thread lookup_index rule, which the grids and the compiled
-    # bodies share
-    from pathlib import Path
-
+    # one per-thread lookup_index rule, which grids and compiled bodies share
     raised = [node for source in Path(dense.__file__).parent.glob("*.py")
               for node in ast.walk(ast.parse(source.read_text()))
               if isinstance(node, ast.Raise)
@@ -566,11 +573,11 @@ def test_batched_fetch_is_the_per_thread_lookup_bit_for_bit(case):
         warnings.simplefilter("error")
         assert [bits(v) for v in _looked_up(db, names, columns, len(chain))] \
             == want
-        fetched = state.fetched(index, chain, db)
+        fetched = compiled_fetch(index, state, chain, db)
     if len(chain) < FETCH_MIN_LANES:
         assert fetched is None
     else:
-        assert [bits(v) for v in fetched.python()] == want
+        assert [bits(v) for v in fetched] == want
 
 
 def test_fetch_declines_a_repeated_string_and_a_declining_pair():
@@ -578,12 +585,14 @@ def test_fetch_declines_a_repeated_string_and_a_declining_pair():
     state = make_state(DENSE)
     db = Rdb({}, "normal", 0.0, 1)
     one = IntLit(1)
-    assert state.fetched(IndexExpr((("a", one), ("a", one))), chain, db) is None
+    assert compiled_fetch(IndexExpr((("a", one), ("a", one))), state, chain,
+                          db) is None
     n = Variable("n", INT)
     state = state.updated(n, Lanes(chain, [0] * FETCH_MIN_LANES))
-    assert state.fetched(IndexExpr((("a", PrimOp("mod", (one, Var(n)))),)),
-                         chain, db) is None
-    assert state.fetched(IndexExpr((("a", Var(n)),)), chain, db) is not None
+    assert compiled_fetch(IndexExpr((("a", PrimOp("mod", (one, Var(n)))),)),
+                          state, chain, db) is None
+    assert compiled_fetch(IndexExpr((("a", Var(n)),)), state, chain,
+                          db) is not None
 
 
 def test_importing_vecloop_imports_no_numpy():
