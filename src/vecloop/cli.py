@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 from . import harness
 from .bench import SUITES
@@ -19,7 +20,7 @@ from .errors import ParseFailure, TierViolation, VecloopError
 from .indices import ROOT_CHAIN, Index
 from .parser import parse
 from .pmap import PMap
-from .rdb import Rdb, json_number
+from .rdb import Rdb, json_number, json_object
 from .relaxed import run_relaxed
 from .source_interp import SrcState, run_src
 from .state import SPARSE, make_state
@@ -53,7 +54,8 @@ def _parse_var(label: str) -> Variable:
 def _load_state(path: str | None) -> SrcState:
     if not path:
         return SrcState()
-    doc = json.loads(_read(path))
+    doc = json.loads(_read(path), object_pairs_hook=partial(
+        json_object, f"--state {path}"))
     if not isinstance(doc, dict):
         raise ValueError(f"--state {path}: expected a JSON object")
     values = {}
@@ -148,7 +150,8 @@ def cmd_check(args) -> int:
 
 
 def _load_cfg(path: str) -> harness.GenConfig:
-    doc = json.loads(_read(path))
+    doc = json.loads(_read(path), object_pairs_hook=partial(
+        json_object, f"--cfg {path}"))
     if not isinstance(doc, dict):
         raise ValueError(f"--cfg {path}: expected a JSON object")
     defaults = dataclasses.asdict(harness.GenConfig())

@@ -46,7 +46,7 @@ more hashes every lane's index in one pass (`_fetched`).  Where the lane
 rule declines, on an operator's NaN, whose bits IEEE 754 leaves to the
 implementation, and on anything exceptional, the per-thread rule of the
 interpreter evaluates the expression, reading the registers
-(`_Loop.read`), and its values are written in place as lanes are.  At
+(`_Loop.column`), and its values are written in place as lanes are.  At
 exit each written variable's grid takes each parent's last slot, once.
 The scores are those of running each round on grids, bit for bit, and
 the state the extend_index's exit copy leaves reads and prints the same,
@@ -653,7 +653,7 @@ class _Body:
     expression's lanes decline (`_lanes`).  Where they do, the step takes
     the values from the interpreter's per-thread rule (`_TargetRun.values`,
     `scores`, `fetches`, `indices`), reading the registers through
-    `_Loop.read`, and writes them in place as it writes lanes.  An
+    `_Loop.column`, and writes them in place as it writes lanes.  An
     expression holding an operator node that does not resolve has no lane
     code, so it always declines and fails per thread where it runs, as it
     would on grids.
@@ -830,6 +830,16 @@ class _Loop:
         if slot is None:
             return self.entry.read(var, i)
         return self.files[slot[0]][slot[1], self.row(i)].item()
+
+    def column(self, var: Variable, chain: AChain) -> list:
+        """`read` at each member of `chain`, the loop's chain or a part an
+        `ifz` cut from it: a register's lanes at the part's rows."""
+        slot = self.body.slot.get(var)
+        if slot is None:
+            return self.entry.column(var, chain)
+        register = self.files[slot[0]][slot[1]]
+        rows = _part_of(chain)[1]
+        return (register if rows is None else register[rows]).tolist()
 
     def write(self, slot: tuple[int, int], data, rows) -> None:
         """The register at `slot` takes `data` at `rows` (None for every

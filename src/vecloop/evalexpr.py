@@ -4,7 +4,12 @@ The caller supplies how variables are read; everything else (literals,
 operator dispatch by argument kinds, index construction) is common.  Each
 operator node is resolved against the operator table once, on first use,
 and keeps its result kind and implementation.  `eval_expr` evaluates for one
-thread; `lane_code` stages an expression, once, into closures that
+thread.  `eval_column` evaluates for every thread of a chain at once: it
+walks the expression once and applies each operator node to its
+arguments' columns, so that the dispatch on node kinds is paid once per
+node, not once per thread (vector-at-a-time interpretation: Boncz,
+Zukowski and Nes, "MonetDB/X100: Hyper-Pipelining Query Execution", CIDR
+2005).  `lane_code` stages an expression, once, into closures that
 evaluate each node once for all the lanes of a chain, applying operators
 through a backend's lane forms of them, for a compiled loop body whose
 rounds evaluate the same expressions again and again.
@@ -15,7 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import ops
-from .indices import Index
+from .indices import EMPTY, Index
 from .syntax import (INT, Expr, IndexExpr, IntLit, PrimOp, RealLit, Var,
                      Variable)
 
@@ -57,6 +62,32 @@ def eval_expr(e: Expr, read_var: Callable[[Variable], object]):
         return e.value
     if isinstance(e, IndexExpr):
         return Index(tuple((name, eval_expr(z, read_var)) for name, z in e.pairs))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def eval_column(e: Expr, column: Callable[[Variable], list],
+                count: int) -> list:
+    """The values of `e` on `count` threads, a list in thread order, where
+    `column(var)` gives a variable's values on them.  Each node is visited
+    once, and an operator node maps its implementation over its arguments'
+    columns.  Every thread's evaluation by `eval_expr` visits every node,
+    and operators are pure, so a walk that completes gives each thread's
+    value bit for bit; a walk that raises says only that some thread
+    fails, not which one first.
+    """
+    if isinstance(e, Var):
+        return column(e.var)
+    if isinstance(e, PrimOp):
+        fn = (e.impl or resolved(e))[1]
+        return list(map(fn, *[eval_column(a, column, count) for a in e.args]))
+    if isinstance(e, (IntLit, RealLit)):
+        return [e.value] * count
+    if isinstance(e, IndexExpr):
+        if not e.pairs:
+            return [EMPTY] * count
+        names = [name for name, _ in e.pairs]
+        columns = [eval_column(z, column, count) for _, z in e.pairs]
+        return [Index(tuple(zip(names, ints))) for ints in zip(*columns)]
     raise TypeError(f"not an expression: {e!r}")
 
 

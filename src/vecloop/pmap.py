@@ -15,6 +15,8 @@ from .indices import Index
 from .ops import same_value
 
 _ABSENT = object()
+# the key of a relocation's inverse among what it keeps (`_inverted`)
+_IMAGE = "pmap.image"
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class PMap:
         slot would otherwise read back a different value, so the result
         stays as sparse as the relocation allows.
         """
-        image = {target: source for source, target in rho.items()}
+        image = _inverted(rho)
         new: dict[Index, object] = {}
         for target, source in image.items():
             if source in self.entries:
@@ -112,11 +114,18 @@ class PMap:
         fixed-point check.  An entry is induced when the read at its parent
         gives the same value, a NaN counting as the same as a NaN.  Dropping
         an induced entry changes no read, so every entry can be judged
-        against this map as it stands.
+        against this map as it stands.  The map is immutable, so it keeps
+        its canonical form: a loop's fixed-point check canonicalises only
+        the maps its round made.
         """
-        return PMap({i: v for i, v in self.entries.items()
-                     if not i.pairs or ((up := self.extend_eval(i.parent())) != v
-                                        and not same_value(up, v))})
+        found = self.__dict__.get("_canonical")
+        if found is None:
+            found = PMap({i: v for i, v in self.entries.items()
+                          if not i.pairs
+                          or ((up := self.extend_eval(i.parent())) != v
+                              and not same_value(up, v))})
+            object.__setattr__(self, "_canonical", found)
+        return found
 
     def same_function(self, other: "PMap") -> bool:
         """Equal reads at every index, under `same_value`."""
@@ -132,6 +141,19 @@ class PMap:
 
     def __repr__(self) -> str:
         return f"PMap({self.text()})"
+
+
+def _inverted(rho: Mapping[Index, Index]) -> dict[Index, Index]:
+    """rho as {target: source}.  A relocation the interpreter keeps in a
+    chain's memo (`state.Relocation`) keeps this too, in its `derived`, so
+    that it is built once per chain, not once per variable and round."""
+    derived = getattr(rho, "derived", None)
+    found = None if derived is None else derived.get(_IMAGE)
+    if found is None:
+        found = {target: source for source, target in rho.items()}
+        if derived is not None:
+            derived[_IMAGE] = found
+    return found
 
 
 def _covered(i: Index, region: Mapping[Index, object]) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 from .indices import Index
@@ -59,6 +60,18 @@ def index_bytes(i: Index) -> bytes:
 def hash_normal(i: Index, seed: int) -> float:
     h = _mix(fnv1a(index_bytes(i), seed))
     return box_muller(_unit(h), _unit(_mix(h ^ SECOND)))
+
+
+def json_object(where: str, pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict, for `object_pairs_hook`:
+    a repeated key, which `json` would let the last one win, raises
+    ValueError naming `where` and the key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"{where}: repeats the key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def json_number(value, where: str, integer: bool = False):
@@ -149,7 +162,8 @@ class Rdb:
     @staticmethod
     def load(path: str) -> "Rdb":
         with open(path, "r", encoding="utf-8") as fh:
-            return Rdb.from_json(json.load(fh))
+            return Rdb.from_json(json.load(
+                fh, object_pairs_hook=partial(json_object, "rdb")))
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -5,8 +5,9 @@ access in the current scope was a read (0) or a write (1).  The relaxed
 loop masks write-first indices out of its fixed-point comparison, which
 can retire speculation one round earlier than plain state equality.
 Every other command first records its own accesses in the flag (the reads
-of its expression, then the write of its variable) and then runs by the
-target interpreter's rules.
+of its expression, then the write of its variable), a chain at a time,
+and then runs by the target interpreter's rules.  The masked check
+compares a variable's two columns on the unmasked indices.
 """
 
 from __future__ import annotations
@@ -112,17 +113,20 @@ class _RelaxedRun(_TargetRun):
         read = _READS.get(type(c))
         if read is not None:
             for var in free_vars(getattr(c, read)):
-                self.note(var, ((i, 0) for i in chain))
+                self.note(var, dict.fromkeys(chain, 0))
         if (isinstance(c, (Assign, Fetch, LookupIndex))
                 or isinstance(c, For) and c.count > 0):
-            self.note(c.var, ((i, 1) for i in chain))
+            self.note(c.var, dict.fromkeys(chain, 1))
         return super().run(c, state, chain)
 
-    def note(self, var: Variable, bits) -> None:
-        """Record (index, bit) pairs; an index's first access sticks."""
-        cell = self.first.setdefault(var, {})
-        for i, b in bits:
-            cell.setdefault(i, b)
+    def note(self, var: Variable, bits: dict[Index, int]) -> None:
+        """Record a chain's {index: bit}, a dict the flag may keep; an
+        index's first access sticks."""
+        cell = self.first.get(var)
+        if cell is None:
+            self.first[var] = bits
+        elif not bits.keys() <= cell.keys():
+            self.first[var] = {**bits, **cell}
 
     def run_fused(self, c: ExtendedLoopShift, state, chain: AChain):
         inner = self.extended(chain, c.name, c.count)
@@ -137,7 +141,7 @@ class _RelaxedRun(_TargetRun):
             self.first = outer
             pulled = flag_pull_back(round_flag, chain, c.name, c.count, k)
             for var, bits in pulled.per_var.items():
-                self.note(var, bits.items())
+                self.note(var, bits)
             # looked up in this module, where perfbench/tracer.py wraps it
             return state, fixcheck(shifted, state.copied(rho), round_flag,
                                    inner)

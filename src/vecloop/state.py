@@ -6,9 +6,10 @@ interchangeable backends share one container, `StateBase`: the sparse one
 (reference) stores PMaps, the dense one `dense.DenseMap` grids.  A state's
 text is that of the function it represents, so it does not depend on the
 backend nor on how a backend lays out its maps.  Both backends run the
-same per-thread rules (`target_interp._TargetRun`); only a loop run in
-lane registers (`StateBase.resident`) evaluates a chain at once.  No
-backend splits a chain: an `ifz` cuts it with `AChain.compress`.
+same per-thread rules (`target_interp._TargetRun`), which read a
+variable on a whole chain at once (`column`); only a loop run in lane
+registers (`StateBase.resident`) evaluates in lane arrays.  No backend
+splits a chain: an `ifz` cuts it with `AChain.compress`.
 """
 
 from __future__ import annotations
@@ -86,6 +87,10 @@ class StateBase:
     def variables(self) -> set[Variable]:
         return set(self.cells)
 
+    def column(self, var: Variable, chain: Iterable[Index]) -> list:
+        """`read` at each index of the chain, in its order."""
+        return [self.read(var, i) for i in chain]
+
     def copied(self, rho: Mapping[Index, Index]):
         if not rho:
             return self
@@ -126,8 +131,11 @@ class StateBase:
             variables = sorted(self.variables() | other.variables(),
                                key=Variable.sort_key)
         for var in variables:
-            for i in probes:
-                a, b = self.read(var, i), other.read(var, i)
+            mine, theirs = self.column(var, probes), other.column(var, probes)
+            # list equality: == on each pair, a NaN object equal to itself
+            if mine == theirs:
+                continue
+            for i, a, b in zip(probes, mine, theirs):
                 if a != b and not same_value(a, b):
                     return var, i, a, b
         return None
@@ -146,6 +154,9 @@ class SparseState(StateBase):
 
     def read(self, var: Variable, i: Index):
         return self.cell(var).extend_eval(i)
+
+    def column(self, var: Variable, chain: Iterable[Index]) -> list:
+        return list(map(self.cell(var).extend_eval, chain))
 
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "SparseState":
         if not tensor:

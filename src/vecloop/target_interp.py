@@ -15,10 +15,13 @@ backend offers them (`StateBase.resident`), through a body the backend
 compiled once per loop node, by the same rules.  The per-thread rules
 (values, scores, fetches and `lookup_index`) exist once, here: `run`
 calls them on either backend's state, and a compiled body where its lanes
-decline, with the loop's registers as the reader.  A fetch that runs once
-per thread looks each index up once per run.  The relaxed interpreter
-(`relaxed.py`) records each command's own accesses, runs it by the same
-rules, and adds its fused loop.
+decline, with the loop's registers as the reader.  Each evaluates its
+expression once per chain (`evalexpr.eval_column`), reading each variable
+as one column, and runs once per thread, failing as the first failing
+thread does, only on a chain where the column fails (`_TargetRun.column`,
+the one place a failure is caught).  A fetch looks each index up once per
+run.  The relaxed interpreter (`relaxed.py`) records each command's own
+accesses, runs it by the same rules, and adds its fused loop.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import MissingString, PrimitiveDomainError, ScoreNaN
-from .evalexpr import eval_expr
+from .evalexpr import eval_column, eval_expr
 from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import PMap
 from .rdb import Rdb
@@ -145,18 +148,40 @@ class _TargetRun:
         self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
         self.trace: list[LoopRound] = []
 
-    # The per-thread rules: each evaluates on every thread of the chain in
-    # chain order, reading through `reader.read(var, i)` (a state, or a
-    # lane-resident loop's registers), and fails as the first failing
-    # thread does.  `run` calls them on any state, and a compiled loop body
-    # where its lanes decline.
+    # The per-thread rules: each gives an expression's value on every thread
+    # of the chain in chain order, reading through `reader.column(var,
+    # chain)` (a state, or a lane-resident loop's registers), and fails as
+    # the first failing thread does.  `run` calls them on any state, and a
+    # compiled loop body where its lanes decline.  Each walks the
+    # expression once per chain (`column`); only where that fails does the
+    # rule run once per thread, reading through `reader.read(var, i)`.
+
+    def column(self, expr, reader, chain: AChain) -> Optional[list]:
+        """`expr` on every thread of the chain at once (`eval_column`), or
+        None where some thread fails, so that the rule runs its per-thread
+        loop, which raises the first failing thread's error.  The one place
+        a failing thread is caught.  No thread, no walk: an `ifz` part may
+        be empty."""
+        if not chain:
+            return []
+        try:
+            return eval_column(expr, partial(reader.column, chain=chain),
+                               len(chain))
+        except Exception:
+            return None
 
     def values(self, expr, reader, chain: AChain) -> list:
+        found = self.column(expr, reader, chain)
+        if found is not None:
+            return found
         return [eval_expr(expr, lambda var: reader.read(var, i))
                 for i in chain]
 
     def scores(self, expr, reader, chain: AChain) -> list:
         """`values`, each checked for NaN before the next thread runs."""
+        found = self.column(expr, reader, chain)
+        if found is not None and not any(map(math.isnan, found)):
+            return found
         values = []
         for i in chain:
             value = eval_expr(expr, lambda var: reader.read(var, i))
@@ -168,6 +193,9 @@ class _TargetRun:
     def fetches(self, index, reader, chain: AChain) -> list:
         """The database's value at the index `index` spells on each thread,
         looked up once per run (`lookup`)."""
+        found = self.column(index, reader, chain)
+        if found is not None:
+            return list(map(self.lookup, found))
         return [self.lookup(eval_expr(index, lambda var: reader.read(var, i)))
                 for i in chain]
 

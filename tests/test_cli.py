@@ -159,6 +159,9 @@ def test_state_file_override(workdir, capsys, tmp_path):
     ("--state", '{"x": [1]}', ": x: expected a number"),
     ("--state", '{"n:int": 1.5}', ": n:int: expected an integer"),
     ("--state", '{"x": 1.0, "x:real": 2.0}', ": x:real: names x a second time"),
+    ("--rdb", '{"entries": [{"index": [["a", 0]], "value": 1, "value": 5}]}',
+     "rdb: repeats the key 'value'"),
+    ("--state", '{"x": 1.0, "x": 2.0}', ": repeats the key 'x'"),
 ])
 def test_malformed_rdb_and_state_files_exit_2(workdir, tmp_path, capsys,
                                               option, doc, names):
@@ -206,7 +209,8 @@ def test_fuzz_cfg_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", ["[1, 2]", '{"bogus": 1}',
-                                 '{"max_loop_len": "x"}'])
+                                 '{"max_loop_len": "x"}',
+                                 '{"max_depth": 2, "max_depth": 3}'])
 def test_fuzz_malformed_cfg_exits_2(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)

@@ -5,7 +5,9 @@ below (one slice assignment per index, in index order) is how `updated`
 wrote before writes were grouped.  Gathers, scatters and copies over whole
 chains must agree with them, and a compiled loop body's lane evaluation
 must give what `eval_expr` gives thread by thread, bit for bit, or
-decline.  A loop run in lane registers (`dense._Loop`) must give the
+decline.  The interpreter's rules, which evaluate once per chain, must
+give what `eval_expr` gives thread by thread, or fail as the first failing
+thread does.  A loop run in lane registers (`dense._Loop`) must give the
 scores, traces and state text the same loop gives on grids, and what the
 sparse backend gives.
 """
@@ -238,20 +240,32 @@ def real_exprs(depth):
 
 
 @st.composite
-def lane_states(draw):
-    """A dense state over a chain of 1-4 threads, a variable per kind
-    spread along the chain and one held by every thread."""
+def lane_writes(draw):
+    """The writes of a state over a chain of 1-4 threads, a variable per
+    kind spread along the chain and one held by every thread."""
     count = draw(st.integers(1, 4))
     chain = ROOT_CHAIN.extend("s", count)
-    state = make_state(DENSE)
+    writes = []
     for var in I_VARS:
-        state = state.updated(var, Lanes(chain, draw(st.lists(
-            st.sampled_from(INTS), min_size=count, max_size=count))))
+        writes.append((var, Lanes(chain, draw(st.lists(
+            st.sampled_from(INTS), min_size=count, max_size=count)))))
     for var in R_VARS:
-        state = state.updated(var, Lanes(chain, draw(st.lists(
-            st.sampled_from(REALS), min_size=count, max_size=count))))
-    state = state.updated(I_VARS[1], {EMPTY: draw(st.sampled_from(INTS))})
-    return state, chain
+        writes.append((var, Lanes(chain, draw(st.lists(
+            st.sampled_from(REALS), min_size=count, max_size=count)))))
+    writes.append((I_VARS[1], {EMPTY: draw(st.sampled_from(INTS))}))
+    return writes, chain
+
+
+def written(backend, writes):
+    state = make_state(backend)
+    for var, tensor in writes:
+        state = state.updated(var, tensor)
+    return state
+
+
+def lane_states():
+    """A dense state of `lane_writes`, and its chain."""
+    return lane_writes().map(lambda wc: (written(DENSE, wc[0]), wc[1]))
 
 
 def entry_loop(state, chain, db=None) -> ResidentLoop:
@@ -307,6 +321,54 @@ def test_lanes_are_eval_expr_bit_for_bit(state_chain, expr):
     got = lanes.tolist()
     assert [type(v) for v in got] == [type(v) for v in want]
     assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def settled(run):
+    """A rule's values as (types, bits), or its error's class and message."""
+    try:
+        values = run()
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return [type(v) for v in values], [bits(v) for v in values]
+
+
+def per_thread_scores(expr, state, chain):
+    """`per_thread`, with each thread's value checked for NaN before the
+    next thread runs."""
+    out = []
+    for i in chain:
+        value = eval_expr(expr, lambda var: state.read(var, i))
+        if math.isnan(value):
+            raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
+        out.append(value)
+    return out
+
+
+def raising(values):
+    if isinstance(values, Exception):
+        raise values
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_writes(), st.one_of(int_exprs(2), real_exprs(2)),
+       st.lists(st.tuples(st.sampled_from("pq"), int_exprs(2)), max_size=3))
+def test_the_chain_rules_are_the_per_thread_rules(writes_chain, expr, pairs):
+    # each rule evaluates the expression once per chain; a chain on which
+    # some thread fails, or a score is NaN, runs once per thread
+    writes, chain = writes_chain
+    index = IndexExpr(tuple(pairs))
+    db = Rdb({}, "normal", 0.0, 7)
+    for backend in (SPARSE, DENSE):
+        state = written(backend, writes)
+        runner = _TargetRun(Skip(), db, FIXPOINT, chain)
+        assert settled(lambda: runner.values(expr, state, chain)) == \
+            settled(lambda: raising(per_thread(expr, state, chain)))
+        assert settled(lambda: runner.scores(expr, state, chain)) == \
+            settled(lambda: per_thread_scores(expr, state, chain))
+        assert settled(lambda: runner.fetches(index, state, chain)) == \
+            settled(lambda: [db.lookup(i) for i in
+                             raising(per_thread(index, state, chain))])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1003,10 +1065,11 @@ def test_an_operator_that_does_not_resolve_fails_where_it_runs(
 
 def test_a_resident_loop_reads_per_thread_where_the_lanes_decline(
         resident, monkeypatch):
+    # the per-thread rule reads a variable's column on the chain
     reads = []
-    read = ResidentLoop.read
-    monkeypatch.setattr(ResidentLoop, "read", lambda self, var, i:
-                        reads.append(var.name) or read(self, var, i))
+    column = ResidentLoop.column
+    monkeypatch.setattr(ResidentLoop, "column", lambda self, var, chain:
+                        reads.append(var.name) or column(self, var, chain))
     sparse, dense = run_both(vectorise(parse(LOOPS["per-thread-read"])))
     assert_agree(sparse, dense)
     assert resident == [True] and {"n", "t"} <= set(reads)

@@ -104,6 +104,20 @@ def test_canonical_is_representation_independent():
         assert cell.same_function(PMap(padded))
 
 
+def test_a_map_keeps_its_canonical_form_and_a_relocation_its_inverse():
+    rng = random.Random(5)
+    for _ in range(100):
+        cell, other = rand_cell(rng), rand_cell(rng)
+        kept = cell.canonical()
+        assert cell.canonical() is kept
+        assert kept == PMap(cell.entries).canonical()
+        # one inverse per relocation, whichever map it copies
+        rho = shift_shape_rho(rng)
+        for m in (cell, other):
+            assert m.copied(rho) == m.copied(dict(rho))
+        assert rho.derived["pmap.image"] == {t: s for s, t in rho.items()}
+
+
 def test_update_matches_composite_of_extends():
     # the update equation, checked against brute-force oracles
     rng = random.Random(3)

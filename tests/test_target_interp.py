@@ -350,9 +350,10 @@ def test_fixpoint_check_cost_does_not_follow_hash_seed():
 
 
 def test_fingerprint_does_not_follow_hash_seed():
-    # every case of tests/_fingerprint.py (2,416 runs: both backends, the
-    # target and the relaxed tier, bench shapes and generated programs),
-    # its scores, traces, state texts and errors, under two hash seeds, in
+    # every case of tests/_fingerprint.py (2,432 runs: both backends, the
+    # target and the relaxed tier, bench shapes, generated programs and the
+    # partial-operator reproducers), its scores, traces, state texts,
+    # relaxed flags and errors, under two hash seeds, in
     # two fresh interpreters run side by side
     from concurrent.futures import ThreadPoolExecutor
 
@@ -363,7 +364,7 @@ def test_fingerprint_does_not_follow_hash_seed():
     for proc in procs:
         assert proc.returncode == 0, proc.stderr
     assert procs[0].stdout == procs[1].stdout
-    assert procs[0].stdout.split()[0] == "2416"
+    assert procs[0].stdout.split()[0] == "2432"
 
 
 IFZ_LOG = ("for t:int in range(4) { x := to_real(t:int); "
