@@ -85,6 +85,11 @@ def _state_digest(state) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.mode != FIXPOINT and args.tier != "target":
+        raise ValueError(f"--mode {args.mode}: only --tier target has modes")
+    if args.backend != SPARSE and args.tier == "source":
+        raise ValueError(f"--backend {args.backend}: --tier source has no "
+                         f"backends")
     program = parse(_read(args.program), args.tier)
     db = Rdb.load(args.rdb) if args.rdb else Rdb()
     init = _load_state(args.state)
@@ -165,6 +170,8 @@ def cmd_fuzz(args) -> int:
     limit = os.cpu_count() or 1
     if not 1 <= args.jobs <= limit:
         raise ValueError(f"--jobs {args.jobs}: must be between 1 and {limit}")
+    if args.n < 1:
+        raise ValueError(f"--n {args.n}: must be at least 1")
     cfg = _load_cfg(args.cfg) if args.cfg else None
     if args.jobs > 1:
         import multiprocessing

@@ -40,14 +40,17 @@ scores go into slots that start each round at 0.0; and a fixed-point
 check, round 1 included, compares the matrices, since no entry grid
 stores a value above a member.  Each round still cuts the chain at every
 `ifz` and still asks the lane rule (`_lanes`) of every expression: each
-operator node runs once on all lanes, through a lane form giving the
-scalar form's results bit for bit, and a fetch on FETCH_MIN_LANES lanes or
-more hashes every lane's index in one pass (`_fetched`).  Where the lane
-rule declines, on an operator's NaN, whose bits IEEE 754 leaves to the
-implementation, and on anything exceptional, the per-thread rule of the
-interpreter evaluates the expression, reading the registers
-(`_Loop.column`), and its values are written in place as lanes are.  At
-exit each written variable's grid takes each parent's last slot, once.
+operator node runs once on all lanes, numpy computing only the total
+float64 operators, bit for bit as their scalar forms, and every other
+operator mapping its scalar form over the lanes (`_applied`); and a fetch
+on FETCH_MIN_LANES lanes or more hashes every lane's index in one pass
+(`_fetched`).  A compiled body holds no loop.  Where the lane rule
+declines, on an int result outside int64, on an operator's NaN, whose bits
+IEEE 754 leaves to the implementation, and on a domain error, the
+per-thread rule of the interpreter evaluates the expression, reading the
+registers (`_Loop.column`), and its values are written in place as lanes
+are.  At exit each written variable's grid takes each parent's last slot,
+once.
 The scores are those of running each round on grids, bit for bit, and
 the state the extend_index's exit copy leaves reads and prints the same,
 though its grids may be wider.
@@ -70,11 +73,10 @@ from .pmap import PMap
 from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
                   box_muller, fnv1a)
 from .state import DENSE, Lanes, StateBase
-from .syntax import (INT, REAL, Assign, Fetch, For, Ifz, IndexExpr,
-                     LookupIndex, Score, Seq, Skip, Var, Variable)
+from .syntax import (INT, REAL, Assign, Fetch, Ifz, IndexExpr, LookupIndex,
+                     Score, Seq, Skip, Var, Variable)
 
 _DTYPES = {INT: np.int64, REAL: np.float64}
-_INT64 = range(-(1 << 63), 1 << 63)
 
 
 def dtype_of(var: Variable):
@@ -163,8 +165,6 @@ def _extended(groups: tuple[_Group, ...], name: str,
     r * count + k, k < count, so each group repeats every row `count` times
     and gains the column k.
     """
-    if not count:
-        return ()
     slots = np.arange(count)
     out = []
     for g in groups:
@@ -534,20 +534,12 @@ class DenseState(StateBase):
 
 
 def _column_of(name: str, chain: AChain) -> Optional[np.ndarray]:
-    """Each member's integer under `name`, as an array; None on an empty
-    chain and where a member lacks the string, as the per-thread rule fails."""
-    groups = _columns(chain)
-    if not chain or any(name not in g.names for g in groups):
+    """Each member's integer under `name`, as an array, on a chain of one
+    string sequence; None where that lacks the string, as the per-thread
+    rule fails."""
+    g = _columns(chain)[0]
+    if name not in g.names:
         return None
-    if groups[0].rows is None:
-        return _column(groups[0], name)
-    found = np.empty(len(chain), np.int64)
-    for g in groups:
-        found[g.rows] = _column(g, name)
-    return found
-
-
-def _column(g: _Group, name: str) -> np.ndarray:
     return g.matrix[:, g.names.index(name)]
 
 
@@ -577,8 +569,8 @@ def _lanes(expr, count: int, code, loop, rows) -> Optional[np.ndarray]:
                 return None
             return value
     except (VecloopError, ArithmeticError):
-        # a domain error, or an int the lanes cannot hold (OverflowError)
-        # or a divisor of 0 (ZeroDivisionError) on some lane
+        # a domain error, or an int the lanes cannot hold (OverflowError),
+        # on some lane
         return None
 
 
@@ -754,15 +746,6 @@ class _Body:
                         for step in steps:
                             step(loop, part, part_rows)
             return ifz
-        if isinstance(c, For):
-            slot, count, body = self.slot[c.var], c.count, self._steps([c.body])
-
-            def loop_for(loop, chain, rows):
-                for k in range(count):
-                    loop.write(slot, np.full(len(chain), k, np.int64), rows)
-                    for step in body:
-                        step(loop, chain, rows)
-            return loop_for
         raise TypeError(f"not a lane-resident command: {c!r}")
 
 
@@ -896,58 +879,15 @@ class _Loop:
         return DenseState(cells)
 
 
-# Lane forms of the operators.  Each raises OverflowError or
-# ZeroDivisionError where its scalar form would fail or give an int outside
-# int64, so that the expression is evaluated once per thread instead.
-
-
-def _int_add(a, b):
-    r = np.add(a, b)
-    if (((a ^ r) & (b ^ r)) < 0).any():
-        raise OverflowError("int64 overflow")
-    return r
-
-
-def _int_sub(a, b):
-    r = np.subtract(a, b)
-    if (((a ^ b) & (a ^ r)) < 0).any():
-        raise OverflowError("int64 overflow")
-    return r
-
-
-def _int_mul(a, b):
-    # the float product is within a few ulps of the exact one, so every
-    # product outside int64 reaches 2**62
-    if (np.abs(np.multiply(a, b, dtype=np.float64)) >= 2.0 ** 62).any():
-        raise OverflowError("int64 overflow")
-    return np.multiply(a, b)
-
-
-def _nonzero(b) -> None:
-    if np.any(np.equal(b, 0)):
-        raise ZeroDivisionError("zero divisor")
-
-
-def _div(a, b):
-    _nonzero(b)
-    return np.true_divide(a, b)
-
-
-def _mod(a, b):
-    _nonzero(b)
-    return np.remainder(a, b)
-
-
-def _eq(a, b):
-    return np.not_equal(a, b).astype(np.int64)
+# Lane forms of the total float operators, giving the scalar form's results
+# bit for bit.  Every operator on int arguments, and every partial one, maps
+# its scalar form over the lanes (`_each`): an int result outside int64
+# raises OverflowError there, and a domain error PrimitiveDomainError, so
+# that the expression is evaluated once per thread instead.
 
 
 def _lt(a, b):
     return np.logical_not(np.less(a, b)).astype(np.int64)
-
-
-def _const(a):
-    return a
 
 
 def _to_real(a):
@@ -963,15 +903,13 @@ def _normal_logpdf(x, mean, sd):
     return normal_logpdf(x, mean, sd)
 
 
-# (op, result kind) -> lane form giving the scalar form's results exactly;
-# the remaining operators (exp, log) map their scalar form
+# (op, result kind) -> lane form; the remaining operators map their scalar
+# form
 _LANE_OPS = {
-    ("add", INT): _int_add, ("sub", INT): _int_sub, ("mul", INT): _int_mul,
-    ("mod", INT): _mod, ("eq", INT): _eq, ("lt", INT): _lt,
-    ("rlt", INT): _lt, ("const", INT): _const,
     ("add", REAL): np.add, ("sub", REAL): np.subtract,
-    ("mul", REAL): np.multiply, ("div", REAL): _div, ("neg", REAL): np.negative,
-    ("to_real", REAL): _to_real, ("normal_logpdf", REAL): _normal_logpdf,
+    ("mul", REAL): np.multiply, ("neg", REAL): np.negative,
+    ("rlt", INT): _lt, ("to_real", REAL): _to_real,
+    ("normal_logpdf", REAL): _normal_logpdf,
 }
 
 
@@ -984,24 +922,20 @@ def _bound(op: str, kind: str, fn):
 def _applied(fn, lane, kind: str, args: list):
     """`fn`, an operator's scalar form, or `lane`, its lane form (None to
     map the scalar form), on its arguments' lanes."""
-    arrays = big = False
     for a in args:
         if isinstance(a, np.ndarray):
-            arrays = True
-        elif type(a) is int and a not in _INT64:
-            big = True
-    if not arrays:
+            break
+    else:
         # every lane holds the same arguments: the scalar form, once
         return fn(*args)
-    if big:
-        raise OverflowError("int literal outside int64")
     if lane is not None:
         return lane(*args)
     return _each(fn, args, kind)
 
 
 def _each(fn, args: list, kind: str) -> np.ndarray:
-    """The scalar form on each lane."""
+    """The scalar form on each lane; an int result outside int64 raises
+    OverflowError."""
     count = len(next(a for a in args if isinstance(a, np.ndarray)))
     columns = [a.tolist() if isinstance(a, np.ndarray) else repeat(a, count)
                for a in args]

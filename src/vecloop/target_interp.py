@@ -96,9 +96,9 @@ def loop_facts(program: Cmd) -> tuple[dict[int, int],
 
     Such a loop is the whole body of an extend_index(name, n); its body
     starts with shift(name) and holds no other shift, extend_index or
-    loop.  This is what `vectorise` makes of an innermost for-loop: every
-    round runs on the one chain the extend_index made, and only the
-    extend_index's exit sees the state the loop leaves.
+    loop, fixed-point or for.  This is what `vectorise` makes of an
+    innermost for-loop: every round runs on the one chain the extend_index
+    made, and only the extend_index's exit sees the state the loop leaves.
     """
     sites: dict[int, int] = {}
     resident: dict[int, frozenset[Variable]] = {}
@@ -123,9 +123,9 @@ def _writes(c: Cmd, sites: dict,
         return None
     subs = [_writes(sub, sites, resident) for sub in subcommands(c)]
     if None in subs or isinstance(c, (Shift, ExtendIndex, LoopFixpt,
-                                      ExtendedLoopShift)):
+                                      ExtendedLoopShift, For)):
         return None
-    own = (c.var,) if isinstance(c, (Assign, Fetch, For, LookupIndex)) else ()
+    own = (c.var,) if isinstance(c, (Assign, Fetch, LookupIndex)) else ()
     return frozenset(own).union(*subs)
 
 

@@ -235,6 +235,28 @@ def test_fuzz_jobs_out_of_range_exits_2(monkeypatch, capsys):
         assert err.startswith("error: --jobs") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_fuzz_n_below_1_exits_2(capsys, n):
+    assert main(["fuzz", "--oracle", "soundness", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tier, flags", [
+    ("relaxed", ["--mode", "unrolled"]), ("source", ["--mode", "unrolled"]),
+    ("source", ["--backend", "dense"]),
+])
+def test_run_refuses_a_flag_its_tier_ignores(workdir, capsys, tier, flags):
+    _, program, db = workdir
+    assert main(["run", "--tier", tier, "--program", program, "--rdb", db,
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flags[0]} ")
+    assert captured.err.count("\n") == 1
+
+
 def test_fuzz_jobs_matches_serial(capsys):
     _, serial = run_cli(["fuzz", "--oracle", "embedding", "--n", "6",
                          "--seed", "3"], capsys)

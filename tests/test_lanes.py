@@ -38,7 +38,8 @@ from vecloop.relaxed import run_relaxed
 from vecloop.state import DENSE, SPARSE, Lanes, make_state
 from vecloop.syntax import (INT, REAL, IndexExpr, IntLit, PrimOp, RealLit,
                             Shift, Skip, Var, Variable)
-from vecloop.target_interp import FIXPOINT, UNROLLED, _TargetRun, run_tgt
+from vecloop.target_interp import (FIXPOINT, UNROLLED, _TargetRun, loop_facts,
+                                   run_tgt)
 from vecloop.translate import vectorise, vectorise_relaxed
 
 NAMES = "abc"
@@ -384,18 +385,15 @@ def test_lanes_decline_only_what_per_thread_fails_or_overflows(state_chain, expr
         return
     if isinstance(expr, PrimOp) and any(v != v for v in want):
         return
-    if _int_nodes_stay_small(expr, state, chain):
+    if _int_nodes_fit_int64(expr, state, chain):
         assert compiled_lanes(expr, state, chain) is not None
 
 
-def _int_nodes_stay_small(expr, state, chain) -> bool:
-    """Every int literal and int node on every thread is below 2**62 in
-    magnitude, so no conservative overflow test can decline it."""
+def _int_nodes_fit_int64(expr, state, chain) -> bool:
+    """Every int operator node holds an int64 on every thread."""
     nodes = []
 
     def walk(e):
-        if isinstance(e, IntLit):
-            nodes.append(e)
         if isinstance(e, PrimOp):
             nodes.append(e)
             for a in e.args:
@@ -403,15 +401,23 @@ def _int_nodes_stay_small(expr, state, chain) -> bool:
     walk(expr)
     for node in nodes:
         values = per_thread(node, state, chain)
-        if isinstance(values, Exception):
+        if isinstance(values, Exception) or any(
+                type(v) is int and not -BIG <= v < BIG for v in values):
             return False
-        if any(type(v) is int and abs(v) >= 2 ** 62 for v in values):
-            return False
-        if isinstance(node, PrimOp) and node.op == "mul" and any(type(v) is int for v in values):
-            operands = [per_thread(a, state, chain) for a in node.args]
-            if any(abs(a * b) >= 2 ** 62 for a, b in zip(*operands)):
-                return False
     return True
+
+
+def test_lanes_decline_only_an_int_result_outside_int64():
+    # int operators compute with Python ints per lane: a product that fits
+    # stays in lanes, whatever the size of its operands
+    x = Variable("x", REAL)
+    chain = ROOT_CHAIN.extend("s", 3)
+    state = make_state(DENSE).updated(x, Lanes(chain, [1.0, 2.0, 3.0]))
+    one = PrimOp("rlt", (Var(x), Var(x)))
+    fits = PrimOp("mul", (IntLit(BIG - 1), one))
+    assert compiled_lanes(fits, state, chain).tolist() == [BIG - 1] * 3
+    leaves = PrimOp("mul", (IntLit(BIG - 1), PrimOp("add", (one, one))))
+    assert compiled_lanes(leaves, state, chain) is None
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
@@ -475,6 +481,11 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
             if isinstance(obj, type) and issubclass(obj, StateBase)
             and obj.__module__ == dense.__name__] == ["DenseState"]
     assert not hasattr(dense, "_PART") and not hasattr(dense._Loop, "rows")
+    # numpy computes only total float operations; every int operator and
+    # every partial one maps its scalar form over the lanes
+    assert set(dense._LANE_OPS) == {
+        ("add", REAL), ("sub", REAL), ("mul", REAL), ("neg", REAL),
+        ("rlt", INT), ("to_real", REAL), ("normal_logpdf", REAL)}
     # lanes are evaluated only in compiled loop bodies (`_Body`), under one
     # lane rule: one handler takes the exceptions a lane expression
     # declines on, in `_lanes`, which every step calls
@@ -884,19 +895,20 @@ LOOPS = {
                    "score(0.0) }",
     "nan-sign": "big := 1e300 * 1e300; y := sub(big, big); "
                 "for t:int in range(3) { y := neg(y); score(0.0) }",
-    # mul declines on the lanes (a product may reach 2**62) and runs per
-    # thread, reading each thread's t from the lane arrays
+    # the product (2**61 + t) * 4 leaves int64, so the lanes decline and
+    # the expression, whose result fits, runs per thread, reading each
+    # thread's t from the lane arrays
     "per-thread-read": "n:int := 2305843009213693952; y := 0.0; "
                        "for t:int in range(5) { "
-                       "m:int := mul(add(n:int, t:int), 2); "
-                       "y := add(y, to_real(sub(m:int, n:int))); score(y) }",
+                       "m:int := sub(mul(add(n:int, t:int), 4), mul(n:int, 4)); "
+                       "y := add(y, to_real(m:int)); score(y) }",
     # the condition's lanes decline as above: the chain is cut from the
     # per-thread values, and the else-branch's fetch, on a part of 3 of 5
     # lanes (fewer than FETCH_MIN_LANES; `lt` gives 0 where a < b, so the
     # else-branch runs on t = 2, 3, 4), is written at the part's rows
     "declined-ifz": "n:int := 2305843009213693952; y := 0.0; "
                     "for t:int in range(5) { "
-                    "ifz lt(mul(add(n:int, t:int), 2), 4611686018427387908) "
+                    "ifz lt(mul(add(n:int, t:int), 4), 9223372036854775816) "
                     "{ y := add(y, 1.0) } "
                     "else { y := fetch([(\"y\", t:int)]) }; score(y) }",
     # the fetch index changes from round to round, until k settles
@@ -1013,7 +1025,7 @@ def test_the_relaxed_runner_never_enters_a_compiled_body():
 
 @pytest.mark.parametrize("name", ["nan-carried", "nan-sign", "per-thread-read"])
 def test_compiled_loops_decline_per_thread(name, resident, declined):
-    # an operator's NaN and a product that may leave int64 send their
+    # an operator's NaN and a product that leaves int64 send their
     # assignment's expression to the interpreter's rule, once per thread,
     # every round
     sparse, dense = run_both(vectorise(parse(LOOPS[name])), db=NORMAL)
@@ -1024,7 +1036,8 @@ def test_compiled_loops_decline_per_thread(name, resident, declined):
 
 def test_a_for_loop_inside_a_resident_loop_runs_as_on_sparse(resident):
     # `vectorise` leaves no for-loop in a loop body, but the target tier
-    # allows one, also under an ifz
+    # allows one, also under an ifz; `loop_facts` does not admit such a
+    # loop, so no body is compiled and it runs on grids, as on sparse
     program = parse(
         'y := 0.5; extend_index("s", 5) { loop_fixpt_noacc(5) { shift("s"); '
         't:int := lookup_index("s"); '
@@ -1032,10 +1045,24 @@ def test_a_for_loop_inside_a_resident_loop_runs_as_on_sparse(resident):
         'ifz lt(t:int, 2) { for k:int in range(2) { y := mul(y, 0.5) } } '
         'else { skip }; score(y) } }', "target")
     for chain in (ROOT_CHAIN, TWO):
-        resident.clear()
         for mode in (FIXPOINT, UNROLLED):
             assert_agree(*run_both(program, chain, NORMAL, mode))
-        assert resident == [True, True]
+    assert loop_facts(program)[1] == {} and resident == []
+    assert program.items[-1].body.compiled is None
+
+
+def test_for_inside_a_resident_loop(resident):
+    # the same on a plain for-loop: the loop runs on grids, as on sparse,
+    # and still reaches its fixed point in 4 rounds
+    program = parse('x := 1.0; extend_index("s", 4) { loop_fixpt_noacc(4) { '
+                    'shift("s"); t:int := lookup_index("s"); '
+                    'for j:int in range(3) { '
+                    'x := add(x, to_real(mul(t:int, j:int))) }; score(x) } }',
+                    "target")
+    sparse, dense = run_both(program, TWO)
+    assert_agree(sparse, dense)
+    assert resident == []
+    assert sparse.trace[0].rounds == 4
 
 
 def test_an_operator_that_does_not_resolve_fails_where_it_runs(
@@ -1073,18 +1100,6 @@ def test_a_resident_loop_reads_per_thread_where_the_lanes_decline(
     sparse, dense = run_both(vectorise(parse(LOOPS["per-thread-read"])))
     assert_agree(sparse, dense)
     assert resident == [True] and {"n", "t"} <= set(reads)
-
-
-def test_for_inside_a_resident_loop(resident):
-    program = parse('x := 1.0; extend_index("s", 4) { loop_fixpt_noacc(4) { '
-                    'shift("s"); t:int := lookup_index("s"); '
-                    'for j:int in range(3) { '
-                    'x := add(x, to_real(mul(t:int, j:int))) }; score(x) } }',
-                    "target")
-    sparse, dense = run_both(program, TWO)
-    assert_agree(sparse, dense)
-    assert resident == [True]
-    assert sparse.trace[0].rounds == 4
 
 
 def test_entry_grids_storing_values_above_the_members_run_on_grids(resident):
