@@ -190,7 +190,8 @@ class AChain:
 
     @cached_property
     def _order(self) -> tuple[Index, ...]:
-        """The members in `Index.sort_key` order, sorted once per chain."""
+        """The members in `Index.sort_key` order: sorted once per chain,
+        and never for one that `extend` or `compress` built in order."""
         return tuple(sorted(self.members, key=attrgetter("pairs")))
 
     @cached_property
@@ -226,13 +227,17 @@ class AChain:
                 )
         # No member binds `name`, so every extension has distinct names;
         # extensions of an antichain by a fresh pair stay an antichain.
-        # A member's children share one tuple of prefixes.
+        # A member's children share one tuple of prefixes.  No member is a
+        # prefix of another, so children taken in the members' order, each
+        # member's by ascending k, are already in chain order.
         extended: list[Index] = []
-        for i in self.members:
+        for i in self._order:
             below = _child_prefixes(i)
             extended.extend(_unchecked(i.pairs + ((name, k),), below)
                             for k in range(count))
-        chain = AChain(extended, _checked=True)
+        order = tuple(extended)
+        chain = AChain(order, _checked=True)
+        chain.__dict__["_order"] = order
         object.__setattr__(chain, "origin", (self, name, count))
         return chain
 

@@ -3,7 +3,9 @@
 A PMap stores finitely many (index, value) entries but represents a larger
 function: a lookup at index i reads the entry at the longest stored prefix
 of i.  This models tensor broadcasting; writing at an index implicitly
-covers the whole subtree above it.
+covers the whole subtree above it.  The per-slot loops of reads over a
+chain (`column`), update, copy and canonical form are C-level dict
+operations, with a prefix walk only where a slot holds no entry itself.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class PMap:
     def get(self, i: Index):
         return self.entries.get(i)
 
+    def items(self):
+        return self.entries.items()
+
     def items_sorted(self) -> list[tuple[Index, object]]:
         return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
 
@@ -63,17 +68,29 @@ class PMap:
                 return value
         return None
 
-    def updated(self, tensor: "PMap") -> "PMap":
-        """Overwrite with `tensor`; entries strictly above its domain vanish.
+    def column(self, indices: Iterable[Index]) -> list:
+        """`extend_eval` at each index, in order: one dict probe per index,
+        and the prefix walk only where the index holds no entry itself (no
+        stored value is None)."""
+        indices = list(indices)
+        out = list(map(self.entries.get, indices))
+        if None in out:
+            read = self.extend_eval
+            out = [read(i) if v is None else v for i, v in zip(indices, out)]
+        return out
+
+    def updated(self, tensor: Mapping[Index, object]) -> "PMap":
+        """Overwrite with `tensor` (a mapping or a PMap); entries strictly
+        above its domain vanish.
 
         An entry of the old map survives only when its index is not covered
         by the written region (the upward closure of the tensor's domain).
         """
-        new = dict(tensor.entries)
-        for i, v in self.entries.items():
-            if not _covered(i, tensor.entries):
-                new[i] = v
-        return PMap(new)
+        new = dict(tensor.items())
+        region = new.keys()
+        new.update([(i, v) for i, v in self.entries.items()
+                    if i not in new and region.isdisjoint(i.proper_prefixes())])
+        return _adopted(new)
 
     def copied(self, rho: Mapping[Index, Index]) -> "PMap":
         """Relocate represented values along the injective map `rho`.
@@ -86,25 +103,23 @@ class PMap:
         stays as sparse as the relocation allows.
         """
         image = _inverted(rho)
-        new: dict[Index, object] = {}
-        for target, source in image.items():
-            if source in self.entries:
-                new[target] = self.entries[source]
-        for i, v in self.entries.items():
-            if not _covered(i, image):
-                new[i] = v
-        base = PMap(new)
-        repairs: dict[Index, object] = {}
-        # every repair is judged against the fixed `base`, so order is free
-        for target, source in image.items():
-            if source in self.entries:
-                continue
-            value = self.extend_eval(source)
-            if value is not None and base.extend_eval(target) != value:
-                repairs[target] = value
-        if repairs:
+        entries = self.entries
+        moved = list(map(entries.get, image.values()))
+        new = {target: v for target, v in zip(image, moved) if v is not None}
+        covered = image.keys()
+        new.update([(i, v) for i, v in entries.items()
+                    if i not in image and covered.isdisjoint(i.proper_prefixes())])
+        if None in moved:
+            # every repair is judged against the fixed `base`, so order is free
+            base, read = _adopted(new).extend_eval, self.extend_eval
+            repairs = {}
+            for (target, source), v in zip(image.items(), moved):
+                if v is None:
+                    value = read(source)
+                    if value is not None and base(target) != value:
+                        repairs[target] = value
             new.update(repairs)
-        return PMap(new)
+        return _adopted(new)
 
     def canonical(self) -> "PMap":
         """Drop entries already induced by a shorter stored prefix.
@@ -114,23 +129,36 @@ class PMap:
         fixed-point check.  An entry is induced when the read at its parent
         gives the same value, a NaN counting as the same as a NaN.  Dropping
         an induced entry changes no read, so every entry can be judged
-        against this map as it stands.  The map is immutable, so it keeps
-        its canonical form: a loop's fixed-point check canonicalises only
-        the maps its round made.
+        against this map as it stands.  The parent's own entry is probed
+        first; the prefix walk runs only where the parent holds none.  The
+        map is immutable, so it keeps its canonical form: a loop's
+        fixed-point check canonicalises only the maps its round made.
         """
         found = self.__dict__.get("_canonical")
         if found is None:
-            found = PMap({i: v for i, v in self.entries.items()
-                          if not i.pairs
-                          or ((up := self.extend_eval(i.parent())) != v
-                              and not same_value(up, v))})
+            get, read = self.entries.get, self.extend_eval
+            kept = {}
+            for i, v in self.entries.items():
+                if i.pairs:
+                    parent = i.parent()
+                    up = get(parent)
+                    if up is None:
+                        up = read(parent)
+                    if up == v or same_value(up, v):
+                        continue
+                kept[i] = v
+            found = _adopted(kept)
             object.__setattr__(self, "_canonical", found)
         return found
 
     def same_function(self, other: "PMap") -> bool:
-        """Equal reads at every index, under `same_value`."""
+        """Equal reads at every index, under `same_value`.  Equal entries
+        mean equal reads (dict equality counts a NaN object as equal to
+        itself, and 0.0 as equal to -0.0), so only unequal entries are
+        canonicalised."""
+        if self is other or self.entries == other.entries:
+            return True
         mine, theirs = self.canonical().entries, other.canonical().entries
-        # dict equality already counts a NaN object as equal to itself
         return mine == theirs or (mine.keys() == theirs.keys() and all(
             v == w or same_value(v, w)
             for v, w in ((mine[i], theirs[i]) for i in mine)))
@@ -156,11 +184,8 @@ def _inverted(rho: Mapping[Index, Index]) -> dict[Index, Index]:
     return found
 
 
-def _covered(i: Index, region: Mapping[Index, object]) -> bool:
-    """i lies in the upward closure of `region`'s keys: a prefix is a key."""
-    if i in region:
-        return True
-    for p in i.proper_prefixes():
-        if p in region:
-            return True
-    return False
+def _adopted(entries: dict) -> PMap:
+    """A PMap that keeps `entries` itself, a dict no one else writes."""
+    m = object.__new__(PMap)
+    object.__setattr__(m, "entries", entries)
+    return m

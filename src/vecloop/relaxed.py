@@ -133,8 +133,9 @@ class _RelaxedRun(_TargetRun):
         rho = shift_rho(inner, c.name)
         outer = self.first
 
-        def one_round(k: int, state):
-            shifted = state.copied(rho)
+        def one_round(k: int, states):
+            # round k runs on the copy that round k - 1 made for its check
+            shifted = states[1]
             self.first = {}
             state = self.run(c.body, shifted, inner)
             round_flag = Flag(self.first)
@@ -142,13 +143,14 @@ class _RelaxedRun(_TargetRun):
             pulled = flag_pull_back(round_flag, chain, c.name, c.count, k)
             for var, bits in pulled.per_var.items():
                 self.note(var, bits)
+            following = state.copied(rho)
             # looked up in this module, where perfbench/tracer.py wraps it
-            return state, fixcheck(shifted, state.copied(rho), round_flag,
-                                   inner)
+            return (state, following), fixcheck(shifted, following,
+                                                round_flag, inner)
 
-        state = self.run_rounds(
+        state, _ = self.run_rounds(
             c, partial(self.score.update, dict.fromkeys(inner, 0.0)),
-            one_round, state)
+            one_round, (state, state.copied(rho)))
         return self.leave(state, chain, inner, c.name, c.count)
 
 

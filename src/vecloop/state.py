@@ -7,9 +7,11 @@ interchangeable backends share one container, `StateBase`: the sparse one
 text is that of the function it represents, so it does not depend on the
 backend nor on how a backend lays out its maps.  Both backends run the
 same per-thread rules (`target_interp._TargetRun`), which read a
-variable on a whole chain at once (`column`); only a loop run in lane
-registers (`StateBase.resident`) evaluates in lane arrays.  No backend
-splits a chain: an `ifz` cuts it with `AChain.compress`.
+variable on a whole chain at once (`column`, on the sparse backend one
+`PMap.column`); only a loop run in lane registers (`StateBase.resident`)
+evaluates in lane arrays.  No backend splits a chain: an `ifz` cuts it
+with `AChain.compress`.  A state is immutable, so one copy serves twice:
+a relaxed round's copy for its check is the next round's shifted state.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ class Lanes(Mapping):
     registers back; `items` gives Python values either way.
     """
 
-    __slots__ = ("chain", "data")
+    __slots__ = ("chain", "data", "_by_index")
 
     def __init__(self, chain: AChain, data):
         self.chain = chain
         self.data = data
+        self._by_index = None
 
     def python(self) -> list:
         data = self.data
@@ -58,7 +61,10 @@ class Lanes(Mapping):
         return iter(self.chain)
 
     def __getitem__(self, i: Index):
-        return dict(self.items())[i]
+        found = self._by_index
+        if found is None:
+            found = self._by_index = dict(self.items())
+        return found[i]
 
 
 class Relocation(dict):
@@ -156,12 +162,12 @@ class SparseState(StateBase):
         return self.cell(var).extend_eval(i)
 
     def column(self, var: Variable, chain: Iterable[Index]) -> list:
-        return list(map(self.cell(var).extend_eval, chain))
+        return self.cell(var).column(chain)
 
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "SparseState":
         if not tensor:
             return self
-        cell = self.cell(var).updated(PMap(tensor.items()))
+        cell = self.cell(var).updated(tensor)
         if EMPTY not in cell.entries:
             raise EmptyIndexLost(f"update left {var.text()} without a root entry")
         new = dict(self.cells)

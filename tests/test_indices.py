@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -225,6 +226,24 @@ def test_nested_cuts_keep_their_rows_in_the_first_base(base, depth, data):
             assert type(rows) is tuple
             assert [list(base)[r] for r in rows] == list(part)
         chain = data.draw(st.sampled_from(parts))
+
+
+@given(cut_bases(), st.lists(st.tuples(st.sampled_from("xy"),
+                                       st.integers(0, 3)),
+                             min_size=1, max_size=2, unique_by=lambda p: p[0]),
+       st.data())
+def test_extend_and_compress_build_their_chains_in_order(base, steps, data):
+    # no sort after an extend or a cut: each hands its chain the order it
+    # built, which must be the order a sort gives
+    chain = base
+    for name, count in steps:
+        chain = chain.extend(name, count)
+        assert "_order" in vars(chain)
+        flags = data.draw(st.lists(st.booleans(), min_size=len(chain),
+                                   max_size=len(chain)))
+        for built in (chain, *chain.compress(flags)):
+            assert built._order == tuple(sorted(built.members,
+                                                key=attrgetter("pairs")))
 
 
 @given(indexes, indexes, indexes)

@@ -10,7 +10,7 @@ from _support import (oracle_copy, oracle_extend, oracle_update, probes_for,
 from vecloop.errors import EmptyIndexLost
 from vecloop.indices import EMPTY, AChain, Index
 from vecloop.pmap import PMap
-from vecloop.state import SparseState
+from vecloop.state import Lanes, SparseState
 from vecloop.target_interp import shift_rho
 
 RV = [Index((("rv", k),)) for k in range(3)]
@@ -196,3 +196,23 @@ def test_copied_makes_no_repairs_on_shift(entries, chain, count):
     literal = {t: entries[s] for t, s in image.items() if s in entries}
     literal.update((i, v) for i, v in entries.items() if not in_up(i, image))
     assert PMap(entries).copied(rho).entries == literal
+
+
+def test_lanes_build_their_index_lookup_once():
+    # `lanes[i]` and everything Mapping builds on it (`in`, `get`, `values`,
+    # `dict(lanes)`) must not rebuild the lookup per call, which would make
+    # them quadratic in the chain length
+    class Counted(Lanes):
+        __slots__ = ("calls",)
+
+        def items(self):
+            self.calls += 1
+            return super().items()
+
+    chain = AChain([Index((("a", k),)) for k in range(50)])
+    lanes = Counted(chain, [float(k) for k in range(50)])
+    lanes.calls = 0
+    assert [lanes[i] for i in chain] == [float(k) for k in range(50)]
+    assert all(i in lanes for i in chain) and RV[0] not in lanes
+    assert dict(lanes) == dict(zip(chain, lanes.data))
+    assert lanes.calls <= 1

@@ -2,16 +2,22 @@
 
 `max_below`, `in_up` and `in_down` in `_spec` define extend, the
 written region and the downward closure by scanning every candidate.  The
-interpreters walk an index's own prefixes instead; these properties check
-that both give the same maps on random PMaps and antichains.
+interpreters walk an index's own prefixes instead, and take fast paths
+(column reads, the equal-entries check); these properties check that both
+give the same maps on random PMaps, antichains and the relocations loops
+make.
 """
+
+import math
 
 from hypothesis import assume, given, strategies as st
 
 from _spec import in_down, in_up, max_below
-from vecloop.indices import AChain, Index, prefix_leq
+from vecloop.indices import EMPTY, AChain, Index, prefix_leq
+from vecloop.ops import same_value
 from vecloop.pmap import PMap
-from vecloop.target_interp import shift_rho
+from vecloop.state import Lanes
+from vecloop.target_interp import exit_rho, shift_rho
 
 NAMES = "abc"
 
@@ -21,6 +27,11 @@ indexes = st.lists(
 ).map(lambda pairs: Index(tuple(pairs)))
 # few distinct values, so that entries often repeat what a prefix holds
 pmaps = st.dictionaries(indexes, st.integers(-2, 2), max_size=8).map(PMap)
+# values equal under `same_value` but not all alike: an int and a float,
+# both zeros, NaN, inf
+SPECIAL = (0, 1, 0.0, -0.0, math.nan, math.inf)
+special_pmaps = st.dictionaries(indexes, st.sampled_from(SPECIAL),
+                                max_size=8).map(PMap)
 
 
 def maximal(items) -> AChain:
@@ -76,9 +87,16 @@ def canonical_by_scan(entries):
         if len(i) == 0:
             continue
         nearest = max_below((j for j in kept if j != i), i)
-        if nearest is not None and kept[nearest] == entries[i]:
+        if nearest is not None and same_value(kept[nearest], entries[i]):
             del kept[i]
     return kept
+
+
+def same_function_by_scan(a, b):
+    """Equal canonical forms, under `same_value`."""
+    mine, theirs = canonical_by_scan(a), canonical_by_scan(b)
+    return mine.keys() == theirs.keys() and all(
+        same_value(mine[i], theirs[i]) for i in mine)
 
 
 def shift_rho_by_scan(chain: AChain, name: str):
@@ -115,9 +133,85 @@ def test_copied_matches_scan(cell, rho):
     assert cell.copied(rho).entries == copied_by_scan(cell.entries, rho)
 
 
-@given(pmaps)
+@given(st.one_of(pmaps, special_pmaps))
 def test_canonical_matches_longest_first_scan(cell):
     assert cell.canonical().entries == canonical_by_scan(cell.entries)
+
+
+@given(pmaps, st.lists(indexes, max_size=8), st.booleans())
+def test_column_matches_extend_by_scan(cell, indices, as_chain):
+    # any iterable of indices, a chain too, read in its own order
+    if as_chain:
+        indices = maximal(indices)
+    assert cell.column(indices) == [extend_by_scan(cell.entries, i)
+                                    for i in indices]
+    assert cell.column(iter(indices)) == cell.column(list(indices))
+
+
+def alike(value):
+    """A value equal to `value` under `same_value`, stored differently
+    where it can be: a fresh NaN object, the other zero, a float for an
+    int."""
+    if value != value:
+        return float("nan")
+    if value == 0:
+        return -0.0 if math.copysign(1.0, value) > 0 else 0.0
+    return float(value)
+
+
+@given(special_pmaps, special_pmaps,
+       st.sampled_from(["drawn", "padded", "revalued"]), st.data())
+def test_same_function_matches_canonical_scan(cell, other, how, data):
+    if how == "padded":
+        # the same function as `cell`, stored with more entries, each one a
+        # read of `cell` stored differently
+        reads = {i: cell.extend_eval(i) for i in [*other.entries, *cell.entries]}
+        other = PMap({i: alike(v) for i, v in reads.items() if v is not None})
+    elif how == "revalued":
+        # the same keys, each value drawn again
+        other = PMap({i: data.draw(st.sampled_from(SPECIAL))
+                      for i in cell.entries})
+    expected = same_function_by_scan(cell.entries, other.entries)
+    assert expected or how != "padded"
+    assert cell.same_function(other) == expected
+    assert other.same_function(cell) == expected
+    assert cell.same_function(PMap(cell.entries))
+
+
+@st.composite
+def loop_copies(draw):
+    """A map and a relocation that a loop makes: the shift of a chain
+    extended by one or two strings, or the exit back to its parent, with
+    entries drawn from the chain's downward closure and anywhere."""
+    chain = draw(antichains)
+    chains = [chain]
+    for name in draw(st.lists(st.sampled_from("xy"), min_size=1, max_size=2,
+                              unique=True)):
+        chains.append(chains[-1].extend(name, draw(st.integers(1, 3))))
+    moves = []
+    for parent, inner in zip(chains, chains[1:]):
+        _, name, count = inner.origin
+        moves += [shift_rho(inner, name), exit_rho(parent, name, count)]
+    rho = draw(st.sampled_from(moves))
+    closure = sorted({p for i in chains[-1] for p in i.prefixes()} | {EMPTY},
+                     key=Index.sort_key)
+    entries = draw(st.dictionaries(st.one_of(st.sampled_from(closure), indexes),
+                                   st.integers(-2, 2), max_size=10))
+    return PMap(entries), rho
+
+
+@given(loop_copies())
+def test_copied_matches_scan_on_loop_relocations(case):
+    cell, rho = case
+    assert cell.copied(rho).entries == copied_by_scan(cell.entries, rho)
+
+
+@given(pmaps, antichains, st.data())
+def test_updated_from_lanes_matches_updated_from_a_pmap(cell, chain, data):
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=len(chain),
+                                max_size=len(chain)))
+    lanes = Lanes(chain, values)
+    assert cell.updated(lanes) == cell.updated(PMap(dict(zip(chain, values))))
 
 
 @given(shift_chains, st.sampled_from("ab"))

@@ -8,6 +8,8 @@ from _spec import (EMPTY_FLAG, NotComparable, bits_on, flag_diff, flag_leq,
                    flag_restrict, flag_shift, flag_unshift, flag_update,
                    in_down)
 from _support import rand_cell
+from vecloop import dense, state
+from vecloop.bench import _bench_db, arm_program
 from vecloop.harness import GenConfig, gen_program, gen_rdb, probe_indices
 from vecloop.indices import EMPTY, AChain, Index, ROOT_CHAIN
 from vecloop.parser import parse
@@ -329,3 +331,22 @@ def test_relaxed_flags_are_pinned(tmp_path, capsys):
         digest.update(repr((repr(flag), out.trace)).encode())
     assert digest.hexdigest() == \
         "b111319a94d4be03175d91c9a3cd28ac7f61eff80630406a99d9bc0547ff2966"
+
+
+@pytest.mark.parametrize("backend", [SPARSE, DENSE])
+def test_a_relaxed_round_relocates_its_state_once(backend, monkeypatch):
+    # round k runs on the copy round k - 1 made for its fixed-point check:
+    # the first round's shift, one copy per round, and the exit copy
+    cls = {SPARSE: state.SparseState, DENSE: dense.DenseState}[backend]
+    copies = []
+
+    def counted(self, rho, copied=cls.copied):
+        copies.append(len(rho))
+        return copied(self, rho)
+
+    monkeypatch.setattr(cls, "copied", counted)
+    out, _ = run_relaxed(vectorise_relaxed(arm_program(8, 2)), _bench_db(),
+                         backend=backend)
+    (loop,) = out.trace
+    assert loop.rounds == 3
+    assert copies == [8] * (loop.rounds + 1) + [1]

@@ -5,14 +5,12 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 import vecloop
 from _spec import in_down, in_up, loop_sites
-from _support import (cli_process, logpdf, probes_for, python_process,
-                      rand_chain)
+from _support import cli_process, logpdf, probes_for, rand_chain
 from vecloop.bench import arm_program, hmm_program, tcm_program
 from vecloop.errors import MissingString, StringAlreadyPresent
 from vecloop.harness import (GenConfig, gen_program, gen_rdb, gen_target_case,
@@ -347,24 +345,6 @@ def test_fixpoint_check_cost_does_not_follow_hash_seed():
                               timeout=120, check=True)
         counts.append(int(proc.stdout))
     assert counts[0] == counts[1] > 0
-
-
-def test_fingerprint_does_not_follow_hash_seed():
-    # every case of tests/_fingerprint.py (2,432 runs: both backends, the
-    # target and the relaxed tier, bench shapes, generated programs and the
-    # partial-operator reproducers), its scores, traces, state texts,
-    # relaxed flags and errors, under two hash seeds, in
-    # two fresh interpreters run side by side
-    from concurrent.futures import ThreadPoolExecutor
-
-    script = (Path(__file__).parent / "_fingerprint.py").read_text()
-    with ThreadPoolExecutor(2) as pool:
-        procs = list(pool.map(lambda seed: python_process(
-            script, PYTHONHASHSEED=seed), ("0", "1")))
-    for proc in procs:
-        assert proc.returncode == 0, proc.stderr
-    assert procs[0].stdout == procs[1].stdout
-    assert procs[0].stdout.split()[0] == "2432"
 
 
 IFZ_LOG = ("for t:int in range(4) { x := to_real(t:int); "
