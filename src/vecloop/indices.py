@@ -2,9 +2,11 @@
 
 An index is a finite sequence of (string, integer) pairs with pairwise
 distinct strings.  Indices name random variables and, during vectorised
-execution, act as thread ids.  Antichains under the prefix order are the
-sets of simultaneously active threads; a chain cut from another at an
-`ifz` (`AChain.compress`) records its rows in the chain cut first.
+execution, act as thread ids.  They are hash-consed: equal indices are
+one object, so sets and dicts hash and compare them by identity.
+Antichains under the prefix order are the sets of simultaneously active
+threads; a chain cut from another at an `ifz` (`AChain.compress`) records
+its rows in the chain cut first.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
+from weakref import ref
 
 from .errors import (DuplicateIndexString, StringAlreadyPresent,
                      ThreadBudgetExceeded)
@@ -24,24 +27,24 @@ THREAD_BUDGET = 1_000_000
 class Index:
     """A finite sequence of (name, value) pairs with distinct names.
 
-    Immutable; the hash is computed once, at construction.  `_below` holds
-    the proper prefixes, longest first and ending in `EMPTY`, built on the
-    first walk (None until then).  A child built from its parent (`append`,
-    `AChain.extend`) starts with the parent and the parent's own tuple, so
-    the indices of one chain share their prefix objects, and a read usually
-    finds a stored prefix by identity.  The tuple never holds the index
-    itself, so an index is never part of a reference cycle.
+    Immutable and hash-consed: every construction path returns the one
+    live index over its pairs, so an index is compared and hashed by
+    identity, in C.  The iteration order of a set of indices follows
+    memory addresses, so no result may depend on it.  `_below` holds the
+    proper prefixes, longest first and ending in `EMPTY`, built on the
+    first walk (None until then); a child built from its parent (`append`,
+    `AChain.extend`) starts with the parent and the parent's own tuple.
+    The tuple never holds the index itself, so an index is never part of a
+    reference cycle.
     """
 
-    __slots__ = ("pairs", "_hash", "_below")
+    __slots__ = ("pairs", "_below", "__weakref__")
 
-    def __init__(self, pairs: tuple[tuple[str, int], ...] = ()):
+    def __new__(cls, pairs: Iterable[tuple[str, int]] = ()) -> "Index":
         pairs = tuple(pairs)
         if len({name for name, _ in pairs}) != len(pairs):
             raise DuplicateIndexString(f"index repeats a string: {pairs!r}")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash((pairs,)))
-        object.__setattr__(self, "_below", None if pairs else ())
+        return _unchecked(pairs)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -51,16 +54,6 @@ class Index:
 
     def __reduce__(self):
         return (Index, (self.pairs,))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Index:
-            return NotImplemented
-        return self._hash == other._hash and self.pairs == other.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -75,7 +68,7 @@ class Index:
         pairs = self.pairs + ((name, value),)
         if self.lookup(name) is not None:
             raise DuplicateIndexString(f"index repeats a string: {pairs!r}")
-        return _unchecked(pairs, _child_prefixes(self))
+        return _unchecked(pairs, self)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.pairs)
@@ -100,8 +93,8 @@ class Index:
             pairs = self.pairs
             below = (EMPTY,)
             for length in range(1, len(pairs)):
-                below = (_unchecked(pairs[:length], below),) + below
-            object.__setattr__(self, "_below", below)
+                below = (_unchecked(pairs[:length], below[0]),) + below
+            _set_below(self, below)
         return below
 
     def prefixes(self) -> tuple["Index", ...]:
@@ -131,26 +124,54 @@ class Index:
         return f"Index({self.text()})"
 
 
-def _unchecked(pairs: tuple[tuple[str, int], ...],
-               below: Optional[tuple[Index, ...]] = None) -> Index:
-    """An index over pairs already known to have distinct names, with its
-    proper prefixes when the caller has them; `EMPTY` when `pairs` is."""
-    if not pairs:
-        return EMPTY
+# The intern table (Filliatre and Conchon, "Type-Safe Modular Hash-Consing",
+# 2006): pairs -> a weak reference to the live index over them, one table
+# for the process, since equal indices anywhere must be one object.  It
+# keeps no index alive.  Dead entries are swept once the table has grown
+# past twice its live size at the last sweep (or the floor), so it never
+# holds more than twice the live indices of that sweep.  A lookup and its
+# insert are not one atomic step: indices are built on one thread.
+_TABLE: dict[tuple[tuple[str, int], ...], ref] = {}
+_SWEEP_FLOOR = 1024
+_sweep_at = _SWEEP_FLOOR
+_absent = type(None)  # what the table gives for pairs never interned
+# the slots' own setters, past the frozen `__setattr__`
+_set_pairs = Index.pairs.__set__
+_set_below = Index._below.__set__
+
+
+def _sweep() -> None:
+    global _sweep_at
+    for pairs in [pairs for pairs, r in _TABLE.items() if r() is None]:
+        del _TABLE[pairs]
+    _sweep_at = max(2 * len(_TABLE), _SWEEP_FLOOR)
+
+
+def _built(pairs: tuple[tuple[str, int], ...],
+           below: Optional[tuple[Index, ...]]) -> Index:
+    """A new index, not yet interned."""
     i = object.__new__(Index)
-    object.__setattr__(i, "pairs", pairs)
-    object.__setattr__(i, "_hash", hash((pairs,)))
-    object.__setattr__(i, "_below", below)
+    _set_pairs(i, pairs)
+    _set_below(i, below)
     return i
 
 
-def _child_prefixes(i: Index) -> tuple[Index, ...]:
-    """The proper prefixes of each child of i: i, then i's own.  An empty
-    i built apart from `EMPTY` gives way to it, so every chain ends there."""
-    return (i,) + i.proper_prefixes() if i.pairs else (EMPTY,)
+def _unchecked(pairs: tuple[tuple[str, int], ...],
+               parent: Optional[Index] = None) -> Index:
+    """The index over pairs already known to have distinct names; one built
+    here takes its prefixes from `parent`, when the caller has it."""
+    i = _TABLE.get(pairs, _absent)()
+    if i is None:
+        i = _built(pairs, None if parent is None
+                   else (parent,) + parent.proper_prefixes())
+        _TABLE[pairs] = ref(i)
+        if len(_TABLE) > _sweep_at:
+            _sweep()
+    return i
 
 
-EMPTY = Index(())
+EMPTY = _built((), ())
+_TABLE[()] = ref(EMPTY)
 
 
 def prefix_leq(i: Index, j: Index) -> bool:
@@ -220,21 +241,31 @@ class AChain:
                 f'extending {len(self.members)} threads by "{name}" '
                 f"x {count} exceeds the budget of {THREAD_BUDGET} threads"
             )
-        for i in self.members:
+        for i in self._order:
             if i.lookup(name) is not None:
                 raise StringAlreadyPresent(
                     f'string "{name}" already bound in {i.text()}'
                 )
         # No member binds `name`, so every extension has distinct names;
         # extensions of an antichain by a fresh pair stay an antichain.
-        # A member's children share one tuple of prefixes.  No member is a
-        # prefix of another, so children taken in the members' order, each
-        # member's by ascending k, are already in chain order.
+        # A member's children share one tuple of prefixes, and all new
+        # children are interned in one batch.  No member is a prefix of
+        # another, so children taken in the members' order, each member's
+        # by ascending k, are already in chain order.
         extended: list[Index] = []
+        fresh: list[Index] = []
+        get = _TABLE.get
         for i in self._order:
-            below = _child_prefixes(i)
-            extended.extend(_unchecked(i.pairs + ((name, k),), below)
-                            for k in range(count))
+            below = (i,) + i.proper_prefixes()
+            for pairs in [i.pairs + ((name, k),) for k in range(count)]:
+                child = get(pairs, _absent)()
+                if child is None:
+                    child = _built(pairs, below)
+                    fresh.append(child)
+                extended.append(child)
+        _TABLE.update(zip([child.pairs for child in fresh], map(ref, fresh)))
+        if len(_TABLE) > _sweep_at:
+            _sweep()
         order = tuple(extended)
         chain = AChain(order, _checked=True)
         chain.__dict__["_order"] = order

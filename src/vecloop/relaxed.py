@@ -66,14 +66,15 @@ def flag_pull_back(flag: Flag, chain: AChain, name: str, count: int,
     to the chain: an outer index takes the bit of its slot 0 when slots
     0..min(k, count - 1) all hold that bit, and no bit otherwise.
     """
-    slots = range(1, min(k, count - 1) + 1)
+    later = range(1, min(k, count - 1) + 1)
+    slots = [(i, i.append(name, 0), [i.append(name, j) for j in later])
+             for i in chain]
     out: dict[Variable, dict[Index, int]] = {}
     for var, bits in flag.per_var.items():
         cell: dict[Index, int] = {}
-        for i in chain:
-            b = bits.get(i.append(name, 0))
-            if b is not None and all(bits.get(i.append(name, j)) == b
-                                     for j in slots):
+        for i, first, rest in slots:
+            b = bits.get(first)
+            if b is not None and all(bits.get(j) == b for j in rest):
                 cell[i] = b
         out[var] = cell
     return Flag(out)

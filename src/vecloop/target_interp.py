@@ -58,9 +58,7 @@ def shift_rho(chain: AChain, name: str) -> Relocation:
     if found is not None:
         return found
     rho = Relocation()
-    # each slot of the downward closure, as the chain's own object, so that
-    # the relocated entries keep sharing the chain's prefixes
-    down = {p: p for i in chain.members for p in i.prefixes()}
+    down = {p for i in chain.members for p in i.prefixes()}
     for target in chain:
         if not target.pairs or target.pairs[-1][0] != name:
             continue
@@ -68,8 +66,8 @@ def shift_rho(chain: AChain, name: str) -> Relocation:
         if k == 0:
             rho[target.parent()] = target
         else:
-            source = down.get(target.parent().append(name, k - 1))
-            if source is not None:
+            source = target.parent().append(name, k - 1)
+            if source in down:
                 rho[source] = target
     chain.memo[("shift", name)] = rho
     return rho

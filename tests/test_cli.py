@@ -356,3 +356,16 @@ def test_an_underflowing_normal_variance_runs_without_traceback(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["score"] == -math.inf
+
+
+def test_a_rebound_extend_string_names_the_first_member(tmp_path):
+    # the error names the first member in chain order, whatever the hash
+    # seed or the members' addresses
+    program = tmp_path / "rebound.vl"
+    program.write_text('extend_index("a", 9) { extend_index("a", 2) { skip } }')
+    for seed in "0123":
+        proc = cli_process(["run", "--tier", "target", "--program",
+                            str(program)], PYTHONHASHSEED=seed)
+        assert proc.returncode == 3
+        assert proc.stderr == ('StringAlreadyPresent: string "a" already '
+                               'bound in [("a",0)]\n')

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
@@ -53,7 +54,7 @@ def test_index_is_immutable():
 
 def test_index_survives_pickle_and_copy():
     for clone in (pickle.loads(pickle.dumps(AB)), copy.deepcopy(AB)):
-        assert clone == AB and hash(clone) == hash(AB)
+        assert clone is AB
 
 
 def test_max_below_examples():
@@ -143,7 +144,7 @@ def check_prefix_cache(i: Index) -> None:
     share the shorter ones, and never hold the index itself."""
     n = len(i)
     assert i.prefixes() == tuple(Index(i.pairs[:k]) for k in range(n, -1, -1))
-    assert hash(i) == hash((i.pairs,))
+    assert Index(i.pairs) is i
     assert pickle.dumps(i) == pickle.dumps(Index(i.pairs))
     proper = i.proper_prefixes()
     assert all(p is not i for p in proper)
@@ -153,6 +154,39 @@ def check_prefix_cache(i: Index) -> None:
     for k, p in enumerate(proper):
         assert all(a is b for a, b in zip(p.proper_prefixes(), proper[k + 1:],
                                           strict=True))
+
+
+@given(indexes, st.sampled_from("efgh"), st.integers(0, 5), st.data())
+def test_every_constructor_returns_the_one_index_over_its_pairs(i, name,
+                                                                value, data):
+    child = i.pairs + ((name, value),)
+    # an index built before its chain is the one the chain holds
+    first = Index(i.pairs + ((name, 0),))
+    chain = AChain([i]).extend(name, value + 1)
+    flags = data.draw(st.lists(st.booleans(), min_size=len(chain),
+                               max_size=len(chain)))
+    assert chain._order[0] is first
+    built = [i.append(name, value), i.concat(Index(((name, value),))),
+             *(i.prefix(n) for n in range(len(i) + 2)), *i.proper_prefixes(),
+             *chain, *(j for part in chain.compress(flags) for j in part)]
+    if i.pairs:
+        built.append(i.parent())
+    for j in built:
+        assert Index(j.pairs) is j
+    assert built[0] is built[1] is Index(child) is chain._order[value]
+    assert pickle.loads(pickle.dumps(i)) is i and copy.deepcopy(i) is i
+
+
+def test_the_intern_table_keeps_no_index_alive_and_stays_bounded():
+    member = weakref.ref(ROOT_CHAIN.extend("t", 10_000)._order[-1])
+    assert member() is None
+    indices._sweep()
+    live = len(indices._TABLE)
+    for n in range(10):
+        ROOT_CHAIN.extend(f"t{n}", 10_000)
+    # 100,000 indices were interned; the table swept the dead ones
+    assert len(indices._TABLE) <= max(2 * (live + 10_000),
+                                      indices._SWEEP_FLOOR)
 
 
 OPS = ("append", "concat", "prefix", "parent", "extend", "partition",
