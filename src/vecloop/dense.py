@@ -7,10 +7,14 @@ The integer k of a pair addresses position k, and a reserved extra slot
 represented value of the index its non-absent coordinates spell in axis
 order, so broadcasting writes are plain slice assignments.  A read stops at
 the first string without an axis, integer without a position, or pair out
-of axis order: no stored value lies above that prefix.  `copied` drops
-trailing axes along which the grid is constant, which changes no read; the
-exit copy of a loop makes its axis constant, so each grid keeps only the
-axes of the active chain.  `DenseState` holds one DenseMap per variable in
+of axis order: no stored value lies above that prefix.  A loop's shift or
+exit (`state.Relocation`) leaves a grid without an axis for the loop's
+string as it is, since each source then reads what its target reads, an
+exit only where each target's strings name every axis, so that nothing
+lies above a target to clear; any other `copied` drops trailing axes
+along which the grid is constant, which changes no read, and the exit
+copy of a loop makes its axis constant, so a grid loses the axis of each
+loop it leaves.  `DenseState` holds one DenseMap per variable in
 the container both backends share (`state.StateBase`).  The grid layout is
 private to this module: a map prints as the canonical entries of the
 function it represents (`DenseMap.canonical`), as a PMap does, so a state
@@ -50,9 +54,9 @@ IEEE 754 leaves to the implementation, and on a domain error, the
 per-thread rule of the interpreter evaluates the expression, reading the
 registers (`_Loop.column`), and its values are written in place as lanes
 are.  At exit each written variable's grid takes each parent's last slot,
-once.
-The scores are those of running each round on grids, bit for bit, and
-the state the extend_index's exit copy leaves reads and prints the same,
+once, and none has the loop's axis, so the extend_index's exit copy
+leaves every grid as it is.  The scores are those of running each round
+on grids, bit for bit, and the state left reads and prints the same,
 though its grids may be wider.
 """
 
@@ -69,7 +73,7 @@ from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
 from .evalexpr import expr_kind, lane_code
 from .indices import AChain, Index
 from .ops import normal_logpdf
-from .pmap import PMap
+from .pmap import EXIT, SHIFT, PMap
 from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
                   box_muller, fnv1a)
 from .state import DENSE, Lanes, StateBase
@@ -123,6 +127,7 @@ def _grouped(indices: Sequence[Index]) -> tuple[_Group, ...]:
 
 _COLUMNS = "dense.columns"
 _ROWS = "dense.rows"
+_SHARED = "dense.shared"
 
 
 def _part_of(chain: AChain) -> tuple[AChain, Optional[np.ndarray]]:
@@ -186,6 +191,16 @@ def _relocation_columns(rho: Mapping[Index, Index]):
     if found is None:
         found = derived[_COLUMNS] = (_grouped(list(rho)),
                                      _grouped(list(rho.values())))
+    return found
+
+
+def _shared(rho) -> frozenset[str]:
+    """The strings every target of a nonempty `Relocation` holds, kept
+    with it."""
+    found = rho.derived.get(_SHARED)
+    if found is None:
+        found = rho.derived[_SHARED] = frozenset.intersection(
+            *[frozenset(t.names()) for t in rho.values()])
     return found
 
 
@@ -321,9 +336,26 @@ class DenseMap:
 
     def copied(self, rho: Mapping[Index, Index]) -> "DenseMap":
         """Relocate represented values along the injective map `rho`, one
-        gather at its sources and one scatter at its targets, then trim."""
+        gather at its sources and one scatter at its targets, then trim;
+        or this map itself where that changes no read (`_moves_no_read`)."""
+        if self._moves_no_read(rho):
+            return self
         sources, targets = _relocation_columns(rho)
         return self._written(targets, self.gather(sources, len(rho))).trimmed()
+
+    def _moves_no_read(self, rho: Mapping[Index, Index]) -> bool:
+        """Whether `rho` is a loop's shift or exit (`state.Relocation`)
+        that changes no read of this map.  Without an axis for the loop's
+        string, each source reads what its target reads, since a read
+        stops at that string.  A relocation also clears what lies above
+        its targets: above a shift's target, every index holds that string
+        too, but above an exit's target P, an index reads another cell
+        unless every axis is a string of P, which it then cannot add."""
+        name = getattr(rho, "name", None)
+        if name is None or name in self._axis:
+            return False
+        return rho.kind == SHIFT or rho.kind == EXIT and (
+            not rho or self._axis.keys() <= _shared(rho))
 
     def trimmed(self) -> "DenseMap":
         """This map without the trailing axes along which its grid is
@@ -338,8 +370,11 @@ class DenseMap:
 
         An axis only one side has must be droppable there, since a read
         naming its string stops on the other side.  The shared axes are then
-        grown to common extents and the grids compared cell by cell.
+        grown to common extents and the grids compared cell by cell.  A
+        grid a relocation left as is is compared with itself at once.
         """
+        if self is other:
+            return True
         left, right = self._restricted(other.axes), other._restricted(self.axes)
         if left is None or right is None:
             return False

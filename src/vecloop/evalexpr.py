@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Callable
 
 from . import ops
-from .indices import EMPTY, Index
+from .errors import DuplicateIndexString
+from .indices import EMPTY, Index, _unchecked
 from .syntax import (INT, Expr, IndexExpr, IntLit, PrimOp, RealLit, Var,
                      Variable)
 
@@ -85,9 +86,13 @@ def eval_column(e: Expr, column: Callable[[Variable], list],
     if isinstance(e, IndexExpr):
         if not e.pairs:
             return [EMPTY] * count
+        # every thread's index has these names: check them once, and
+        # intern each thread's index unchecked
         names = [name for name, _ in e.pairs]
+        if len(set(names)) < len(names):
+            raise DuplicateIndexString(f"index repeats a string: {names!r}")
         columns = [eval_column(z, column, count) for _, z in e.pairs]
-        return [Index(tuple(zip(names, ints))) for ints in zip(*columns)]
+        return [_unchecked(tuple(zip(names, ints))) for ints in zip(*columns)]
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -19,6 +19,9 @@ from .ops import same_value
 _ABSENT = object()
 # the key of a relocation's inverse among what it keeps (`_inverted`)
 _IMAGE = "pmap.image"
+# the kinds of relocation a loop makes (`state.Relocation.kind`)
+SHIFT = "shift"
+EXIT = "exit"
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,10 @@ class PMap:
         elsewhere are untouched.  Stored entries move literally; a slot
         whose preimage has no stored entry gains one only when the cleared
         slot would otherwise read back a different value, so the result
-        stays as sparse as the relocation allows.
+        stays as sparse as the relocation allows.  Such a slot already
+        reads its preimage's entry after a shift, and after an exit unless
+        it held an entry itself (`state.Relocation`), so those make no
+        repair pass, or one over the slots that held an entry.
         """
         image = _inverted(rho)
         entries = self.entries
@@ -109,16 +115,21 @@ class PMap:
         covered = image.keys()
         new.update([(i, v) for i, v in entries.items()
                     if i not in image and covered.isdisjoint(i.proper_prefixes())])
-        if None in moved:
-            # every repair is judged against the fixed `base`, so order is free
-            base, read = _adopted(new).extend_eval, self.extend_eval
-            repairs = {}
-            for (target, source), v in zip(image.items(), moved):
-                if v is None:
-                    value = read(source)
-                    if value is not None and base(target) != value:
-                        repairs[target] = value
-            new.update(repairs)
+        kind = getattr(rho, "kind", None)
+        if None in moved and kind != SHIFT:
+            # an exit's source without an entry reads its target's own
+            # entry, if any; every repair is judged against the fixed
+            # `base` (the list is built before `new` changes)
+            if kind == EXIT:
+                slots = [(target, entries.get(target))
+                         for target, v in zip(image, moved) if v is None]
+            else:
+                read = self.extend_eval
+                slots = [(target, read(source)) for (target, source), v
+                         in zip(image.items(), moved) if v is None]
+            base = _adopted(new).extend_eval
+            new.update([(target, value) for target, value in slots
+                        if value is not None and base(target) != value])
         return _adopted(new)
 
     def canonical(self) -> "PMap":

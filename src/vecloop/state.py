@@ -71,13 +71,30 @@ class Relocation(dict):
     """An injective map source -> target that the interpreter builds once
     per chain and keeps in the chain's memo.  `derived` holds what a backend
     derives from it (the dense backend its grouped columns), so that work
-    too is done once per chain."""
+    too is done once per chain.
 
-    __slots__ = ("derived",)
+    `name` is the string it moves along and `kind` says how, `pmap.SHIFT`
+    or `pmap.EXIT`, over the members P of an antichain, none of which
+    holds `name`: a shift relates P to P+(name,0) and P+(name,k-1) to
+    P+(name,k), an exit P+(name,count-1) to P.  In a map that stores
+    nothing under `name`, each source then reads what its target reads,
+    and so does every index above a shift's target, which the shift
+    clears; so a backend may leave such a map as it is after a shift, and
+    after an exit where no value lies above a target (`DenseMap.copied`).
+    In any map, a target whose source stores no entry reads that source's
+    value after a shift, and after an exit unless it stored an entry
+    itself, so `PMap.copied` repairs only those.  A plain mapping, or one
+    without a kind, takes the general path.
+    """
 
-    def __init__(self, *args):
+    __slots__ = ("derived", "name", "kind")
+
+    def __init__(self, *args, name: Optional[str] = None,
+                 kind: Optional[str] = None):
         super().__init__(*args)
         self.derived: dict = {}
+        self.name = name
+        self.kind = kind
 
 
 class StateBase:

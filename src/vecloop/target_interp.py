@@ -34,7 +34,7 @@ from typing import Optional
 from .errors import MissingString, PrimitiveDomainError, ScoreNaN
 from .evalexpr import eval_column, eval_expr
 from .indices import AChain, Index, ROOT_CHAIN
-from .pmap import PMap
+from .pmap import EXIT, SHIFT, PMap
 from .rdb import Rdb
 from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
                     make_state)
@@ -57,7 +57,7 @@ def shift_rho(chain: AChain, name: str) -> Relocation:
     found = chain.memo.get(("shift", name))
     if found is not None:
         return found
-    rho = Relocation()
+    rho = Relocation(name=name, kind=SHIFT)
     down = {p for i in chain.members for p in i.prefixes()}
     for target in chain:
         if not target.pairs or target.pairs[-1][0] != name:
@@ -81,7 +81,8 @@ def exit_rho(chain: AChain, name: str, count: int) -> Relocation:
     rho = chain.memo.get(key)
     if rho is None:
         rho = chain.memo[key] = Relocation(
-            {i.append(name, count - 1): i for i in chain})
+            {i.append(name, count - 1): i for i in chain}, name=name,
+            kind=EXIT)
     return rho
 
 
@@ -307,7 +308,10 @@ class _TargetRun:
         """Restore `chain` after a body ran under inner = chain.extend(name,
         count): the last slot's values move down and each index takes its
         slots' scores, which leave the buffer.  In chain order, each
-        index's slots follow one another in `inner`."""
+        index's slots follow one another in `inner`.  The copy is an exit
+        (`exit_rho`), which leaves a grid as it is when the grid has no
+        axis `name` and only axes of `chain`'s strings: after a
+        lane-resident loop's write-back, every grid."""
         score, slots = self.score, iter(inner)
         for i in chain:
             score[i] += sum(score.pop(slot) for slot in islice(slots, count))

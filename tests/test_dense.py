@@ -274,6 +274,24 @@ def test_final_dense_grids_of_generated_programs_are_constant():
             assert final.cells[var].axes == (), (seed, var.text())
 
 
+def test_an_exit_clears_what_an_entry_grid_stores_above_its_targets():
+    # v's grid has no axis for the loop's string, so each of the exit's
+    # sources reads what its target reads; but the exit also clears what
+    # lies above its target, the root, and the grid stores 0 there
+    from vecloop.parser import parse
+    from vecloop.rdb import Rdb
+    from vecloop.target_interp import run_tgt
+    from vecloop.translate import vectorise
+
+    v = Variable("v", INT)
+    cells = {v: PMap({EMPTY: 1, Index((("a", 0),)): 0})}
+    program = vectorise(parse("for t:int in range(2) { skip }"))
+    db = Rdb({}, "const", 0.0, 0)
+    for backend in ("sparse", "dense"):
+        out = run_tgt(program, db, make_state(backend, cells), backend=backend)
+        assert out.state.canonical_text() == "t:int={[]: 1}; v:int={[]: 1}"
+
+
 def test_axis_growth_reads_match_sparse():
     # a read at an integer an axis did not have before stops there, so
     # it gives the all-absent cell on every later axis

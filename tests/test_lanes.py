@@ -27,7 +27,8 @@ from vecloop.dense import (FETCH_MIN_LANES, DenseMap, DenseState, _Body,
 from vecloop.dense import _Loop as ResidentLoop
 from vecloop.errors import AxisOrderConflict, MissingString, ScoreNaN
 from vecloop.evalexpr import eval_expr, lane_code
-from vecloop.harness import GenConfig, gen_program, gen_rdb, gen_target_case
+from vecloop.harness import (GenConfig, _rewrite, gen_program, gen_rdb,
+                             gen_target_case)
 from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
                              is_antichain, prefix_leq)
 from vecloop.ops import same_value
@@ -36,8 +37,8 @@ from vecloop.pmap import PMap
 from vecloop.rdb import Rdb
 from vecloop.relaxed import run_relaxed
 from vecloop.state import DENSE, SPARSE, Lanes, make_state
-from vecloop.syntax import (INT, REAL, IndexExpr, IntLit, PrimOp, RealLit,
-                            Shift, Skip, Var, Variable)
+from vecloop.syntax import (INT, REAL, Fetch, IndexExpr, IntLit, PrimOp,
+                            RealLit, Shift, Skip, Var, Variable)
 from vecloop.target_interp import (FIXPOINT, UNROLLED, _TargetRun, loop_facts,
                                    run_tgt)
 from vecloop.translate import vectorise, vectorise_relaxed
@@ -767,6 +768,30 @@ def test_score_nan_and_missing_string_fail_as_on_sparse():
         run_tgt(missing, CONST0, chain=TWO, backend=DENSE)
 
 
+def test_a_repeated_index_string_fails_as_per_thread(resident, declined):
+    # the parser refuses such an index, so build one: a column walk checks
+    # the names once and falls back to the per-thread rule, whose error
+    # names the first thread's pairs, on grids and in a compiled body alike
+    def repeated(c):
+        if not isinstance(c, Fetch):
+            return c
+        (name, z), = c.index.pairs
+        return Fetch(c.var, IndexExpr(((name, z), (name, IntLit(1)))))
+
+    error = ("DuplicateIndexString",
+             "index repeats a string: (('a', 0), ('a', 1))")
+    grids = _rewrite(parse('n:int := lookup_index("out"); '
+                           'y := fetch([("a", n:int)]); score(y)', "target"),
+                     repeated)
+    assert both_backends(grids, TWO) == [error, error]
+    loop = _rewrite(vectorise(parse(
+        'for t:int in range(3) { y := fetch([("a", t:int)]); score(y) }')),
+        repeated)
+    assert both_backends(loop) == [error, error]
+    assert resident == [True]
+    assert [rule for rule, _ in declined] == ["fetches"]
+
+
 def test_int_overflow_falls_back_to_the_per_thread_rule():
     # Python ints do not overflow; the dense grid cannot hold the result,
     # and the per-thread write refuses it with a named error
@@ -1184,9 +1209,40 @@ def _arm_counts(monkeypatch, k: int) -> tuple[int, int, int]:
     return calls["written"], calls["hashed"], out.trace[0].rounds
 
 
+def test_generated_programs_keep_their_loops_in_lanes(monkeypatch):
+    # an exit copy leaves a grid without the loop's axis as it is, with any
+    # trailing axis along which it is constant: none of those may push a
+    # loop off the lanes, which want every grid's axes a proper prefix of
+    # the chain's strings (`DenseState.resident`)
+    runs, offered = [], []
+    run_loop, offer = _TargetRun.run_loop, DenseState.resident
+
+    def counted_run_loop(self, c, state, chain):
+        runs.append(c)
+        return run_loop(self, c, state, chain)
+
+    def counted_offer(self, loop, writes, chain):
+        lanes = offer(self, loop, writes, chain)
+        offered.append((lanes is not None, len(chain)))
+        return lanes
+
+    monkeypatch.setattr(_TargetRun, "run_loop", counted_run_loop)
+    monkeypatch.setattr(DenseState, "resident", counted_offer)
+    for seed in range(300):
+        run_tgt(vectorise(gen_program(GenConfig(seed=seed))), gen_rdb(seed),
+                backend=DENSE)
+    monkeypatch.undo()
+    in_lanes = sum(taken for taken, _ in offered)
+    declined = [width for taken, width in offered if not taken]
+    assert (in_lanes, len(declined), len(runs) - len(offered)) == \
+        (358, 96, 117)
+    assert set(declined) == {0}
+
+
 def test_grid_writes_and_hash_passes_do_not_grow_with_rounds(monkeypatch):
     # K + 1 rounds each; the grids are written once at loop exit (i, y and
-    # p1..pK) and once by the extend_index's exit copy, and the fetch's
-    # index lanes repeat every round, so the database is hashed once
-    assert _arm_counts(monkeypatch, 4) == (2 * (4 + 2), 1, 5)
-    assert _arm_counts(monkeypatch, 16) == (2 * (16 + 2), 1, 17)
+    # p1..pK), and the extend_index's exit copy leaves them as they are,
+    # since none has the loop's axis; the fetch's index lanes repeat every
+    # round, so the database is hashed once
+    assert _arm_counts(monkeypatch, 4) == (4 + 2, 1, 5)
+    assert _arm_counts(monkeypatch, 16) == (16 + 2, 1, 17)

@@ -13,9 +13,11 @@ import math
 from hypothesis import assume, given, strategies as st
 
 from _spec import in_down, in_up, max_below
+from vecloop.dense import dense_encode
+from vecloop.errors import AxisOrderConflict
 from vecloop.indices import EMPTY, AChain, Index, prefix_leq
 from vecloop.ops import same_value
-from vecloop.pmap import PMap
+from vecloop.pmap import SHIFT, PMap
 from vecloop.state import Lanes
 from vecloop.target_interp import exit_rho, shift_rho
 
@@ -67,6 +69,10 @@ def extend_by_scan(entries, i: Index):
 
 
 def copied_by_scan(entries, rho):
+    """A slot whose source holds no entry is repaired when its read in the
+    relocated map differs, under !=, from its source's read, unless both
+    reads come from one entry the relocation kept: a NaN differs from
+    itself under !=, and such a slot reads that NaN already."""
     image = {target: source for source, target in rho.items()}
     new = {t: entries[s] for t, s in image.items() if s in entries}
     new.update((i, v) for i, v in entries.items() if not in_up(i, image))
@@ -75,8 +81,11 @@ def copied_by_scan(entries, rho):
         source = image[target]
         if source in entries:
             continue
-        value = extend_by_scan(entries, source)
-        if value is not None and extend_by_scan(base, target) != value:
+        at = max_below(entries, source)
+        if at is None or (at not in image and at == max_below(base, target)):
+            continue
+        value = entries[at]
+        if extend_by_scan(base, target) != value:
             new[target] = value
     return new
 
@@ -178,6 +187,11 @@ def test_same_function_matches_canonical_scan(cell, other, how, data):
     assert cell.same_function(PMap(cell.entries))
 
 
+# few distinct values, and the floats that != and `same_value` tell apart
+loop_values = st.one_of(st.integers(-2, 2),
+                        st.sampled_from((0.0, -0.0, math.nan, math.inf)))
+
+
 @st.composite
 def loop_copies(draw):
     """A map and a relocation that a loop makes: the shift of a chain
@@ -196,14 +210,47 @@ def loop_copies(draw):
     closure = sorted({p for i in chains[-1] for p in i.prefixes()} | {EMPTY},
                      key=Index.sort_key)
     entries = draw(st.dictionaries(st.one_of(st.sampled_from(closure), indexes),
-                                   st.integers(-2, 2), max_size=10))
+                                   loop_values, max_size=10))
     return PMap(entries), rho
 
 
 @given(loop_copies())
 def test_copied_matches_scan_on_loop_relocations(case):
+    # a shift repairs nothing and an exit only slots that held an entry,
+    # an entry holding NaN always; as a plain mapping, `rho` takes the
+    # general path, which agrees with the scan up to such NaN repairs
     cell, rho = case
-    assert cell.copied(rho).entries == copied_by_scan(cell.entries, rho)
+    copied = cell.copied(rho)
+    assert copied.entries == copied_by_scan(cell.entries, rho)
+    assert copied.same_function(cell.copied(dict(rho)))
+
+
+@given(loop_copies(), st.booleans(), st.lists(indexes, max_size=4))
+def test_dense_copy_leaves_a_grid_without_the_axis_as_it_is(case, strip,
+                                                            others):
+    # without an axis for the string a loop moves along, every source reads
+    # what its target reads, and so does every index above a shift's
+    # target; above an exit's target too, when the target's strings are
+    # all the grid's axes.  Else the copy gathers, scatters and trims.
+    cell, rho = case
+    entries = {i: v for i, v in cell.entries.items()
+               if not (strip and rho.name in i.names())}
+    entries.setdefault(EMPTY, 0)
+    try:
+        grid = dense_encode(PMap(entries))
+        full = grid.copied(dict(rho))
+    except AxisOrderConflict:
+        assume(False)
+    moved = grid.copied(rho)
+    covered = rho.kind == SHIFT or all(set(grid.axes) <= set(t.names())
+                                       for t in rho.values())
+    assert (moved is grid) == (rho.name not in grid.axes and covered)
+    probes = {p for i in [*rho, *rho.values(), *entries, *others]
+              for p in i.prefixes()}
+    probes |= {t.concat(i) for t in rho.values() for i in others
+               if not set(t.names()) & set(i.names())}
+    for p in probes:
+        assert repr(moved.read(p)) == repr(full.read(p)), p.text()
 
 
 @given(pmaps, antichains, st.data())
