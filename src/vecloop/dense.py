@@ -21,13 +21,14 @@ function it represents (`DenseMap.canonical`), as a PMap does, so a state
 prints alike on both backends whatever its grids' shapes.
 
 On grids, a statement runs by the interpreter's per-thread rules, as on
-the sparse backend: each thread reads its cells (`DenseMap.read`), and the
-chain's values are written at once.  The chain's members, grouped by their
-string sequence, become integer columns (`_Group`, built once per chain,
-from the parent's columns for a chain `AChain.extend` made); a part that
-`AChain.compress` cut takes its rows (`AChain.part`) of its base chain's
-columns.  A map reads a whole group with one fancy index
-(`DenseMap.gather`) and writes one with one assignment.
+the sparse backend: they read a variable on a whole chain at once
+(`DenseState.column`), and write the chain's values at once.  The chain's
+members, grouped by their string sequence, become integer columns
+(`_Group`, built once per chain, from the parent's columns for a chain
+`AChain.extend` made); a part that `AChain.compress` cut takes its rows
+(`AChain.part`) of its base chain's columns.  A map reads a whole group
+with one fancy index (`DenseMap.gather`) and writes one with one
+assignment.
 
 A loop that `target_interp.loop_facts` admits (what `vectorise` makes of
 an innermost for-loop) runs its rounds in lane registers where the entry
@@ -519,20 +520,34 @@ def _typed(values: list, dtype) -> np.ndarray:
                           f"backend's int type") from None
 
 
+def _default(dtype) -> DenseMap:
+    """0 everywhere, on a read-only grid, since every state shares it."""
+    cells = np.zeros((), dtype)
+    cells.flags.writeable = False
+    return DenseMap((), cells)
+
+
 class DenseState(StateBase):
     """State backend: one DenseMap per touched variable."""
 
     backend = DENSE
-
-    def _map(self, var: Variable) -> DenseMap:
-        m = self.cells.get(var)
-        return m if m is not None else DenseMap((), np.zeros((), dtype_of(var)))
+    defaults = {kind: _default(dtype) for kind, dtype in _DTYPES.items()}
 
     def grid(self, var: Variable) -> np.ndarray:
         return self._map(var).cells
 
     def read(self, var: Variable, i: Index):
         return self._map(var).read(i)
+
+    def column(self, var: Variable, chain: Sequence[Index]) -> list:
+        """`read` at each index of `chain`, in its order, one gather per
+        string sequence: the columns an `AChain` keeps (`_columns`), or
+        those of any other index list."""
+        groups = (_columns(chain) if isinstance(chain, AChain)
+                  else _grouped(chain))
+        got = self._map(var).gather(groups, len(chain))
+        return (got.tolist() if isinstance(got, np.ndarray)
+                else [got] * len(chain))
 
     def updated(self, var: Variable, tensor: Mapping[Index, object]) -> "DenseState":
         if not tensor:
@@ -818,7 +833,6 @@ class _Loop:
             self.parents.append(values)
         self.files = [np.repeat(p, self.count, axis=1) for p in self.parents]
         self._entry: dict[Variable, object] = {}
-        self._row: Optional[dict[Index, int]] = None
 
     def round(self, runner, check: bool) -> bool:
         """One round: the shift, a slice copy along each parent's children
@@ -840,24 +854,13 @@ class _Loop:
             step(self, chain, None)
         return check and all(map(_same_lanes, before, self.files))
 
-    def read(self, var: Variable, i: Index):
-        """A variable's value at the member i of the loop's chain, for the
-        interpreter's per-thread rules: its register's, or its entry
-        state's, which the loop does not change."""
-        slot = self.body.slot.get(var)
-        if slot is None:
-            return self.entry.read(var, i)
-        return self.files[slot[0]][slot[1], self.row(i)].item()
-
     def column(self, var: Variable, chain: AChain) -> list:
-        """`read` at each member of `chain`, the loop's chain or a part an
-        `ifz` cut from it: a register's lanes at the part's rows."""
-        slot = self.body.slot.get(var)
-        if slot is None:
-            return self.entry.column(var, chain)
-        register = self.files[slot[0]][slot[1]]
-        rows = _part_of(chain)[1]
-        return (register if rows is None else register[rows]).tolist()
+        """A variable's values on `chain`, the loop's chain or a part an
+        `ifz` cut from it: its lanes at the part's rows, as the compiled
+        body reads them (`_Body._var`)."""
+        lanes = self.body._var(var)(self, _part_of(chain)[1])
+        return (lanes.tolist() if isinstance(lanes, np.ndarray)
+                else [lanes] * len(chain))
 
     def write(self, slot: tuple[int, int], data, rows) -> None:
         """The register at `slot` takes `data` at `rows` (None for every
@@ -887,11 +890,6 @@ class _Loop:
             found = self._entry[var] = self.entry._map(var).gather(
                 _columns(self.chain), len(self.chain))
         return found
-
-    def row(self, i: Index) -> int:
-        if self._row is None:
-            self._row = {j: k for k, j in enumerate(self.chain)}
-        return self._row[i]
 
     def restart(self) -> None:
         """Reset the score slots to 0.0: a round's scores replace the

@@ -6,12 +6,13 @@ interchangeable backends share one container, `StateBase`: the sparse one
 (reference) stores PMaps, the dense one `dense.DenseMap` grids.  A state's
 text is that of the function it represents, so it does not depend on the
 backend nor on how a backend lays out its maps.  Both backends run the
-same per-thread rules (`target_interp._TargetRun`), which read a
-variable on a whole chain at once (`column`, on the sparse backend one
-`PMap.column`); only a loop run in lane registers (`StateBase.resident`)
-evaluates in lane arrays.  No backend splits a chain: an `ifz` cuts it
-with `AChain.compress`.  A state is immutable, so one copy serves twice:
-a relaxed round's copy for its check is the next round's shifted state.
+same per-thread rules (`target_interp._TargetRun`), which read state
+only a variable on a whole chain at once (`column`; `read` at one index
+serves oracles and the CLI); only a loop run in lane registers
+(`StateBase.resident`) evaluates in lane arrays.  No backend splits a
+chain: an `ifz` cuts it with `AChain.compress`.  A state is immutable, so
+one copy serves twice: a relaxed round's copy for its check is the next
+round's shifted state.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .syntax import INT, REAL, Variable
 
 SPARSE = "sparse"
 DENSE = "dense"
-
-
-# The cell of a variable never written, one per type, shared by every read.
-_DEFAULT_CELLS = {INT: PMap({EMPTY: 0}), REAL: PMap({EMPTY: 0.0})}
 
 
 class Lanes(Mapping):
@@ -100,9 +97,9 @@ class Relocation(dict):
 class StateBase:
     """The state container of both backends: `cells` maps each touched
     variable to its map, and `_map(var)` gives a variable's map or its
-    default.  Each backend keeps its own `read` and `updated`, and binds
-    the shared methods by name (`copied = StateBase.copied`), so that each
-    class holds its own."""
+    type's one shared default (`defaults`).  Each backend keeps its own
+    `read`, `column` and `updated`, and binds the shared methods by name
+    (`copied = StateBase.copied`), so that each class holds its own."""
 
     def __init__(self, cells: Mapping[Variable, object] | None = None):
         self.cells: dict[Variable, object] = dict(cells or {})
@@ -110,9 +107,9 @@ class StateBase:
     def variables(self) -> set[Variable]:
         return set(self.cells)
 
-    def column(self, var: Variable, chain: Iterable[Index]) -> list:
-        """`read` at each index of the chain, in its order."""
-        return [self.read(var, i) for i in chain]
+    def _map(self, var: Variable):
+        found = self.cells.get(var)
+        return found if found is not None else self.defaults[var.type]
 
     def copied(self, rho: Mapping[Index, Index]):
         if not rho:
@@ -168,12 +165,9 @@ class SparseState(StateBase):
     """Reference backend: one PMap per touched variable."""
 
     backend = SPARSE
+    defaults = {INT: PMap({EMPTY: 0}), REAL: PMap({EMPTY: 0.0})}
 
-    def cell(self, var: Variable) -> PMap:
-        cell = self.cells.get(var)
-        return cell if cell is not None else _DEFAULT_CELLS[var.type]
-
-    _map = cell
+    cell = StateBase._map
 
     def read(self, var: Variable, i: Index):
         return self.cell(var).extend_eval(i)

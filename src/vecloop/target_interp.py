@@ -15,21 +15,23 @@ backend offers them (`StateBase.resident`), through a body the backend
 compiled once per loop node, by the same rules.  The per-thread rules
 (values, scores, fetches and `lookup_index`) exist once, here: `run`
 calls them on either backend's state, and a compiled body where its lanes
-decline, with the loop's registers as the reader.  Each evaluates its
-expression once per chain (`evalexpr.eval_column`), reading each variable
-as one column, and runs once per thread, failing as the first failing
-thread does, only on a chain where the column fails (`_TargetRun.column`,
-the one place a failure is caught).  A fetch looks each index up once per
-run.  The relaxed interpreter (`relaxed.py`) records each command's own
-accesses, runs it by the same rules, and adds its fused loop.
+decline, with the loop's registers as the reader; a reader's one method
+is `column(var, chain)`.  Each evaluates its expression once per chain
+(`evalexpr.eval_column`), and only where that fails (`_TargetRun.column`,
+the one place a failure is caught) once per thread from the same columns
+(`_TargetRun.each`), failing as the first failing thread does.  A fetch
+looks each index up once per run.  The relaxed interpreter (`relaxed.py`)
+records each command's own accesses, runs it by the same rules, and adds
+its fused loop.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import partial, reduce
 from itertools import islice
-from typing import Optional
+from operator import add
+from typing import Iterator, Optional
 
 from .errors import MissingString, PrimitiveDomainError, ScoreNaN
 from .evalexpr import eval_column, eval_expr
@@ -40,7 +42,7 @@ from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
                     make_state)
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
-                     Variable, subcommands, validate_tier)
+                     Variable, free_vars, subcommands, validate_tier)
 
 FIXPOINT = "fixpoint"
 UNROLLED = "unrolled"
@@ -153,7 +155,7 @@ class _TargetRun:
     # the first failing thread does.  `run` calls them on any state, and a
     # compiled loop body where its lanes decline.  Each walks the
     # expression once per chain (`column`); only where that fails does the
-    # rule run once per thread, reading through `reader.read(var, i)`.
+    # rule run its per-thread loop (`each`) on the same columns.
 
     def column(self, expr, reader, chain: AChain) -> Optional[list]:
         """`expr` on every thread of the chain at once (`eval_column`), or
@@ -169,12 +171,18 @@ class _TargetRun:
         except Exception:
             return None
 
+    def each(self, expr, reader, chain: AChain) -> Iterator:
+        """`expr` on each thread in turn (`eval_expr`), lazily, from its
+        variables' columns, each read once."""
+        columns = {var: reader.column(var, chain=chain)
+                   for var in free_vars(expr)}
+        for t in range(len(chain)):
+            yield eval_expr(expr, lambda var: columns[var][t])
+
     def values(self, expr, reader, chain: AChain) -> list:
         found = self.column(expr, reader, chain)
-        if found is not None:
-            return found
-        return [eval_expr(expr, lambda var: reader.read(var, i))
-                for i in chain]
+        return (found if found is not None
+                else list(self.each(expr, reader, chain)))
 
     def scores(self, expr, reader, chain: AChain) -> list:
         """`values`, each checked for NaN before the next thread runs."""
@@ -182,8 +190,7 @@ class _TargetRun:
         if found is not None and not any(map(math.isnan, found)):
             return found
         values = []
-        for i in chain:
-            value = eval_expr(expr, lambda var: reader.read(var, i))
+        for i, value in zip(chain, self.each(expr, reader, chain)):
             if math.isnan(value):
                 raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
             values.append(value)
@@ -193,10 +200,8 @@ class _TargetRun:
         """The database's value at the index `index` spells on each thread,
         looked up once per run (`lookup`)."""
         found = self.column(index, reader, chain)
-        if found is not None:
-            return list(map(self.lookup, found))
-        return [self.lookup(eval_expr(index, lambda var: reader.read(var, i)))
-                for i in chain]
+        return list(map(self.lookup, found if found is not None
+                        else self.each(index, reader, chain)))
 
     def indices(self, name: str, reader, chain: AChain) -> list[int]:
         """Each thread's integer under `name`, which its index holds: the
@@ -314,7 +319,8 @@ class _TargetRun:
         lane-resident loop's write-back, every grid."""
         score, slots = self.score, iter(inner)
         for i in chain:
-            score[i] += sum(score.pop(slot) for slot in islice(slots, count))
+            # a left fold: from Python 3.12 on, `sum` of floats compensates
+            score[i] += reduce(add, map(score.pop, islice(slots, count)), 0)
         return state.copied(exit_rho(chain, name, count))
 
 

@@ -311,3 +311,19 @@ def test_axis_growth_reads_match_sparse():
     for i in (probe, b0, a[0], a[3], EMPTY):
         for var in (x, y):
             assert encoded.read(var, i) == sparse.read(var, i), (var, i.text())
+
+
+@pytest.mark.parametrize("backend", ["sparse", "dense"])
+def test_an_unwritten_variable_reads_one_default_map(backend):
+    x, n = Variable("x", REAL), Variable("n", INT)
+    state, other = make_state(backend), make_state(backend)
+    default = state._map(x)
+    assert other._map(x) is default and state._map(n) is not default
+    written = state.updated(x, {EMPTY: 2.0})
+    assert written.read(x, EMPTY) == 2.0
+    assert state.read(x, EMPTY) == 0.0 and state._map(x) is default
+    assert default.canonical().text() == PMap({EMPTY: 0.0}).text()
+    if backend == "dense":
+        with pytest.raises(ValueError):
+            state.grid(x)[...] = 1.0
+        assert state.grid(x).item() == 0.0

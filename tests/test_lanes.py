@@ -101,12 +101,26 @@ def same_grid(a: DenseMap, b: DenseMap) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(pmaps, st.lists(probes, min_size=1, max_size=12))
-def test_gather_is_read_at_every_index(m, indices):
+@given(pmaps, st.lists(probes, max_size=12), st.lists(ordered, max_size=4),
+       st.integers(1, 3), st.lists(st.booleans(), min_size=1, max_size=12))
+def test_gather_is_read_at_every_index(m, indices, members, count, flags):
+    # and so is a state's column, on an index list, on a chain `extend`
+    # made and on each part `compress` cut from it
     dense = dense_encode(m, DIMS if len(m) % 2 else None)
-    got = dense.gather(_grouped(indices), len(indices))
-    lanes = got.tolist() if isinstance(got, np.ndarray) else [got] * len(indices)
-    assert [bits(v) for v in lanes] == [bits(dense.read(i)) for i in indices]
+    if indices:
+        got = dense.gather(_grouped(indices), len(indices))
+        lanes = (got.tolist() if isinstance(got, np.ndarray)
+                 else [got] * len(indices))
+        assert [bits(v) for v in lanes] == [bits(dense.read(i))
+                                            for i in indices]
+    x = Variable("x", REAL)
+    state = DenseState({x: dense})
+    chain = maximal(i for i in members if "c" not in i.names()).extend(
+        "c", count)
+    parts = chain.compress(flags[k % len(flags)] for k in range(len(chain)))
+    for where in (indices, chain, *parts):
+        assert [bits(v) for v in state.column(x, where)] == \
+            [bits(dense.read(i)) for i in where]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -493,3 +494,111 @@ def test_a_per_thread_fetch_looks_each_index_up_once_per_run(monkeypatch):
     monkeypatch.undo()
     # the dense backend fetches all 48 lanes at once, from no memo
     assert repr(out.score) == repr(run_tgt(program, db, backend=DENSE).score)
+
+
+class ColumnsOnly:
+    """A reader with nothing but the reader protocol: each variable's
+    values on a chain's threads, in chain order."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def column(self, var, chain):
+        return self.columns[var][:len(chain)]
+
+
+def test_the_per_thread_rules_read_only_columns():
+    from vecloop.errors import PrimitiveDomainError, ScoreNaN
+    from vecloop.target_interp import _TargetRun
+
+    n = Variable("n", INT)
+    chain = AChain(VEC[:2])
+    reader = ColumnsOnly({X: [-math.inf, 0.0], Y: [math.inf, 0.0],
+                          n: [1, 0]})
+    run = _TargetRun(parse("skip", "target"), zdb(), FIXPOINT, chain)
+
+    def expr(text):
+        return parse(f"score({text})", "target").expr
+
+    assert run.values(expr("add(x, 1.0)"), reader, chain) == [-math.inf, 1.0]
+    assert run.scores(expr("log(y)"), reader, ROOT_CHAIN) == [math.inf]
+    index = parse('x := fetch([("z", n:int)])', "target").index
+    assert run.fetches(index, reader, chain) == [0.1, 0.0]
+    # the column walk fails; each rule then fails as its first failing
+    # thread does: thread 0's NaN score comes before thread 1's log(0.0)
+    with pytest.raises(PrimitiveDomainError) as err:
+        run.values(expr("log(y)"), reader, chain)
+    assert str(err.value) == "log(0.0,) outside the operator's domain"
+    with pytest.raises(ScoreNaN) as err:
+        run.scores(expr("add(log(y), x)"), reader, chain)
+    assert str(err.value) == f"score evaluated to NaN at {VEC[0].text()}"
+    fails = parse('x := fetch([("z", mod(5, n:int))])', "target").index
+    with pytest.raises(PrimitiveDomainError) as err:
+        run.fetches(fails, reader, chain)
+    assert str(err.value) == "mod(5, 0) outside the operator's domain"
+
+
+def test_runs_that_do_not_fail_evaluate_no_thread_by_itself(monkeypatch):
+    # every rule's column walk completes where no thread fails; a reader
+    # whose `column` raised would send every rule to its per-thread loop
+    from vecloop import target_interp
+    from vecloop.errors import VecloopError
+
+    calls = []
+    original = target_interp.eval_expr
+    monkeypatch.setattr(target_interp, "eval_expr",
+                        lambda *args: calls.append(args) or original(*args))
+    ran = 0
+    for seed in range(12):
+        cfg = GenConfig(seed=seed)
+        db = gen_rdb(seed)
+        source = gen_program(cfg)
+        case, chain = gen_target_case(seed, cfg)
+        for backend in (SPARSE, DENSE):
+            for run in (lambda: run_tgt(vectorise(source), db,
+                                        backend=backend),
+                        lambda: run_relaxed(vectorise_relaxed(source), db,
+                                            backend=backend),
+                        lambda: run_tgt(case, db, chain=chain,
+                                        backend=backend)):
+                calls.clear()
+                try:
+                    run()
+                except VecloopError:
+                    continue
+                assert calls == [], (seed, backend)
+                ran += 1
+    assert ran > 50
+
+
+@pytest.mark.parametrize("backend", [SPARSE, DENSE])
+def test_scores_do_not_follow_sums_algorithm(backend, monkeypatch):
+    # from Python 3.12 on, `sum` of floats is compensated (Neumaier); the
+    # scalar run adds left to right, and so must the exit of a loop
+    import builtins
+
+    from vecloop.source_interp import run_src
+
+    plain = builtins.sum
+
+    def compensated(iterable, start=0):
+        items = list(iterable)
+        if not all(type(v) in (int, float) for v in [start, *items]):
+            return plain(items, start)
+        total, carry = float(start), 0.0
+        for v in items:
+            t = total + v
+            carry += ((total - t) + v if abs(total) >= abs(v)
+                      else (v - t) + total)
+            total = t
+        return total + carry if carry and math.isfinite(carry) else total
+
+    assert compensated([0.1] * 10) == 1.0
+    monkeypatch.setattr(builtins, "sum", compensated)
+    source = parse("for t:int in range(10) { score(0.1) }")
+    _, scalar = run_src(source, Rdb())
+    assert scalar == 0.9999999999999999
+    for run in (run_tgt(vectorise(source), Rdb(), backend=backend),
+                run_relaxed(vectorise_relaxed(source), Rdb(),
+                            backend=backend)[0]):
+        assert repr(run.score.entries) == repr({EMPTY: scalar})
