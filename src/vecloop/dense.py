@@ -41,7 +41,8 @@ one closure per command, with each variable bound to its register or its
 entry lanes and each operator node to its lane form; a round runs the
 shift, a slice copy of each matrix plus the parents' values, read once,
 then the closures: a write is in place, under `ifz` at the part's rows;
-scores go into slots that start each round at 0.0; and a fixed-point
+a score step hands its lanes, as Python floats, to the interpreter's one
+score rule (`_TargetRun.add_scores`); and a fixed-point
 check, round 1 included, compares the matrices, since no entry grid
 stores a value above a member.  Each round still cuts the chain at every
 `ifz` and still asks the lane rule (`_lanes`) of every expression: each
@@ -661,10 +662,10 @@ def _fetched(loop, index: IndexExpr, columns: list[np.ndarray],
     return values
 
 
-def _nan_free(chain: AChain, data) -> None:
+def _nan_free(chain: AChain, data: np.ndarray) -> None:
     """Raise ScoreNaN at the first NaN lane in chain order, as the
-    per-thread rule would; a list was checked lane by lane already."""
-    if isinstance(data, np.ndarray) and np.isnan(data).any():
+    per-thread rule would."""
+    if np.isnan(data).any():
         first = int(np.flatnonzero(np.isnan(data))[0])
         raise ScoreNaN(f"score evaluated to NaN at "
                        f"{next(islice(chain, first, None)).text()}")
@@ -748,7 +749,10 @@ class _Body:
                 value = _lanes(expr, len(chain), code, loop, rows)
                 if value is None:
                     value = loop.runner.scores(expr, loop, chain)
-                loop.add_scores(chain, value, rows)
+                else:
+                    _nan_free(chain, value)
+                    value = value.tolist()
+                loop.runner.add_scores(chain, value)
             return score
         if isinstance(c, Assign):
             expr, code, slot = c.expr, self._code(c.expr), self.slot[c.var]
@@ -807,10 +811,8 @@ class _Loop:
     count), in whose order the parent's r-th member has its children at
     rows r * count + k; `files`, one matrix per type whose rows are the
     written variables' registers over the chain, and `parents`, the same
-    for their values at the parent's members; the score slots of the
-    chain's members, which start each round at 0.0, as the extend_index
-    whose whole body the loop is has just set them; each fetch's last
-    index columns and values; and which registers a round wrote.  A round
+    for their values at the parent's members; each fetch's last index
+    columns and values; and which registers a round wrote.  A round
     writes only the files its shift made, so each earlier round's files
     stay as they were.
     """
@@ -821,7 +823,6 @@ class _Loop:
         self.chain = chain
         self.body = body
         self.runner = None
-        self.slots = np.zeros(len(chain))
         self.written = [[False] * len(file) for file in body.files]
         self.fetch_memo: dict[int, tuple] = {}
         columns = (_columns(parent), len(parent))
@@ -874,15 +875,6 @@ class _Loop:
             self.files[f][r, rows] = data
         self.written[f][r] = True
 
-    def add_scores(self, chain: AChain, data, rows) -> None:
-        """Into the score slots; `written_back` moves them into the
-        run's buffer."""
-        _nan_free(chain, data)
-        if rows is None:
-            self.slots += data
-        else:
-            self.slots[rows] += data
-
     def entry_lanes(self, var: Variable):
         """An unwritten variable's lanes, or its one value on all of them."""
         found = self._entry.get(var)
@@ -891,17 +883,11 @@ class _Loop:
                 _columns(self.chain), len(self.chain))
         return found
 
-    def restart(self) -> None:
-        """Reset the score slots to 0.0: a round's scores replace the
-        previous round's."""
-        self.slots.fill(0.0)
-
-    def written_back(self, buffer: dict) -> DenseState:
-        """The grids at loop exit, and the final round's scores in
-        `buffer`.  A written variable's grid takes each parent's last slot,
-        the one value the extend_index's exit copy reads; a variable no
-        round wrote keeps its entry grid, or stays absent."""
-        buffer.update(zip(self.chain, self.slots.tolist()))
+    def written_back(self) -> DenseState:
+        """The grids at loop exit.  A written variable's grid takes each
+        parent's last slot, the one value the extend_index's exit copy
+        reads; a variable no round wrote keeps its entry grid, or stays
+        absent."""
         parent, _, count = self.chain.origin
         cells = dict(self.entry.cells)
         for var in self.body.writes:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 from weakref import ref
 
 from .errors import (DuplicateIndexString, StringAlreadyPresent,
@@ -230,6 +230,11 @@ class AChain:
     def __contains__(self, i: Index) -> bool:
         return i in self.members
 
+    @property
+    def base_rows(self) -> tuple["AChain", Sequence[int]]:
+        """`part`, or (this chain, all its rows) for a chain no cut made."""
+        return self.part or (self, range(len(self.members)))
+
     def extend(self, name: str, count: int) -> "AChain":
         """All extensions i ++ [(name, k)] for i in the chain, k < count.
 
@@ -281,7 +286,7 @@ class AChain:
         """Split into (members whose flag is true, the rest), with one flag
         per member in chain order; both parts, an empty one too, keep that
         order and record their `part`."""
-        base, rows = self.part or (self, range(len(self.members)))
+        base, rows = self.base_rows
         yes, no = ([], []), ([], [])
         for i, row, flag in zip(self._order, rows, flags):
             members, positions = yes if flag else no

@@ -4,10 +4,11 @@ A flag records, per variable and per active index, whether the first
 access in the current scope was a read (0) or a write (1).  The relaxed
 loop masks write-first indices out of its fixed-point comparison, which
 can retire speculation one round earlier than plain state equality.
-Every other command first records its own accesses in the flag (the reads
-of its expression, then the write of its variable), a chain at a time,
-and then runs by the target interpreter's rules.  The masked check
-compares a variable's two columns on the unmasked indices.
+Every other command first records its own accesses (the reads of its
+expression, then the write of its variable), a chain at a time, by row of
+the base chain as scores are kept, and then runs by the target
+interpreter's rules; the records become a `Flag` at the end of the run.
+The masked check compares a variable's two columns on the unmasked rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Mapping
 # interpreter module, this one included
 from .evalexpr import eval_expr  # noqa: F401
 from .indices import AChain, Index, ROOT_CHAIN
-from .pmap import PMap
 from .rdb import Rdb
 from .state import SPARSE, TgtOutcome, make_state
 from .syntax import (Assign, Cmd, ExtendedLoopShift, Fetch, For, Ifz,
@@ -38,14 +38,19 @@ class Flag:
         cleaned = {v: dict(b) for v, b in dict(per_var).items() if b}
         object.__setattr__(self, "per_var", cleaned)
 
+    @classmethod
+    def of_rows(cls, first: Mapping[Variable, list], chain: AChain) -> "Flag":
+        """The records `first` holds at the chain's rows, by index."""
+        return cls({var: {i: bits[row] for i, row
+                          in zip(chain, chain.base_rows[1])
+                          if bits[row] is not None}
+                    for var, bits in first.items()})
+
     def bits(self, var: Variable) -> dict[Index, int]:
         return dict(self.per_var.get(var, {}))
 
     def variables(self) -> set[Variable]:
         return set(self.per_var)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Flag) and self.per_var == other.per_var
 
     def __repr__(self) -> str:
         parts = []
@@ -57,35 +62,33 @@ class Flag:
         return f"Flag({'; '.join(parts)})"
 
 
-def flag_pull_back(flag: Flag, chain: AChain, name: str, count: int,
-                   k: int) -> Flag:
-    """Round k's flag of a fused loop, seen from its outer chain.
+def flag_pull_back(first: Mapping[Variable, list], count: int,
+                   k: int) -> dict[Variable, list]:
+    """Round k's records of a fused loop on inner = chain.extend(name,
+    count), by row of inner, seen from the outer chain, by thread.
 
     Equals the definition `flag_unshift` (tests/_spec.py) applied k + 1
-    times through shift_rho(chain.extend(name, count), name), restricted
-    to the chain: an outer index takes the bit of its slot 0 when slots
-    0..min(k, count - 1) all hold that bit, and no bit otherwise.
+    times through shift_rho(inner, name), restricted to the chain: an
+    outer thread takes the bit of its slot 0 when slots 0..min(k, count -
+    1) all hold that bit, and no bit (None) otherwise.  In inner's order a
+    thread's `count` slots follow one another.
     """
-    later = range(1, min(k, count - 1) + 1)
-    slots = [(i, i.append(name, 0), [i.append(name, j) for j in later])
-             for i in chain]
-    out: dict[Variable, dict[Index, int]] = {}
-    for var, bits in flag.per_var.items():
-        cell: dict[Index, int] = {}
-        for i, first, rest in slots:
-            b = bits.get(first)
-            if b is not None and all(bits.get(j) == b for j in rest):
-                cell[i] = b
-        out[var] = cell
-    return Flag(out)
+    span = min(k, count - 1) + 1
+    return {var: [bits[s] if len(set(bits[s:s + span])) == 1 else None
+                  for s in range(0, len(bits), count)]
+            for var, bits in first.items()}
 
 
-def fixcheck(state0, state1, flag: Flag, chain: AChain) -> bool:
-    """Masked fixed-point test: agree on the chain minus write-first slots."""
-    variables = state0.variables() | state1.variables() | flag.variables()
+def fixcheck(state0, state1, first: Mapping[Variable, list],
+             chain: AChain) -> bool:
+    """Masked fixed-point test: agree on the chain minus the write-first
+    rows of `first`; variables neither state holds read alike."""
+    rows = chain.base_rows[1]
+    variables = state0.variables() | state1.variables()
     for var in sorted(variables, key=Variable.sort_key):
-        bits = flag.per_var.get(var, {})
-        where = [i for i in chain if bits.get(i) != 1]
+        bits = first.get(var)
+        where = list(chain) if bits is None else [
+            i for i, row in zip(chain, rows) if bits[row] != 1]
         if not state0.eq_on(state1, where, [var]):
             return False
     return True
@@ -98,39 +101,46 @@ _READS = {Score: "expr", Assign: "expr", Fetch: "index", Ifz: "cond"}
 class _RelaxedRun(_TargetRun):
     """The shared rules with first accesses recorded, plus the fused loop.
 
-    `first` is {Variable: {Index: bit}}: each variable's first access per
-    index, read (0) or write (1).
+    `first` is {Variable: [None | 0 | 1]}: each variable's first access
+    per row of the current base chain, read (0) or write (1), or None.
     """
 
     def __init__(self, program: Cmd, db: Rdb, chain: AChain):
         super().__init__(program, db, FIXPOINT, chain)
-        self.first: dict[Variable, dict[Index, int]] = {}
+        self.first: dict[Variable, list] = {}
 
     def run(self, c: Cmd, state, chain: AChain):
         """Record the accesses `c` makes before its subcommands run, then
         run it: a for-loop writes its counter only when it iterates."""
         if isinstance(c, ExtendedLoopShift):
-            return self.run_fused(c, state, chain)
+            return self.extend_index(c, state, chain,
+                                     partial(self.run_fused, c, chain))
         read = _READS.get(type(c))
         if read is not None:
             for var in free_vars(getattr(c, read)):
-                self.note(var, dict.fromkeys(chain, 0))
+                self.note(var, chain, [0] * len(chain))
         if (isinstance(c, (Assign, Fetch, LookupIndex))
                 or isinstance(c, For) and c.count > 0):
-            self.note(c.var, dict.fromkeys(chain, 1))
+            self.note(c.var, chain, [1] * len(chain))
         return super().run(c, state, chain)
 
-    def note(self, var: Variable, bits: dict[Index, int]) -> None:
-        """Record a chain's {index: bit}, a dict the flag may keep; an
-        index's first access sticks."""
+    def note(self, var: Variable, chain: AChain, bits: list) -> None:
+        """Record each thread's bit (None for none) at its row, in a list
+        the records may keep; a row's first access sticks."""
+        base, rows = chain.base_rows
         cell = self.first.get(var)
-        if cell is None:
+        if cell is None and base is chain:
             self.first[var] = bits
-        elif not bits.keys() <= cell.keys():
-            self.first[var] = {**bits, **cell}
+        elif cell is None or None in cell:
+            cell = self.first.setdefault(var, [None] * len(base))
+            for row, bit in zip(rows, bits):
+                if cell[row] is None:
+                    cell[row] = bit
 
-    def run_fused(self, c: ExtendedLoopShift, state, chain: AChain):
-        inner = self.extended(chain, c.name, c.count)
+    def run_fused(self, c: ExtendedLoopShift, chain: AChain, state,
+                  inner: AChain):
+        """The fused loop's rounds on inner = chain.extend(c.name,
+        c.count), whose first accesses each round pulls back to `chain`."""
         rho = shift_rho(inner, c.name)
         outer = self.first
 
@@ -139,20 +149,15 @@ class _RelaxedRun(_TargetRun):
             shifted = states[1]
             self.first = {}
             state = self.run(c.body, shifted, inner)
-            round_flag = Flag(self.first)
-            self.first = outer
-            pulled = flag_pull_back(round_flag, chain, c.name, c.count, k)
-            for var, bits in pulled.per_var.items():
-                self.note(var, bits)
+            first, self.first = self.first, outer
+            for var, bits in flag_pull_back(first, c.count, k).items():
+                self.note(var, chain, bits)
             following = state.copied(rho)
             # looked up in this module, where perfbench/tracer.py wraps it
-            return (state, following), fixcheck(shifted, following,
-                                                round_flag, inner)
+            return (state, following), fixcheck(shifted, following, first,
+                                                inner)
 
-        state, _ = self.run_rounds(
-            c, partial(self.score.update, dict.fromkeys(inner, 0.0)),
-            one_round, (state, state.copied(rho)))
-        return self.leave(state, chain, inner, c.name, c.count)
+        return self.run_rounds(c, one_round, (state, state.copied(rho)))[0]
 
 
 def run_relaxed(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
@@ -163,5 +168,5 @@ def run_relaxed(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
         state = make_state(backend)
     runner = _RelaxedRun(c, db, chain)
     final = runner.run(c, state, chain)
-    return (TgtOutcome(final, PMap(runner.score), tuple(runner.trace)),
-            Flag(runner.first))
+    return (TgtOutcome(final, runner.score_map(chain), tuple(runner.trace)),
+            Flag.of_rows(runner.first, chain))

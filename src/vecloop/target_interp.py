@@ -2,14 +2,14 @@
 
 A command runs under a random database, a state of lifted variables, and a
 finite antichain of active indices, producing a new state.  Scores go into
-one buffer {Index: float} per run, which starts at 0.0 on the run's chain;
-a score command adds into it at each active index, so at the end its
-domain is exactly that chain.  `extend_index` starts its slots at 0.0 and,
-on leaving, adds each index's slot sums to it.  Loops come in two modes:
-"fixpoint" stops re-running the body once a round leaves the state
+a list with one slot per row of the base chain (`AChain.base_rows`), which
+`extend_index` replaces with a fresh one at 0.0 for its inner chain and,
+on leaving, folds each thread's slots into its row of the outer one; all
+enter through one rule (`_TargetRun.add_scores`).  Loops come in two
+modes: "fixpoint" stops re-running the body once a round leaves the state
 unchanged (as a represented function), "unrolled" always runs the declared
 number of rounds.  Both keep only the final round's scores: each round
-starts from the buffer entries the loop began with.  A loop that
+starts from the buffer the loop began with (`run_rounds`).  A loop that
 `loop_facts` admits runs its rounds on the state's lane arrays where the
 backend offers them (`StateBase.resident`), through a body the backend
 compiled once per loop node, by the same rules.  The per-thread rules
@@ -134,8 +134,7 @@ class _TargetRun:
     """The command rules, shared by the target and the relaxed tier.
 
     Each rule returns the new state and adds its scores into `score`, the
-    run's buffer, which holds an entry for every index of every active
-    chain.
+    buffer of the current base chain's rows.
     """
 
     def __init__(self, program: Cmd, db: Rdb, mode: str, chain: AChain):
@@ -146,7 +145,7 @@ class _TargetRun:
         # being a function of the index
         self.lookup_memo: dict[Index, float] = {}
         self.inner_chains: dict[tuple, AChain] = {}
-        self.score: dict[Index, float] = dict.fromkeys(chain, 0.0)
+        self.score: list[float] = [0.0] * len(chain.base_rows[0])
         self.trace: list[LoopRound] = []
 
     # The per-thread rules: each gives an expression's value on every thread
@@ -225,8 +224,7 @@ class _TargetRun:
         if isinstance(c, Skip):
             return state
         if isinstance(c, Score):
-            for i, value in zip(chain, self.scores(c.expr, state, chain)):
-                self.score[i] += value
+            self.add_scores(chain, self.scores(c.expr, state, chain))
             return state
         if isinstance(c, Assign):
             return state.updated(
@@ -254,10 +252,7 @@ class _TargetRun:
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))
         if isinstance(c, ExtendIndex):
-            inner = self.extended(chain, c.name, c.count)
-            self.score.update(dict.fromkeys(inner, 0.0))
-            state = self.run(c.body, state, inner)
-            return self.leave(state, chain, inner, c.name, c.count)
+            return self.extend_index(c, state, chain, partial(self.run, c.body))
         if isinstance(c, LoopFixpt):
             return self.run_loop(c, state, chain)
         raise TypeError(f"not a target command: {c!r}")
@@ -273,55 +268,63 @@ class _TargetRun:
         writes = self.resident.get(id(c))
         lanes = None if writes is None else state.resident(c, writes, chain)
         if lanes is None:
-            restore = {i: self.score[i] for i in chain}
-            return self.run_rounds(c, partial(self.score.update, restore),
-                                   one_round, state)
+            return self.run_rounds(c, one_round, state)
         # a runner that records each command's accesses (`relaxed`) would
         # miss those of a compiled body; no relaxed program holds a loop
         assert type(self).run is _TargetRun.run, "compiled loop under records"
         check = self.mode == FIXPOINT
-        lanes = self.run_rounds(
-            c, lanes.restart, lambda k, lanes: (lanes, lanes.round(self, check)),
-            lanes)
-        return lanes.written_back(self.score)
+        return self.run_rounds(
+            c, lambda k, lanes: (lanes, lanes.round(self, check)),
+            lanes).written_back()
 
-    def run_rounds(self, c: Cmd, reset, one_round, state):
-        """Up to `c.count` rounds of a loop, traced.  Each first calls
-        `reset()`, which restores the score entries the loop began with;
-        `one_round(k, state)` returns round k's state and whether it is a
-        fixed point, which ends the loop."""
-        hit, rounds = False, 0
+    def run_rounds(self, c: Cmd, one_round, state):
+        """Up to `c.count` rounds of a loop, traced, each from the score
+        buffer the loop began with, so that only the final round's scores
+        stay; `one_round(k, state)` returns round k's state and whether it
+        is a fixed point, which ends the loop."""
+        start, hit, rounds = self.score.copy(), False, 0
         while not hit and rounds < c.count:
-            reset()
+            self.score[:] = start
             state, hit = one_round(rounds, state)
             rounds += 1
         self.trace.append(LoopRound(self.sites[id(c)], rounds, hit))
         return state
 
-    def extended(self, chain: AChain, name: str, count: int) -> AChain:
-        """chain.extend(name, count), built once per run, so that an
-        extend_index under a loop finds the inner chain, and all the data
-        its memo holds, from one round to the next."""
-        key = (chain, name, count)
+    def add_scores(self, chain: AChain, values) -> None:
+        """The one rule that adds scores: each thread's value, in chain
+        order, into its row of the buffer."""
+        if chain.part is None:
+            self.score[:] = map(add, self.score, values)
+        else:
+            for row, value in zip(chain.part[1], values):
+                self.score[row] += value
+
+    def extend_index(self, c, state, chain: AChain, run_body):
+        """`run_body(state, inner)` under inner = chain.extend(c.name,
+        c.count), on a fresh buffer, then `chain` restored: the last slot's
+        values move down, and each thread's slots, which follow one another
+        in inner's order, fold into its row of the outer buffer.  The copy
+        is an exit (`exit_rho`), which leaves a grid as it is when the grid
+        has no axis `c.name` and only axes of `chain`'s strings: after a
+        lane-resident loop's write-back, every grid.  The inner chain is
+        built once per run, so that under a loop it keeps its memo's data
+        from one round to the next."""
+        key = (chain, c.name, c.count)
         inner = self.inner_chains.get(key)
         if inner is None:
-            inner = self.inner_chains[key] = chain.extend(name, count)
-        return inner
-
-    def leave(self, state, chain: AChain, inner: AChain, name: str,
-              count: int):
-        """Restore `chain` after a body ran under inner = chain.extend(name,
-        count): the last slot's values move down and each index takes its
-        slots' scores, which leave the buffer.  In chain order, each
-        index's slots follow one another in `inner`.  The copy is an exit
-        (`exit_rho`), which leaves a grid as it is when the grid has no
-        axis `name` and only axes of `chain`'s strings: after a
-        lane-resident loop's write-back, every grid."""
-        score, slots = self.score, iter(inner)
-        for i in chain:
+            inner = self.inner_chains[key] = chain.extend(c.name, c.count)
+        outer, self.score = self.score, [0.0] * len(inner)
+        state = run_body(state, inner)
+        slots, self.score = iter(self.score), outer
+        for row in chain.base_rows[1]:
             # a left fold: from Python 3.12 on, `sum` of floats compensates
-            score[i] += reduce(add, map(score.pop, islice(slots, count)), 0)
-        return state.copied(exit_rho(chain, name, count))
+            outer[row] += reduce(add, islice(slots, c.count), 0)
+        return state.copied(exit_rho(chain, c.name, c.count))
+
+    def score_map(self, chain: AChain) -> PMap:
+        """The run's scores: the buffer's rows of the run's chain."""
+        return PMap(zip(chain, map(self.score.__getitem__,
+                                   chain.base_rows[1])))
 
 
 def run_tgt(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
@@ -336,4 +339,4 @@ def run_tgt(c: Cmd, db: Rdb, state=None, chain: AChain = ROOT_CHAIN,
         final = runner.run(c, state, chain)
     except PrimitiveDomainError as err:
         raise err if err.path else err.with_path("target run") from None
-    return TgtOutcome(final, PMap(runner.score), tuple(runner.trace))
+    return TgtOutcome(final, runner.score_map(chain), tuple(runner.trace))

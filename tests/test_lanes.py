@@ -526,6 +526,43 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
         set(vars(DenseState))
 
 
+def test_scores_enter_the_buffer_through_one_rule():
+    import ast
+    import inspect
+    from pathlib import Path
+
+    from vecloop import dense
+
+    # a compiled loop keeps no score state: its score step hands its lanes
+    # to the interpreter's rule, and `run_rounds` itself starts each round
+    # from the buffer the loop began with
+    assert not {"add_scores", "restart", "slots"} & set(vars(dense._Loop))
+    assert list(inspect.signature(_TargetRun.run_rounds).parameters) == \
+        ["self", "c", "one_round", "state"]
+    # one rule adds scores, and only target_interp writes into the buffer:
+    # stores into `.score`, or its items, and mutating calls on it
+    mutating = {"update", "pop", "append", "extend", "clear", "fill",
+                "insert", "setdefault", "__setitem__"}
+
+    def buffer(node):
+        return isinstance(node, ast.Attribute) and node.attr == "score"
+
+    rules, writers = [], set()
+    for source in sorted(Path(dense.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "add_scores":
+                rules.append(source.stem)
+            stored = (isinstance(node, (ast.Attribute, ast.Subscript))
+                      and isinstance(node.ctx, ast.Store)
+                      and (buffer(node) or buffer(node.value)))
+            called = (isinstance(node, ast.Attribute) and buffer(node.value)
+                      and node.attr in mutating)
+            if stored or called:
+                writers.add(source.stem)
+    assert rules == ["target_interp"] and "add_scores" in vars(_TargetRun)
+    assert writers == {"target_interp"}
+
+
 def test_columns_are_built_once_per_chain():
     chain = ROOT_CHAIN.extend("a", 2).extend("b", 3)
     groups = _columns(chain)

@@ -26,6 +26,13 @@ RV = [Index((("rv", k),)) for k in range(3)]
 A_RV = AChain(RV)
 
 
+def flag_rows(flag: Flag, chain: AChain) -> dict:
+    """The flag's bits at the chain's members, by row, as the relaxed
+    interpreter keeps them: None where the flag has no bit."""
+    return {var: [bits.get(i) for i in chain]
+            for var, bits in flag.per_var.items()}
+
+
 def test_flag_update_first_access_wins():
     base = flag_update(EMPTY_FLAG, {X: bits_on(A_RV, 0)})
     assert base.bits(X) == {i: 0 for i in RV}
@@ -94,12 +101,13 @@ def round_flags(draw):
 @given(round_flags())
 def test_pull_back_is_repeated_unshift_on_the_chain(case):
     flag, chain, count, k = case
-    rho = shift_rho(chain.extend("s", count), "s")
+    inner = chain.extend("s", count)
+    rho = shift_rho(inner, "s")
     pulled = flag
     for _ in range(k + 1):
         pulled = flag_unshift(pulled, rho, chain)
-    assert flag_pull_back(flag, chain, "s", count, k) == \
-        flag_restrict(pulled, chain)
+    back = flag_pull_back(flag_rows(flag, inner), count, k)
+    assert Flag.of_rows(back, chain) == flag_restrict(pulled, chain)
 
 
 def test_flag_restrict():
@@ -109,10 +117,11 @@ def test_flag_restrict():
 
 def test_fixcheck_basics():
     state = SparseState({X: PMap({EMPTY: 1.0})})
-    assert fixcheck(state, state, EMPTY_FLAG, A_RV)
+    empty = flag_rows(EMPTY_FLAG, A_RV)
+    assert fixcheck(state, state, empty, A_RV)
     bumped = state.updated(X, {RV[0]: 9.0})
-    masked = Flag({X: {RV[0]: 1}})
-    assert not fixcheck(state, bumped, EMPTY_FLAG, A_RV)
+    masked = flag_rows(Flag({X: {RV[0]: 1}}), A_RV)
+    assert not fixcheck(state, bumped, empty, A_RV)
     assert fixcheck(state, bumped, masked, A_RV)
 
 
@@ -125,7 +134,7 @@ def test_fixcheck_with_empty_flag_is_plain_equality():
                   if rng.random() < 0.5}
         s1 = s0.updated(X, tensor) if tensor else s0
         agree = all(s0.read(X, i) == s1.read(X, i) for i in A_RV)
-        assert fixcheck(s0, s1, EMPTY_FLAG, A_RV) == agree
+        assert fixcheck(s0, s1, flag_rows(EMPTY_FLAG, A_RV), A_RV) == agree
 
 
 def test_run_relaxed_skip():
@@ -265,13 +274,14 @@ def test_relaxed_command_lemma():
                 touched = True
         if not touched:
             continue
-        assert fixcheck(s0, s1, flag0, ROOT_CHAIN)
+        assert fixcheck(s0, s1, flag_rows(flag0, ROOT_CHAIN), ROOT_CHAIN)
         out1, flag1 = run_relaxed(fused, db, s1)
         assert flag0 == flag1
         assert out0.score == out1.score
         # the leftover mask is empty here, so outputs agree on the chain
         assert fixcheck(out0.state, out1.state,
-                        flag_diff(flag0, flag0), ROOT_CHAIN)
+                        flag_rows(flag_diff(flag0, flag0), ROOT_CHAIN),
+                        ROOT_CHAIN)
 
 
 def test_flag_domains_stay_below_the_chain():
