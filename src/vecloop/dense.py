@@ -49,36 +49,37 @@ stores a value above a member.  Each round still cuts the chain at every
 operator node runs once on all lanes, numpy computing only the total
 float64 operators, bit for bit as their scalar forms, and every other
 operator mapping its scalar form over the lanes (`_applied`); and a fetch
-on FETCH_MIN_LANES lanes or more hashes every lane's index in one pass
-(`_fetched`).  A compiled body holds no loop.  Where the lane rule
-declines, on an int result outside int64, on an operator's NaN, whose bits
-IEEE 754 leaves to the implementation, and on a domain error, the
-per-thread rule of the interpreter evaluates the expression, reading the
-registers (`_Loop.column`), and its values are written in place as lanes
-are.  At exit each written variable's grid takes each parent's last slot,
-once, and none has the loop's axis, so the extend_index's exit copy
-leaves every grid as it is.  The scores are those of running each round
-on grids, bit for bit, and the state left reads and prints the same,
-though its grids may be wider.
+on FETCH_MIN_LANES lanes or more hashes every lane's index in one pass,
+on fewer looks each lane's index up (`_fetched`).  A compiled body holds
+no loop.  The lanes run a loop whole or not at all: where a lane rule
+cannot give every thread's bits (an int result outside int64, an
+operator's NaN, whose bits IEEE 754 leaves to the implementation, a
+domain error, a NaN score), it raises `state.Declined`, and the
+interpreter runs the whole loop again on grids from its entry state
+(`_TargetRun.run_loop`).  At exit each written variable's grid takes
+each parent's last slot, once, and none has the loop's axis, so the
+extend_index's exit copy leaves every grid as it is.  The scores are
+those of running each round on grids, bit for bit, and the state left
+reads and prints the same, though its grids may be wider.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import (AxisOrderConflict, IntOverflow, NegativeComponent,
-                     ScoreNaN, UnknownString, VecloopError)
+                     UnknownString, VecloopError)
 from .evalexpr import expr_kind, lane_code
-from .indices import AChain, Index
+from .indices import AChain, Index, _unchecked
 from .ops import normal_logpdf
 from .pmap import EXIT, SHIFT, PMap
 from .rdb import (FNV_PRIME, MIX_ADD, MIX_MUL1, MIX_MUL2, SECOND, Rdb,
                   box_muller, fnv1a)
-from .state import DENSE, Lanes, StateBase
+from .state import DENSE, Declined, Lanes, StateBase
 from .syntax import (INT, REAL, Assign, Fetch, Ifz, IndexExpr, LookupIndex,
                      Score, Seq, Skip, Var, Variable)
 
@@ -584,28 +585,26 @@ class DenseState(StateBase):
         return _Loop(self, chain, body)
 
 
-def _column_of(name: str, chain: AChain) -> Optional[np.ndarray]:
+def _column_of(name: str, chain: AChain) -> np.ndarray:
     """Each member's integer under `name`, as an array, on a chain of one
-    string sequence; None where that lacks the string, as the per-thread
-    rule fails."""
+    string sequence; Declined where that lacks the string."""
     g = _columns(chain)[0]
     if name not in g.names:
-        return None
+        raise Declined
     return g.matrix[:, g.names.index(name)]
 
 
-def _lanes(expr, count: int, code, loop, rows) -> Optional[np.ndarray]:
+def _lanes(expr, count: int, code, loop, rows) -> np.ndarray:
     """The lane rule of a compiled body: `code(loop, rows)`, the values of
     `expr` (its lane code) on `count` lanes with each operator node
     evaluated once for all of them (or one Python value for all), as an
-    array.  None when that meets anything exceptional (a domain error, an
-    int outside int64), so that the step evaluates once per thread and
-    fails as that does; and where an operator's result holds a NaN, whose
-    bits IEEE 754 leaves to the implementation (numpy's and CPython's
-    differ).  No `code` (None) always declines.  A bare variable keeps its
-    lanes: a copy keeps its bits."""
+    array.  Declined where that meets anything exceptional (a domain
+    error, an int outside int64), where an operator's result holds a NaN,
+    whose bits IEEE 754 leaves to the implementation (numpy's and
+    CPython's differ), and where there is no `code` (None).  A bare
+    variable keeps its lanes: a copy keeps its bits."""
     if code is None:
-        return None
+        raise Declined
     if isinstance(expr, Var):
         value = code(loop, rows)
         if isinstance(value, np.ndarray):
@@ -616,59 +615,55 @@ def _lanes(expr, count: int, code, loop, rows) -> Optional[np.ndarray]:
             value = code(loop, rows)
             if not isinstance(value, np.ndarray):
                 return np.full(count, value, _DTYPES[expr_kind(expr)])
-            if value.dtype == np.float64 and np.isnan(value).any():
-                return None
-            return value
     except (VecloopError, ArithmeticError):
         # a domain error, or an int the lanes cannot hold (OverflowError),
         # on some lane
-        return None
+        raise Declined from None
+    if value.dtype == np.float64 and np.isnan(value).any():
+        raise Declined
+    return value
 
 
 def _index_columns(index: IndexExpr, codes: list, count: int, loop,
-                   rows) -> Optional[list[np.ndarray]]:
+                   rows) -> list[np.ndarray]:
     """The int64 lanes of each pair's integer of a fetch index on `count`
-    lanes, each pair's from its lane code in `codes` (`_lanes`); None on
-    fewer lanes than FETCH_MIN_LANES, on an index repeating a string, and
-    where a pair's lanes decline or are not ints, so that the step fetches
-    once per thread and fails as that does."""
+    lanes, each pair's from its lane code in `codes` (`_lanes`); Declined
+    on an index repeating a string and where a pair's lanes are not
+    ints."""
     names = [name for name, _ in index.pairs]
-    if count < FETCH_MIN_LANES or len(set(names)) < len(names):
-        return None
-    columns = []
-    for (_, z), code in zip(index.pairs, codes):
-        column = _lanes(z, count, code, loop, rows)
-        if column is None or column.dtype != np.int64:
-            return None
-        columns.append(column)
+    if len(set(names)) < len(names):
+        raise Declined
+    columns = [_lanes(z, count, code, loop, rows)
+               for (_, z), code in zip(index.pairs, codes)]
+    if any(column.dtype != np.int64 for column in columns):
+        raise Declined
     return columns
 
 
 def _fetched(loop, index: IndexExpr, columns: list[np.ndarray],
              count: int) -> list:
     """The database's value at each of `count` lanes' index, whose pairs'
-    integers are the lanes of `columns` (`_looked_up`).  Index lanes equal
-    to those the loop kept for `index` (`fetch_memo`) take the kept values:
-    the database is a function of the index."""
+    integers are the lanes of `columns`: on fewer lanes than
+    FETCH_MIN_LANES, each lane's index looked up as a thread's is
+    (`_TargetRun.lookup`), else all in one pass (`_looked_up`).  Index lanes
+    equal to those the loop kept for `index` (`fetch_memo`) take the kept
+    values: the database is a function of the index."""
     last = loop.fetch_memo.get(id(index))
     if last is not None and len(last[1]) == count and all(
             a.tobytes() == b.tobytes() for a, b in zip(last[0], columns)):
         return last[1]
     names = tuple([name for name, _ in index.pairs])
-    values = _looked_up(loop.runner.db, names, columns, count)
+    if count < FETCH_MIN_LANES:
+        rows = (zip(*[column.tolist() for column in columns]) if columns
+                else repeat((), count))
+        values = [loop.runner.lookup(_unchecked(tuple(zip(names, ints))))
+                  for ints in rows]
+    else:
+        values = _looked_up(loop.runner.db, names, columns, count)
     # a register's lanes change in place when a later command writes it
     loop.fetch_memo[id(index)] = ([column.copy() for column in columns],
                                   values)
     return values
-
-
-def _nan_free(chain: AChain, data: np.ndarray) -> None:
-    """Raise ScoreNaN at the first NaN lane in chain order, as the
-    per-thread rule would."""
-    if np.isnan(data).any():
-        first = int(np.flatnonzero(np.isnan(data))[0])
-        raise ScoreNaN(f"score evaluated to NaN at "
-                       f"{next(islice(chain, first, None)).text()}")
 
 
 def _same_lanes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -693,13 +688,10 @@ class _Body:
     order), every other variable to its entry lanes, and each operator
     node to its lane form (`evalexpr.lane_code`, `_bound`).  What depends
     on the values is decided each round: the `ifz` cut, and whether an
-    expression's lanes decline (`_lanes`).  Where they do, the step takes
-    the values from the interpreter's per-thread rule (`_TargetRun.values`,
-    `scores`, `fetches`, `indices`), reading the registers through
-    `_Loop.column`, and writes them in place as it writes lanes.  An
-    expression holding an operator node that does not resolve has no lane
-    code, so it always declines and fails per thread where it runs, as it
-    would on grids.
+    expression's lanes decline (`_lanes`), which ends the lane run
+    (`state.Declined`).  An expression holding an operator node that does
+    not resolve has no lane code, so it declines wherever it runs, and
+    fails there on grids.
     """
 
     def __init__(self, body, writes: frozenset[Variable]):
@@ -747,21 +739,16 @@ class _Body:
 
             def score(loop, chain, rows):
                 value = _lanes(expr, len(chain), code, loop, rows)
-                if value is None:
-                    value = loop.runner.scores(expr, loop, chain)
-                else:
-                    _nan_free(chain, value)
-                    value = value.tolist()
-                loop.runner.add_scores(chain, value)
+                if np.isnan(value).any():
+                    raise Declined
+                loop.runner.add_scores(chain, value.tolist())
             return score
         if isinstance(c, Assign):
             expr, code, slot = c.expr, self._code(c.expr), self.slot[c.var]
 
             def assign(loop, chain, rows):
-                value = _lanes(expr, len(chain), code, loop, rows)
-                if value is None:
-                    value = loop.runner.values(expr, loop, chain)
-                loop.write(slot, value, rows)
+                loop.write(slot, _lanes(expr, len(chain), code, loop, rows),
+                           rows)
             return assign
         if isinstance(c, Fetch):
             index, slot = c.index, self.slot[c.var]
@@ -770,29 +757,20 @@ class _Body:
             def fetch(loop, chain, rows):
                 count = len(chain)
                 columns = _index_columns(index, codes, count, loop, rows)
-                if columns is None:
-                    value = loop.runner.fetches(index, loop, chain)
-                else:
-                    value = _fetched(loop, index, columns, count)
-                loop.write(slot, value, rows)
+                loop.write(slot, _fetched(loop, index, columns, count), rows)
             return fetch
         if isinstance(c, LookupIndex):
             name, slot = c.name, self.slot[c.var]
 
             def lookup(loop, chain, rows):
-                found = _column_of(name, chain)
-                if found is None:
-                    found = loop.runner.indices(name, loop, chain)
-                loop.write(slot, found, rows)
+                loop.write(slot, _column_of(name, chain), rows)
             return lookup
         if isinstance(c, Ifz):
             cond, code = c.cond, self._code(c.cond)
             branches = (self._steps([c.then]), self._steps([c.orelse]))
 
             def ifz(loop, chain, rows):
-                value = _lanes(cond, len(chain), code, loop, rows)
-                flags = (loop.runner.values(cond, loop, chain)
-                         if value is None else value.tolist())
+                flags = _lanes(cond, len(chain), code, loop, rows).tolist()
                 parts = chain.compress(v == 0 for v in flags)
                 for part, steps in zip(parts, branches):
                     if part and steps:
@@ -854,14 +832,6 @@ class _Loop:
         for step in self.body.steps:
             step(self, chain, None)
         return check and all(map(_same_lanes, before, self.files))
-
-    def column(self, var: Variable, chain: AChain) -> list:
-        """A variable's values on `chain`, the loop's chain or a part an
-        `ifz` cut from it: its lanes at the part's rows, as the compiled
-        body reads them (`_Body._var`)."""
-        lanes = self.body._var(var)(self, _part_of(chain)[1])
-        return (lanes.tolist() if isinstance(lanes, np.ndarray)
-                else [lanes] * len(chain))
 
     def write(self, slot: tuple[int, int], data, rows) -> None:
         """The register at `slot` takes `data` at `rows` (None for every

@@ -10,6 +10,7 @@ operations, with a prefix walk only where a slot holds no entry itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -102,7 +103,8 @@ class PMap:
         everything else in the image's upward closure is cleared; entries
         elsewhere are untouched.  Stored entries move literally; a slot
         whose preimage has no stored entry gains one only when the cleared
-        slot would otherwise read back a different value, so the result
+        slot would otherwise read back a different value (a zero of the
+        other sign counting as different, `_apart`), so the result
         stays as sparse as the relocation allows.  Such a slot already
         reads its preimage's entry after a shift, and after an exit unless
         it held an entry itself (`state.Relocation`), so those make no
@@ -129,7 +131,7 @@ class PMap:
                          in zip(image.items(), moved) if v is None]
             base = _adopted(new).extend_eval
             new.update([(target, value) for target, value in slots
-                        if value is not None and base(target) != value])
+                        if value is not None and _apart(base(target), value)])
         return _adopted(new)
 
     def canonical(self) -> "PMap":
@@ -193,6 +195,12 @@ def _inverted(rho: Mapping[Index, Index]) -> dict[Index, Index]:
         if derived is not None:
             derived[_IMAGE] = found
     return found
+
+
+def _apart(a, b) -> bool:
+    """Unequal under ==, or zeros of different signs: a repair that keeps
+    -0.0 apart from 0.0, as the dense grids do."""
+    return a != b or (b == 0 and math.copysign(1, a) != math.copysign(1, b))
 
 
 def _adopted(entries: dict) -> PMap:

@@ -9,10 +9,11 @@ backend nor on how a backend lays out its maps.  Both backends run the
 same per-thread rules (`target_interp._TargetRun`), which read state
 only a variable on a whole chain at once (`column`; `read` at one index
 serves oracles and the CLI); only a loop run in lane registers
-(`StateBase.resident`) evaluates in lane arrays.  No backend splits a
-chain: an `ifz` cuts it with `AChain.compress`.  A state is immutable, so
-one copy serves twice: a relaxed round's copy for its check is the next
-round's shifted state.
+(`StateBase.resident`) evaluates in lane arrays, all its rounds or, where
+a lane rule raises `Declined`, none, the loop then running on the state.
+No backend splits a chain: an `ifz` cuts it with `AChain.compress`.  A
+state is immutable, so one copy serves twice: a relaxed round's copy for
+its check is the next round's shifted state.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ class Lanes(Mapping):
         if found is None:
             found = self._by_index = dict(self.items())
         return found[i]
+
+
+class Declined(Exception):
+    """A lane rule of a compiled loop body cannot give every thread's value
+    bit for bit; the loop then runs on its state's maps instead
+    (`target_interp._TargetRun.run_loop`).  Never leaves a run."""
 
 
 class Relocation(dict):

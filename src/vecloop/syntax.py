@@ -18,7 +18,6 @@ REAL = "real"
 SOURCE = "source"
 TARGET = "target"
 RELAXED = "relaxed"
-TIERS = (SOURCE, TARGET, RELAXED)
 
 
 @dataclass(frozen=True)

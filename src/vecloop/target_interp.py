@@ -12,11 +12,12 @@ number of rounds.  Both keep only the final round's scores: each round
 starts from the buffer the loop began with (`run_rounds`).  A loop that
 `loop_facts` admits runs its rounds on the state's lane arrays where the
 backend offers them (`StateBase.resident`), through a body the backend
-compiled once per loop node, by the same rules.  The per-thread rules
-(values, scores, fetches and `lookup_index`) exist once, here: `run`
-calls them on either backend's state, and a compiled body where its lanes
-decline, with the loop's registers as the reader; a reader's one method
-is `column(var, chain)`.  Each evaluates its expression once per chain
+compiled once per loop node, by the same rules; where a lane rule cannot
+give every thread's bits (`state.Declined`), the whole loop runs again
+on the state (`run_loop`).  The per-thread rules (values, scores,
+fetches and `lookup_index`) exist once, here, and `run` calls them on
+either backend's state, which they read only through `column(var,
+chain)`.  Each evaluates its expression once per chain
 (`evalexpr.eval_column`), and only where that fails (`_TargetRun.column`,
 the one place a failure is caught) once per thread from the same columns
 (`_TargetRun.each`), failing as the first failing thread does.  A fetch
@@ -38,8 +39,8 @@ from .evalexpr import eval_column, eval_expr
 from .indices import AChain, Index, ROOT_CHAIN
 from .pmap import EXIT, SHIFT, PMap
 from .rdb import Rdb
-from .state import (SPARSE, Lanes, LoopRound, Relocation, TgtOutcome,
-                    make_state)
+from .state import (SPARSE, Declined, Lanes, LoopRound, Relocation,
+                    TgtOutcome, make_state)
 from .syntax import (Assign, Cmd, ExtendedLoopShift, ExtendIndex, Fetch, For,
                      Ifz, LookupIndex, LoopFixpt, Score, Seq, Shift, Skip,
                      Variable, free_vars, subcommands, validate_tier)
@@ -149,14 +150,13 @@ class _TargetRun:
         self.trace: list[LoopRound] = []
 
     # The per-thread rules: each gives an expression's value on every thread
-    # of the chain in chain order, reading through `reader.column(var,
-    # chain)` (a state, or a lane-resident loop's registers), and fails as
-    # the first failing thread does.  `run` calls them on any state, and a
-    # compiled loop body where its lanes decline.  Each walks the
-    # expression once per chain (`column`); only where that fails does the
-    # rule run its per-thread loop (`each`) on the same columns.
+    # of the chain in chain order, reading the state only through
+    # `state.column(var, chain)`, and fails as the first failing thread
+    # does.  Each walks the expression once per chain (`column`); only where
+    # that fails does the rule run its per-thread loop (`each`) on the same
+    # columns.
 
-    def column(self, expr, reader, chain: AChain) -> Optional[list]:
+    def column(self, expr, state, chain: AChain) -> Optional[list]:
         """`expr` on every thread of the chain at once (`eval_column`), or
         None where some thread fails, so that the rule runs its per-thread
         loop, which raises the first failing thread's error.  The one place
@@ -165,46 +165,45 @@ class _TargetRun:
         if not chain:
             return []
         try:
-            return eval_column(expr, partial(reader.column, chain=chain),
+            return eval_column(expr, partial(state.column, chain=chain),
                                len(chain))
         except Exception:
             return None
 
-    def each(self, expr, reader, chain: AChain) -> Iterator:
+    def each(self, expr, state, chain: AChain) -> Iterator:
         """`expr` on each thread in turn (`eval_expr`), lazily, from its
         variables' columns, each read once."""
-        columns = {var: reader.column(var, chain=chain)
+        columns = {var: state.column(var, chain=chain)
                    for var in free_vars(expr)}
         for t in range(len(chain)):
             yield eval_expr(expr, lambda var: columns[var][t])
 
-    def values(self, expr, reader, chain: AChain) -> list:
-        found = self.column(expr, reader, chain)
+    def values(self, expr, state, chain: AChain) -> list:
+        found = self.column(expr, state, chain)
         return (found if found is not None
-                else list(self.each(expr, reader, chain)))
+                else list(self.each(expr, state, chain)))
 
-    def scores(self, expr, reader, chain: AChain) -> list:
+    def scores(self, expr, state, chain: AChain) -> list:
         """`values`, each checked for NaN before the next thread runs."""
-        found = self.column(expr, reader, chain)
+        found = self.column(expr, state, chain)
         if found is not None and not any(map(math.isnan, found)):
             return found
         values = []
-        for i, value in zip(chain, self.each(expr, reader, chain)):
+        for i, value in zip(chain, self.each(expr, state, chain)):
             if math.isnan(value):
                 raise ScoreNaN(f"score evaluated to NaN at {i.text()}")
             values.append(value)
         return values
 
-    def fetches(self, index, reader, chain: AChain) -> list:
+    def fetches(self, index, state, chain: AChain) -> list:
         """The database's value at the index `index` spells on each thread,
         looked up once per run (`lookup`)."""
-        found = self.column(index, reader, chain)
+        found = self.column(index, state, chain)
         return list(map(self.lookup, found if found is not None
-                        else self.each(index, reader, chain)))
+                        else self.each(index, state, chain)))
 
-    def indices(self, name: str, reader, chain: AChain) -> list[int]:
-        """Each thread's integer under `name`, which its index holds: the
-        reader is not read."""
+    def indices(self, name: str, chain: AChain) -> list[int]:
+        """Each thread's integer under `name`, which its index holds."""
         values = []
         for i in chain:
             value = i.lookup(name)
@@ -248,7 +247,7 @@ class _TargetRun:
             return state
         if isinstance(c, LookupIndex):
             return state.updated(
-                c.var, Lanes(chain, self.indices(c.name, state, chain)))
+                c.var, Lanes(chain, self.indices(c.name, chain)))
         if isinstance(c, Shift):
             return state.copied(shift_rho(chain, c.name))
         if isinstance(c, ExtendIndex):
@@ -258,24 +257,34 @@ class _TargetRun:
         raise TypeError(f"not a target command: {c!r}")
 
     def run_loop(self, c: LoopFixpt, state, chain: AChain):
-        """The loop's rounds: on the state, or, where the state offers lane
-        arrays (`StateBase.resident`), through the body the backend
-        compiled for them, which runs no command through `run`."""
+        """The loop's rounds: where the state offers lane arrays
+        (`StateBase.resident`), through the body the backend compiled for
+        them, which runs no command through `run`; else, and where a lane
+        rule declines (`Declined`), on the state the loop entered with,
+        from the score buffer it began with.  The declined lane run leaves
+        no trace: `run_rounds` records a loop only once it completes."""
         def one_round(k: int, state):
             after = self.run(c.body, state, chain)
             return after, self.mode == FIXPOINT and state.same_function(after)
 
         writes = self.resident.get(id(c))
         lanes = None if writes is None else state.resident(c, writes, chain)
-        if lanes is None:
-            return self.run_rounds(c, one_round, state)
-        # a runner that records each command's accesses (`relaxed`) would
-        # miss those of a compiled body; no relaxed program holds a loop
-        assert type(self).run is _TargetRun.run, "compiled loop under records"
-        check = self.mode == FIXPOINT
-        return self.run_rounds(
-            c, lambda k, lanes: (lanes, lanes.round(self, check)),
-            lanes).written_back()
+        if lanes is not None:
+            # a runner that records each command's accesses (`relaxed`)
+            # would miss those of a compiled body; no relaxed program holds
+            # a loop
+            assert type(self).run is _TargetRun.run, \
+                "compiled loop under records"
+            check, start = self.mode == FIXPOINT, self.score.copy()
+            try:
+                lanes = self.run_rounds(
+                    c, lambda k, lanes: (lanes, lanes.round(self, check)),
+                    lanes)
+            except Declined:
+                self.score[:] = start
+            else:
+                return lanes.written_back()
+        return self.run_rounds(c, one_round, state)
 
     def run_rounds(self, c: Cmd, one_round, state):
         """Up to `c.count` rounds of a loop, traced, each from the score

@@ -327,3 +327,37 @@ def test_an_unwritten_variable_reads_one_default_map(backend):
         with pytest.raises(ValueError):
             state.grid(x)[...] = 1.0
         assert state.grid(x).item() == 0.0
+
+
+def test_an_exit_copy_keeps_the_sign_of_a_zero():
+    # the outer loop's thread writes 0.0 above the root's -0.0; the inner
+    # loop's exit clears the thread's slot and must put its 0.0 back,
+    # though 0.0 == -0.0, the value the slot reads without it
+    from vecloop.harness import GenConfig, gen_program, gen_rdb
+    from vecloop.parser import parse
+    from vecloop.rdb import Rdb
+    from vecloop.relaxed import run_relaxed
+    from vecloop.target_interp import run_tgt
+    from vecloop.translate import vectorise, vectorise_relaxed
+
+    def texts(run):
+        return [(repr(out.score), out.trace, out.state.canonical_text())
+                for out in (run("sparse"), run("dense"))]
+
+    program = vectorise(parse("x0 := -0.0; for t0:int in range(1) { "
+                              "x0 := 0.0; for t1:int in range(3) { skip } }"))
+    db = Rdb({}, "const", 0.0, 0)
+    sparse, dense = texts(lambda b: run_tgt(program, db, backend=b))
+    assert sparse == dense
+    assert sparse[2] == "t0:int={[]: 0}; t1:int={[]: 2}; x0={[]: 0.0}"
+    # generated programs whose backends disagreed so
+    for seed, relaxed in ((476, False), (933, False), (392, True)):
+        source, db = gen_program(GenConfig(seed=seed)), gen_rdb(seed)
+        if relaxed:
+            target = vectorise_relaxed(source)
+            sparse, dense = texts(
+                lambda b: run_relaxed(target, db, backend=b)[0])
+        else:
+            target = vectorise(source)
+            sparse, dense = texts(lambda b: run_tgt(target, db, backend=b))
+        assert sparse == dense, seed

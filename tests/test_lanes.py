@@ -7,9 +7,9 @@ chains must agree with them, and a compiled loop body's lane evaluation
 must give what `eval_expr` gives thread by thread, bit for bit, or
 decline.  The interpreter's rules, which evaluate once per chain, must
 give what `eval_expr` gives thread by thread, or fail as the first failing
-thread does.  A loop run in lane registers (`dense._Loop`) must give the
-scores, traces and state text the same loop gives on grids, and what the
-sparse backend gives.
+thread does.  A loop run in lane registers (`dense._Loop`), or run again on
+grids where its lanes decline, must give the scores, traces and state text
+the same loop gives on grids, and what the sparse backend gives.
 """
 
 import math
@@ -31,12 +31,11 @@ from vecloop.harness import (GenConfig, _rewrite, gen_program, gen_rdb,
                              gen_target_case)
 from vecloop.indices import (EMPTY, EMPTY_CHAIN, AChain, Index, ROOT_CHAIN,
                              is_antichain, prefix_leq)
-from vecloop.ops import same_value
 from vecloop.parser import parse
 from vecloop.pmap import PMap
 from vecloop.rdb import Rdb
 from vecloop.relaxed import run_relaxed
-from vecloop.state import DENSE, SPARSE, Lanes, make_state
+from vecloop.state import DENSE, SPARSE, Declined, Lanes, make_state
 from vecloop.syntax import (INT, REAL, Fetch, IndexExpr, IntLit, PrimOp,
                             RealLit, Shift, Skip, Var, Variable)
 from vecloop.target_interp import (FIXPOINT, UNROLLED, _TargetRun, loop_facts,
@@ -178,12 +177,12 @@ def test_copied_is_one_gather_and_one_scatter(m, rho, extra):
     assert same_grid(got, want)
     if not is_antichain(rho.values()):
         return  # no interpreter relocation writes a slot and its extension
-    # PMap.copied repairs a slot only when its read changes under ==, so
-    # the sparse map may keep 0.0 where the grid moved a -0.0
+    # PMap.copied repairs a slot whose read changes under ==, or whose
+    # zero changes sign, so both read alike bit for bit
     moved = m.copied(rho)
     for i in [*rho, *rho.values(), *m.domain(), *extra]:
         a, b = got.read(i), moved.extend_eval(i)
-        assert same_value(a, b), i.text()
+        assert bits(a) == bits(b), i.text()
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,18 +297,23 @@ def compiled_lanes(expr, state, chain):
     array, or None where the lane rule (`_lanes`) declines."""
     loop = entry_loop(state, chain)
     code = lane_code(expr, loop.body._var, _bound)
-    return _lanes(expr, len(chain), code, loop, None)
+    try:
+        return _lanes(expr, len(chain), code, loop, None)
+    except Declined:
+        return None
 
 
 def compiled_fetch(index, state, chain, db):
-    """The values a compiled body's fetch step looks up in one pass on the
-    chain (`_index_columns`, `_fetched`), or None where it fetches once per
-    thread."""
+    """The values a compiled body's fetch step looks up on the chain
+    (`_index_columns`, `_fetched`), in one pass on FETCH_MIN_LANES lanes or
+    more and lane by lane on fewer; None where its lanes decline."""
     loop = entry_loop(state, chain, db)
     codes = [lane_code(z, loop.body._var, _bound) for _, z in index.pairs]
-    columns = _index_columns(index, codes, len(chain), loop, None)
-    return None if columns is None else _fetched(loop, index, columns,
-                                                 len(chain))
+    try:
+        columns = _index_columns(index, codes, len(chain), loop, None)
+    except Declined:
+        return None
+    return _fetched(loop, index, columns, len(chain))
 
 
 def per_thread(expr, state, chain):
@@ -466,11 +470,12 @@ def test_literal_arguments_stay_scalars_and_empty_chains_do_nothing():
     runner = _TargetRun(Skip(), None, FIXPOINT, EMPTY_CHAIN)
     assert state.updated(x, Lanes(EMPTY_CHAIN, runner.values(
         expr, state, EMPTY_CHAIN))) is state
-    # an index whose lanes all agree fetches once per lane on a narrow chain
-    # and is hashed as one Python int on a wide one
+    # an index whose lanes all agree is looked up once per lane on a narrow
+    # chain and hashed as one Python int on a wide one
     index = IndexExpr((("z", PrimOp("const", (IntLit(2),))),))
     db = Rdb({}, "normal", 0.0, 7)
-    assert compiled_fetch(index, state, chain, db) is None
+    assert compiled_fetch(index, state, chain, db) == \
+        [db.lookup(Index((("z", 2),)))] * 3
     wide = ROOT_CHAIN.extend("s", FETCH_MIN_LANES)
     assert compiled_fetch(index, state, wide, db) == \
         [db.lookup(Index((("z", 2),)))] * FETCH_MIN_LANES
@@ -514,8 +519,29 @@ def test_each_lane_rule_and_the_ifz_cut_are_written_once():
     assert any(isinstance(node, ast.ExceptHandler) for node in ast.walk(rule))
     body = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.ClassDef) and node.name == "_Body")
-    assert "errstate" not in ast.unparse(body) and "isnan" not in ast.unparse(body)
-    # one per-thread lookup_index rule, which grids and compiled bodies share
+    assert "errstate" not in ast.unparse(body)
+    # the lanes run a loop whole or not at all: no lane step calls a
+    # per-thread rule, the registers are read by no rule, and one handler,
+    # in `run_loop`, takes a declined lane run back to grids
+    rules = {"values", "scores", "fetches", "indices", "each", "column"}
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in rules
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "runner"] == []
+    assert not hasattr(dense._Loop, "column")
+    assert not hasattr(dense, "_nan_free")
+    assert list(inspect.signature(_TargetRun.indices).parameters) == \
+        ["self", "name", "chain"]
+    caught = [(source.stem, function.name)
+              for source in Path(dense.__file__).parent.glob("*.py")
+              for function in ast.walk(ast.parse(source.read_text()))
+              if isinstance(function, ast.FunctionDef)
+              for node in ast.walk(function)
+              if isinstance(node, ast.ExceptHandler) and node.type
+              and "Declined" in ast.unparse(node.type)]
+    assert caught == [("target_interp", "run_loop")]
+    # one per-thread lookup_index rule: a lane step declines where a string
+    # is missing
     raised = [node for source in Path(dense.__file__).parent.glob("*.py")
               for node in ast.walk(ast.parse(source.read_text()))
               if isinstance(node, ast.Raise)
@@ -699,10 +725,8 @@ def test_batched_fetch_is_the_per_thread_lookup_bit_for_bit(case):
         assert [bits(v) for v in _looked_up(db, names, columns, len(chain))] \
             == want
         fetched = compiled_fetch(index, state, chain, db)
-    if len(chain) < FETCH_MIN_LANES:
-        assert fetched is None
-    else:
-        assert [bits(v) for v in fetched] == want
+    # narrower chains look each lane's index up, as a thread's
+    assert [bits(v) for v in fetched] == want
 
 
 def test_fetch_declines_a_repeated_string_and_a_declining_pair():
@@ -796,9 +820,10 @@ def test_partial_operator_reproducers_fail_as_on_sparse(
                                f"{message} outside the operator's domain"
                                " at target run")
     # inside the compiled loop, speculative round 1 reads the stale 0 on
-    # thread 1: the score's lanes decline, and its per-thread rule fails
+    # thread 1: the score's lanes decline, and the loop's first round on
+    # grids fails
     assert resident == [True]
-    assert [rule for rule, _ in declined] == ["scores"]
+    assert declined == [1]
 
 
 def test_score_nan_and_missing_string_fail_as_on_sparse():
@@ -822,7 +847,8 @@ def test_score_nan_and_missing_string_fail_as_on_sparse():
 def test_a_repeated_index_string_fails_as_per_thread(resident, declined):
     # the parser refuses such an index, so build one: a column walk checks
     # the names once and falls back to the per-thread rule, whose error
-    # names the first thread's pairs, on grids and in a compiled body alike
+    # names the first thread's pairs; a compiled body's fetch declines, and
+    # its loop fails so on grids
     def repeated(c):
         if not isinstance(c, Fetch):
             return c
@@ -840,7 +866,7 @@ def test_a_repeated_index_string_fails_as_per_thread(resident, declined):
         repeated)
     assert both_backends(loop) == [error, error]
     assert resident == [True]
-    assert [rule for rule, _ in declined] == ["fetches"]
+    assert declined == [1]
 
 
 def test_int_overflow_falls_back_to_the_per_thread_rule():
@@ -972,16 +998,16 @@ LOOPS = {
     "nan-sign": "big := 1e300 * 1e300; y := sub(big, big); "
                 "for t:int in range(3) { y := neg(y); score(0.0) }",
     # the product (2**61 + t) * 4 leaves int64, so the lanes decline and
-    # the expression, whose result fits, runs per thread, reading each
-    # thread's t from the lane arrays
+    # the loop runs again on grids, where the expression, whose result
+    # fits, runs per thread
     "per-thread-read": "n:int := 2305843009213693952; y := 0.0; "
                        "for t:int in range(5) { "
                        "m:int := sub(mul(add(n:int, t:int), 4), mul(n:int, 4)); "
                        "y := add(y, to_real(m:int)); score(y) }",
-    # the condition's lanes decline as above: the chain is cut from the
-    # per-thread values, and the else-branch's fetch, on a part of 3 of 5
-    # lanes (fewer than FETCH_MIN_LANES; `lt` gives 0 where a < b, so the
-    # else-branch runs on t = 2, 3, 4), is written at the part's rows
+    # the condition's lanes decline as above: on grids the chain is cut
+    # from the per-thread values, and the else-branch's fetch runs on a part
+    # of 3 of 5 threads (`lt` gives 0 where a < b, so the else-branch runs
+    # on t = 2, 3, 4)
     "declined-ifz": "n:int := 2305843009213693952; y := 0.0; "
                     "for t:int in range(5) { "
                     "ifz lt(mul(add(n:int, t:int), 4), 9223372036854775816) "
@@ -1049,23 +1075,20 @@ def test_a_variable_written_only_on_empty_branches_stays_absent(resident):
 
 @pytest.fixture
 def declined(monkeypatch):
-    """The per-thread rules a compiled loop body called where its lanes
-    declined, each as (rule, the expression, fetch index or lookup_index
-    name it evaluated); the grids' calls are not recorded."""
-    from vecloop.target_interp import _TargetRun
+    """The round, counted from 1, in which each lane run declined, so
+    that its loop ran again on grids."""
+    sent, rounds = [], {}
+    original = ResidentLoop.round
 
-    sent = []
+    def recorded(self, runner, check):
+        rounds[self] = rounds.get(self, 0) + 1
+        try:
+            return original(self, runner, check)
+        except Declined:
+            sent.append(rounds[self])
+            raise
 
-    def recorder(rule, original):
-        def recorded(self, expr, reader, chain):
-            if isinstance(reader, ResidentLoop):
-                sent.append((rule, expr))
-            return original(self, expr, reader, chain)
-        return recorded
-
-    for rule in ("values", "scores", "fetches", "indices"):
-        monkeypatch.setattr(_TargetRun, rule,
-                            recorder(rule, getattr(_TargetRun, rule)))
+    monkeypatch.setattr(ResidentLoop, "round", recorded)
     return sent
 
 
@@ -1101,13 +1124,12 @@ def test_the_relaxed_runner_never_enters_a_compiled_body():
 
 @pytest.mark.parametrize("name", ["nan-carried", "nan-sign", "per-thread-read"])
 def test_compiled_loops_decline_per_thread(name, resident, declined):
-    # an operator's NaN and a product that leaves int64 send their
-    # assignment's expression to the interpreter's rule, once per thread,
-    # every round
+    # an operator's NaN and a product that leaves int64 make an
+    # assignment's lanes decline in round 1: the loop runs on grids, where
+    # the interpreter's rules evaluate once per thread
     sparse, dense = run_both(vectorise(parse(LOOPS[name])), db=NORMAL)
     assert_agree(sparse, dense)
-    assert resident == [True] and declined
-    assert {rule for rule, _ in declined} == {"values"}
+    assert resident == [True] and declined == [1]
 
 
 def test_a_for_loop_inside_a_resident_loop_runs_as_on_sparse(resident):
@@ -1144,8 +1166,8 @@ def test_for_inside_a_resident_loop(resident):
 def test_an_operator_that_does_not_resolve_fails_where_it_runs(
         resident, declined):
     # compiling the body meets the ill-typed node first; the expression
-    # holding it fails only where the per-thread rule reaches it, as on
-    # grids
+    # holding it declines only where a nonempty part reaches it, and then
+    # fails on grids
     from vecloop.syntax import (Assign, For, Ifz, Score, Skip, seq)
 
     t, x = Variable("t", INT), Variable("x", REAL)
@@ -1163,19 +1185,39 @@ def test_an_operator_that_does_not_resolve_fails_where_it_runs(
             assert declined == []
         else:
             assert sparse[0] == dense[0] == want
-            assert declined == [("values", bad.expr)]
+            assert declined == [1]
 
 
 def test_a_resident_loop_reads_per_thread_where_the_lanes_decline(
-        resident, monkeypatch):
-    # the per-thread rule reads a variable's column on the chain
+        resident, declined, monkeypatch):
+    # the loop runs again on grids, whose per-thread rules read a
+    # variable's column on the chain
     reads = []
-    column = ResidentLoop.column
-    monkeypatch.setattr(ResidentLoop, "column", lambda self, var, chain:
+    column = DenseState.column
+    monkeypatch.setattr(DenseState, "column", lambda self, var, chain:
                         reads.append(var.name) or column(self, var, chain))
     sparse, dense = run_both(vectorise(parse(LOOPS["per-thread-read"])))
     assert_agree(sparse, dense)
-    assert resident == [True] and {"n", "t"} <= set(reads)
+    assert resident == [True] and declined == [1]
+    assert {"n", "t"} <= set(reads)
+
+
+def test_a_lane_run_declining_in_a_later_round_leaves_no_trace(
+        resident, declined):
+    # round 1 reads k = 0 on every thread; from round 2 on, thread 1 reads
+    # k = 1, and (2**61 - 1 + k) * 4 leaves int64, after the round's score
+    # step has added its lanes: the grids start again from the score
+    # buffer and the state the loop began with, and the loop is traced once
+    program = vectorise(parse(
+        "n:int := 2305843009213693951; k:int := 0; for t:int in range(4) { "
+        "score(to_real(k:int)); "
+        "m:int := sub(mul(add(n:int, k:int), 4), mul(n:int, 4)); "
+        "k:int := add(t:int, 1) }"))
+    sparse, dense = run_both(program, db=NORMAL)
+    assert_agree(sparse, dense)
+    assert resident == [True] and declined == [2]
+    assert [record.site for record in dense.trace] == [0]
+    assert dense.score.entries[EMPTY] == 0.0 + 1.0 + 2.0 + 3.0
 
 
 def test_entry_grids_storing_values_above_the_members_run_on_grids(resident):

@@ -70,9 +70,10 @@ def extend_by_scan(entries, i: Index):
 
 def copied_by_scan(entries, rho):
     """A slot whose source holds no entry is repaired when its read in the
-    relocated map differs, under !=, from its source's read, unless both
-    reads come from one entry the relocation kept: a NaN differs from
-    itself under !=, and such a slot reads that NaN already."""
+    relocated map differs, under != or as a zero of the other sign, from
+    its source's read, unless both reads come from one entry the
+    relocation kept: a NaN differs from itself under !=, and such a slot
+    reads that NaN already."""
     image = {target: source for source, target in rho.items()}
     new = {t: entries[s] for t, s in image.items() if s in entries}
     new.update((i, v) for i, v in entries.items() if not in_up(i, image))
@@ -84,8 +85,9 @@ def copied_by_scan(entries, rho):
         at = max_below(entries, source)
         if at is None or (at not in image and at == max_below(base, target)):
             continue
-        value = entries[at]
-        if extend_by_scan(base, target) != value:
+        value, read = entries[at], extend_by_scan(base, target)
+        if read != value or (value == 0 and str(read).startswith("-")
+                             != str(value).startswith("-")):
             new[target] = value
     return new
 

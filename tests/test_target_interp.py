@@ -497,7 +497,7 @@ def test_a_per_thread_fetch_looks_each_index_up_once_per_run(monkeypatch):
 
 
 class ColumnsOnly:
-    """A reader with nothing but the reader protocol: each variable's
+    """A state with nothing but `column`: each variable's
     values on a chain's threads, in chain order."""
 
     def __init__(self, columns):
@@ -513,33 +513,33 @@ def test_the_per_thread_rules_read_only_columns():
 
     n = Variable("n", INT)
     chain = AChain(VEC[:2])
-    reader = ColumnsOnly({X: [-math.inf, 0.0], Y: [math.inf, 0.0],
+    state = ColumnsOnly({X: [-math.inf, 0.0], Y: [math.inf, 0.0],
                           n: [1, 0]})
     run = _TargetRun(parse("skip", "target"), zdb(), FIXPOINT, chain)
 
     def expr(text):
         return parse(f"score({text})", "target").expr
 
-    assert run.values(expr("add(x, 1.0)"), reader, chain) == [-math.inf, 1.0]
-    assert run.scores(expr("log(y)"), reader, ROOT_CHAIN) == [math.inf]
+    assert run.values(expr("add(x, 1.0)"), state, chain) == [-math.inf, 1.0]
+    assert run.scores(expr("log(y)"), state, ROOT_CHAIN) == [math.inf]
     index = parse('x := fetch([("z", n:int)])', "target").index
-    assert run.fetches(index, reader, chain) == [0.1, 0.0]
+    assert run.fetches(index, state, chain) == [0.1, 0.0]
     # the column walk fails; each rule then fails as its first failing
     # thread does: thread 0's NaN score comes before thread 1's log(0.0)
     with pytest.raises(PrimitiveDomainError) as err:
-        run.values(expr("log(y)"), reader, chain)
+        run.values(expr("log(y)"), state, chain)
     assert str(err.value) == "log(0.0,) outside the operator's domain"
     with pytest.raises(ScoreNaN) as err:
-        run.scores(expr("add(log(y), x)"), reader, chain)
+        run.scores(expr("add(log(y), x)"), state, chain)
     assert str(err.value) == f"score evaluated to NaN at {VEC[0].text()}"
     fails = parse('x := fetch([("z", mod(5, n:int))])', "target").index
     with pytest.raises(PrimitiveDomainError) as err:
-        run.fetches(fails, reader, chain)
+        run.fetches(fails, state, chain)
     assert str(err.value) == "mod(5, 0) outside the operator's domain"
 
 
 def test_runs_that_do_not_fail_evaluate_no_thread_by_itself(monkeypatch):
-    # every rule's column walk completes where no thread fails; a reader
+    # every rule's column walk completes where no thread fails; a state
     # whose `column` raised would send every rule to its per-thread loop
     from vecloop import target_interp
     from vecloop.errors import VecloopError
